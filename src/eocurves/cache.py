@@ -1,8 +1,11 @@
 """Persistent JSON caches for the two memoized counting tables.
 
 Keys flatten to "g,n,mu1,...,mun"; values are decimal integer strings
-for the graph counts and "p/q" strings for the Hurwitz numbers.  Corrupt
-entries are rejected with a warning and recomputed rather than trusted.
+for the graph counts and "p/q" strings for the Hurwitz numbers.  The
+Hurwitz memo holds the integers r! d! H, which import computes as
+p (r! d! / q) in integers; a q that does not divide r! d! marks a corrupt
+entry.  Corrupt entries are rejected with a warning and recomputed
+rather than trusted.
 """
 
 from __future__ import annotations
@@ -10,12 +13,13 @@ from __future__ import annotations
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import catalan as cat
 from . import hurwitz as hur
 from .errors import CorruptCache
-from .rationals import parse_q, qstr
+from .rationals import qstr
 
 
 def cache_dir(default: str | None = None) -> Path:
@@ -37,11 +41,20 @@ def _unflatten(key: str) -> tuple[int, tuple[int, ...]]:
     return g, mu
 
 
+def _ratio(value) -> tuple[int, int]:
+    """Split a "p" or "p/q" string into integers p and q > 0."""
+    num, _, den = str(value).partition("/")
+    p, q = int(num), int(den) if den else 1
+    if q <= 0:
+        raise CorruptCache(f"value {value!r} has denominator {q}")
+    return p, q
+
+
 def export_caches(path: Path) -> dict:
     payload = {
         "catalan": {_flatten(g, mu): str(v)
                     for (g, mu), v in sorted(cat._count_memo.items())},
-        "hurwitz": {_flatten(g, mu): qstr(v)
+        "hurwitz": {_flatten(g, mu): qstr(Fraction(v, hur._scale(g, mu)))
                     for (g, mu), v in sorted(hur._h_memo.items())},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -63,10 +76,12 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
     for key, value in payload.get("catalan", {}).items():
         try:
             g, mu = _unflatten(key)
-            v = parse_q(str(value))
-            if v.denominator != 1 or v < 0:
+            if not mu or min(mu) < 1 or sum(mu) % 2:
+                raise CorruptCache(f"key {key!r} is not a profile the memo holds")
+            p, q = _ratio(value)
+            if p % q or p < 0:
                 raise CorruptCache(f"count {key} = {value} is not a whole number")
-            cat._count_memo[(g, mu)] = int(v)
+            cat._count_memo[(g, mu)] = p // q
             loaded_c += 1
         except (CorruptCache, ValueError) as exc:
             warn(f"cache: rejecting {key!r}: {exc}")
@@ -75,10 +90,16 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
     for key, value in payload.get("hurwitz", {}).items():
         try:
             g, mu = _unflatten(key)
-            v = parse_q(str(value))
-            if v < 0:
+            if not mu or min(mu) < 1 or 2 * g - 2 + len(mu) + sum(mu) < 1:
+                raise CorruptCache(f"key {key!r} is not a profile the memo holds")
+            p, q = _ratio(value)
+            if p < 0:
                 raise CorruptCache(f"count {key} = {value} is negative")
-            hur._h_memo[(g, mu)] = v
+            scale = hur._scale(g, mu)
+            if scale % q:
+                raise CorruptCache(f"count {key} = {value}: denominator {q} "
+                                   "does not divide r! d!")
+            hur._h_memo[(g, mu)] = p * (scale // q)
             loaded_h += 1
         except (CorruptCache, ValueError) as exc:
             warn(f"cache: rejecting {key!r}: {exc}")

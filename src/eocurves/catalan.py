@@ -42,16 +42,16 @@ def _sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
 
 def _count(g: int, mu: tuple[int, ...]) -> int:
     """Arrowed cellular-graph count for sorted mu; pure recursion, memoized."""
-    if g < 0:
-        return 0
-    if any(m == 0 for m in mu):
-        return 1 if (g, mu) == (0, (0,)) else 0
-    if sum(mu) % 2:
-        return 0
     key = (g, mu)
     cached = _count_memo.get(key)
     if cached is not None:
         return cached
+    if g < 0:
+        return 0
+    if mu[-1] == 0:
+        return 1 if key == (0, (0,)) else 0
+    if sum(mu) % 2:
+        return 0
 
     mu1, rest = mu[0], mu[1:]
     total = 0
@@ -59,18 +59,26 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
     for j, mj in enumerate(rest):
         merged = _sorted_key(rest[:j] + rest[j + 1:] + (mu1 + mj - 2,))
         total += mj * _count(g, merged)
-    # shrink an arrowed loop at vertex 1, splitting it in two
+    # shrink an arrowed loop at vertex 1, splitting it in two; the labeled
+    # splits of the other vertices, with the parity of the left degree sum
     nrest = len(rest)
+    splits = []
+    for mask in range(1 << nrest):
+        left = tuple(rest[i] for i in range(nrest) if mask >> i & 1)
+        right = tuple(rest[i] for i in range(nrest) if not mask >> i & 1)
+        splits.append((left, right, sum(left) % 2))
     for a in range(mu1 - 1):
         b = mu1 - 2 - a
         total += _count(g - 1, _sorted_key((a, b) + rest))
-        for mask in range(1 << nrest):
-            left = tuple(rest[i] for i in range(nrest) if mask >> i & 1)
-            right = tuple(rest[i] for i in range(nrest) if not mask >> i & 1)
+        for left, right, parity in splits:
+            if (a + parity) % 2:
+                continue  # both sides have an odd degree sum
+            ka = _sorted_key((a,) + left)
+            kb = _sorted_key((b,) + right)
             for g1 in range(g + 1):
-                ca = _count(g1, _sorted_key((a,) + left))
+                ca = _count(g1, ka)
                 if ca:
-                    total += ca * _count(g - g1, _sorted_key((b,) + right))
+                    total += ca * _count(g - g1, kb)
 
     _count_memo[key] = total
     return total

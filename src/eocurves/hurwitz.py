@@ -20,6 +20,7 @@ from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    ExactDivisionError,
     InvalidProfile,
     OverdeterminedMismatch,
     PathMismatch,
@@ -36,11 +37,20 @@ Q = Fraction
 # cut-and-join recursion
 # ---------------------------------------------------------------------------
 
-_h_memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+# N_g(mu) = r! d! H_g(mu), with r = 2g - 2 + n + |mu| simple branch points
+# and degree d = |mu|.  Scaled this way the cut-and-join recursion has
+# integer coefficients, so the memo holds integers.
+_h_memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
 def _sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(entries, reverse=True))
+
+
+def _scale(g: int, mu: Sequence[int]) -> int:
+    """r! d!, the factor between H_g(mu) and its memoized integer N_g(mu)."""
+    d = sum(mu)
+    return factorial(2 * g - 2 + len(mu) + d) * factorial(d)
 
 
 def _submultisets(rest: tuple[int, ...]):
@@ -61,53 +71,62 @@ def _submultisets(rest: tuple[int, ...]):
     yield from rec(0, (), (), 1)
 
 
-def _hurwitz(g: int, mu: tuple[int, ...]) -> Fraction:
-    if g < 0:
-        return QZERO
-    n = len(mu)
-    r = 2 * g - 2 + n + sum(mu)
-    if r < 0:
-        return QZERO
-    if r == 0:
-        return QONE if (g, mu) == (0, (1,)) else QZERO
+def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
+    """N_g(mu) for sorted mu: cut-and-join r H = join + cut, times (r-1)! d!."""
     key = (g, mu)
     cached = _h_memo.get(key)
     if cached is not None:
         return cached
+    if g < 0:
+        return 0
+    d = sum(mu)
+    r = 2 * g - 2 + len(mu) + d
+    if r <= 0:
+        return 1 if key == (0, (1,)) else 0
 
-    total = QZERO
+    # Every term below is doubled, so that the cut's factor 1/2 stays integral.
+    twice = 0
     values = sorted(set(mu), reverse=True)
     mult = {v: mu.count(v) for v in values}
-    # join two poles
+    # join two poles: same g and d, one branch point fewer, so N carries over
     for i, a in enumerate(values):
         for b in values[i:]:
-            pairs = comb(mult[a], 2) if a == b else mult[a] * mult[b]
-            if not pairs:
+            twice_pairs = mult[a] * (mult[a] - 1) if a == b else 2 * mult[a] * mult[b]
+            if not twice_pairs:
                 continue
             merged = list(mu)
             merged.remove(a)
             merged.remove(b)
             merged.append(a + b)
-            total += pairs * (a + b) * _hurwitz(g, _sorted_key(merged))
-    # cut one pole in two
+            twice += twice_pairs * (a + b) * _hurwitz(g, _sorted_key(merged))
+    # cut one pole in two: a genus drop carries N over; a split into
+    # (g1, d1) and (g - g1, d - d1) shares out r - 1 branch points and d sheets
     for v in values:
         rest = list(mu)
         rest.remove(v)
         rest_t = tuple(rest)
-        weight = Q(mult[v], 2)
+        splits = list(_submultisets(rest_t))
+        cut = 0
         for alpha in range(1, v):
             beta = v - alpha
-            ab = alpha * beta
-            total += weight * ab * _hurwitz(g - 1, _sorted_key(rest_t + (alpha, beta)))
-            for sub, left, ways in _submultisets(rest_t):
+            term = _hurwitz(g - 1, _sorted_key(rest_t + (alpha, beta)))
+            for sub, left, ways in splits:
+                ka = _sorted_key(sub + (alpha,))
+                kb = _sorted_key(left + (beta,))
+                d1 = sum(ka)
                 for g1 in range(g + 1):
-                    ha = _hurwitz(g1, _sorted_key(sub + (alpha,)))
-                    if ha:
-                        hb = _hurwitz(g - g1, _sorted_key(left + (beta,)))
-                        if hb:
-                            total += weight * ab * ways * ha * hb
+                    na = _hurwitz(g1, ka)
+                    if na:
+                        nb = _hurwitz(g - g1, kb)
+                        if nb:
+                            r1 = 2 * g1 - 2 + len(ka) + d1
+                            term += ways * comb(r - 1, r1) * comb(d, d1) * na * nb
+            cut += alpha * beta * term
+        twice += mult[v] * cut
 
-    result = total / r
+    result, odd = divmod(twice, 2)
+    if odd:
+        raise ExactDivisionError(f"cut-and-join sum for (g={g}, mu={mu}) is odd")
     _h_memo[key] = result
     return result
 
@@ -118,7 +137,8 @@ def hurwitz_number(g: int, n: int, mu: Sequence[int]) -> Fraction:
         raise InvalidProfile(f"bad profile (g={g}, n={n}, mu={tuple(mu)})")
     if 2 * g - 2 + n + sum(mu) < 0:
         raise InvalidProfile("negative ramification count")
-    return _hurwitz(g, _sorted_key(mu))
+    key = _sorted_key(mu)
+    return Fraction(_hurwitz(g, key), _scale(g, key))
 
 
 def labeled_hurwitz(g: int, mu: Sequence[int]) -> Fraction:

@@ -8,6 +8,8 @@ no binary floating point ever contaminates the output.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -76,11 +78,13 @@ class Report:
         if fmt == "json":
             return json.dumps(self.to_json_dict(), indent=2)
         if fmt == "csv":
-            lines = ["id,status,residual,wall_time"]
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["id", "status", "residual", "wall_time"])
             for c in self.checks:
-                lines.append(f"{c.check_id},{c.status},{c.residual},{c.wall_time:.3f}")
-            lines.append(f"overall,{self.overall},,")
-            return "\n".join(lines)
+                writer.writerow([c.check_id, c.status, c.residual, f"{c.wall_time:.3f}"])
+            writer.writerow(["overall", self.overall, "", ""])
+            return out.getvalue().rstrip("\n")
         width = max((len(c.check_id) for c in self.checks), default=10)
         lines = [f"suite: {self.suite}"]
         for c in self.checks:
@@ -109,7 +113,10 @@ def check_catalan_base_sequence(cfg: RunConfig) -> tuple[bool, str]:
 
 def check_catalan_curve_inversion(cfg: RunConfig) -> tuple[bool, str]:
     rep = cat.curve_inversion_check(8)
-    return rep["pass"], f"series inverse exact through order {rep['order']}"
+    if rep["pass"]:
+        return True, f"series inverse exact through order {rep['order']}"
+    return False, (f"series inverse first fails at x^{rep['first_failing_x_power']}"
+                   f" (order {rep['order']})")
 
 
 def check_catalan_free_energies(cfg: RunConfig) -> tuple[bool, str]:

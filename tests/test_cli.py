@@ -1,13 +1,18 @@
 """Command-line front end: outputs, exit codes, reports, caching."""
 
+import csv
+import io
 import json
+from fractions import Fraction as Q
+
 import pytest
 
 from eocurves import catalan as cat
 from eocurves import hurwitz as hur
+from eocurves import report
 from eocurves.cache import export_caches, import_caches
 from eocurves.cli import main
-from eocurves.report import RunConfig, run_suite
+from eocurves.report import RunConfig, check_catalan_curve_inversion, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -88,16 +93,28 @@ def test_report_determinism_and_parallelism():
 def test_cache_roundtrip(tmp_path):
     cat.catalan_count(0, 1, [8])
     hur.hurwitz_number(1, 1, [3])
+    hur.hurwitz_number(0, 3, [2, 2, 1])
     snapshot_c = dict(cat._count_memo)
     snapshot_h = dict(hur._h_memo)
+    numbers = {(g, mu): hur.hurwitz_number(g, len(mu), mu) for g, mu in snapshot_h}
     path = tmp_path / "cache.json"
     export_caches(path)
+    text = path.read_text()
+    # the file keeps the "p/q" text of H itself, not the scaled integers
+    assert json.loads(text)["hurwitz"]["1,1,3"] == "3/8"
+    assert {key: Q(v) for key, v in json.loads(text)["hurwitz"].items()} == \
+        {",".join(map(str, (g, len(mu), *mu))): h for (g, mu), h in numbers.items()}
     cat.clear_caches()
     hur.clear_caches()
     stats = import_caches(path)
     assert stats["rejected"] == 0
     assert cat._count_memo == snapshot_c
     assert hur._h_memo == snapshot_h
+    for (g, mu), h in numbers.items():
+        assert hur.hurwitz_number(g, len(mu), mu) == h
+    again = tmp_path / "again.json"
+    export_caches(again)
+    assert again.read_text() == text
 
 
 def test_cache_rejects_tampered_value(tmp_path):
@@ -116,6 +133,77 @@ def test_cache_rejects_tampered_value(tmp_path):
     assert any("1/3" in w or key in w for w in warnings)
     # the poisoned key recomputes to the true value
     assert cat.catalan_count(0, 1, [2]) == 1
+
+
+@pytest.mark.parametrize("model,key,value,argv,expected", [
+    ("catalan", "0,1,6", "1/0", ["catalan", "count", "--mu", "6"], "5"),
+    ("hurwitz", "0,1,3", "1/0", ["hurwitz", "number", "--mu", "3"], "1/2"),
+    # r! d! = 2! 3! = 12 for (g, mu) = (0, (3,)); 7 cannot divide it
+    ("hurwitz", "0,1,3", "1/7", ["hurwitz", "number", "--mu", "3"], "1/2"),
+])
+def test_cli_rejects_corrupt_denominator(tmp_path, capsys, model, key, value,
+                                         argv, expected):
+    cat.clear_caches()
+    hur.clear_caches()
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({model: {key: value}}))
+    code = main(["--cache", str(path), *argv, "--g", "0", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip() == expected
+    assert key in captured.err and "rejecting" in captured.err
+    # the write-back replaces the poisoned entry with the recomputed one
+    assert json.loads(path.read_text())[model][key] == expected
+
+
+def test_cache_rejects_profiles_the_memo_never_holds(tmp_path):
+    # zero parts, odd degree sums and the r = 0 cover are answered before
+    # the memo is read, so an entry for one can only be a forgery
+    cat.clear_caches()
+    hur.clear_caches()
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"catalan": {"0,1,3": "7", "0,1,0": "7"},
+                                "hurwitz": {"0,1,1": "7"}}))
+    warnings = []
+    stats = import_caches(path, warn=warnings.append)
+    assert stats == {"catalan": 0, "hurwitz": 0, "rejected": 3}
+    assert len(warnings) == 3
+    assert cat.catalan_count(0, 1, [3]) == 0
+    assert cat.catalan_count(0, 1, [0]) == 1
+    assert hur.hurwitz_number(0, 1, [1]) == 1
+
+
+def test_csv_report_parses_back(capsys, monkeypatch):
+    # the two checks whose residual text holds commas, plus one holding a
+    # quote and a line break
+    keep = {"hurwitz-free-energies", "hurwitz-s-cross-paths"}
+    checks = [c for c in report.SUITES["hurwitz"] if c[0] in keep]
+    checks.append(("quoted", "odd residual", lambda cfg: (False, 'a, "b"\nc')))
+    monkeypatch.setitem(report.SUITES, "hurwitz", checks)
+    code, out = run_cli(capsys, "--format", "csv", "verify", "--suite", "hurwitz")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["id", "status", "residual", "wall_time"]
+    assert all(len(row) == 4 for row in rows)
+    assert [row[:2] for row in rows[1:]] == [
+        ["hurwitz-free-energies", "pass"], ["hurwitz-s-cross-paths", "pass"],
+        ["quoted", "fail"], ["overall", "fail"]]
+    assert "," in rows[1][2] and "," in rows[2][2]
+    assert rows[3][2] == 'a, "b"\nc'
+
+
+def test_curve_inversion_check_names_failing_power(monkeypatch):
+    ok, residual = check_catalan_curve_inversion(RunConfig())
+    assert ok and residual == "series inverse exact through order 8"
+    true_count = cat.catalan_count
+
+    def corrupt_c3(g, n, mu):
+        return 6 if list(mu) == [6] else true_count(g, n, mu)
+
+    monkeypatch.setattr(cat, "catalan_count", corrupt_c3)
+    ok, residual = check_catalan_curve_inversion(RunConfig())
+    assert not ok
+    assert "x^-5" in residual and "exact" not in residual
 
 
 def test_cache_missing_file_cold_start(tmp_path):

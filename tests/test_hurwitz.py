@@ -32,8 +32,10 @@ def test_base_values():
 
 
 def test_against_monodromy_oracle():
+    # (2, 2) and (2, 1, 1) repeat a part, so the split term's labeled ways
+    # and binomial weights are checked against the permutation count too
     for g, mu in [(0, (3,)), (0, (1, 1)), (0, (2,)), (1, (2,)), (0, (1, 1, 1)),
-                  (0, (2, 1)), (1, (1, 1)), (0, (4,))]:
+                  (0, (2, 1)), (1, (1, 1)), (0, (4,)), (0, (2, 2)), (0, (2, 1, 1))]:
         got = hur.hurwitz_number(g, len(mu), list(mu))
         assert got == oracles.hurwitz_by_factorizations(g, mu), (g, mu)
 
