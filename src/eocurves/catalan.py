@@ -14,8 +14,10 @@ the second-order equation (hbar d/dx)^2 + hbar x d/dx + 1 order by order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import prod
+from typing import Mapping, Sequence
 
+from . import shared
 from .errors import AsymmetricResult, ExactDivisionError, InvalidProfile
 from .laurent import (
     BinomialFraction,
@@ -26,6 +28,14 @@ from .laurent import (
 from .rationals import QONE, QZERO
 from .ratfunc import RatFunc, UPoly, integrate_no_log, substitute_mobius, even_part
 from .series import TruncatedSeries
+from .shared import (
+    CurveSymbol,
+    diagonal_mixed,
+    is_stable,
+    sorted_key as _sorted_key,
+    stable_splits,
+)
+from .shared import principal_ratfunc, stable_levels  # public in both models
 
 Q = Fraction
 
@@ -34,10 +44,6 @@ Q = Fraction
 # ---------------------------------------------------------------------------
 
 _count_memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-
-def _sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(entries, reverse=True))
 
 
 def _count(g: int, mu: tuple[int, ...]) -> int:
@@ -97,10 +103,7 @@ def dessin_number(g: int, n: int, mu: Sequence[int]) -> Fraction:
     """Automorphism-weighted graph count: catalan_count / prod(mu)."""
     if n < 1 or len(mu) != n or any(m < 1 for m in mu):
         raise InvalidProfile(f"dessin profile needs positive degrees, got {tuple(mu)}")
-    denom = 1
-    for m in mu:
-        denom *= m
-    return Fraction(catalan_count(g, n, mu), denom)
+    return Fraction(catalan_count(g, n, mu), prod(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +112,7 @@ def dessin_number(g: int, n: int, mu: Sequence[int]) -> Fraction:
 
 T_OF_Z = (Q(1), Q(1), Q(1), Q(-1))  # as a Moebius map applied to a function of t
 U_OF_S = (Q(1), Q(0), Q(1), Q(-1))  # u = s/(s-1) applied to a function of u = z^2
+BASE_POINT = Q(-1)  # t = -1 (z = 0, x = infinity): free energies vanish here
 
 
 def x_of_t() -> RatFunc:
@@ -137,6 +141,15 @@ def to_z(f: RatFunc) -> RatFunc:
     return substitute_mobius(f, T_OF_Z, "z")
 
 
+def curve_symbol() -> CurveSymbol:
+    """y^2 + x y + 1 on y = -z, x = z + 1/z; derivative frame d/dx."""
+    towers = {1: RatFunc(UPoly([1, 0, -1]), UPoly([0, 1]), "z"),  # (1 - z^2)/z
+              2: RatFunc.const(2, "z")}
+    zero = RatFunc.zero("z")
+    dz = RatFunc(UPoly([0, 0, 1]), UPoly([-1, 0, 1]), "z")  # z^2/(z^2-1)
+    return CurveSymbol(lambda r: towers.get(r, zero), dz)
+
+
 def s_polynomial(f: RatFunc) -> UPoly:
     """Express an even function of z as a polynomial in s = z^2/(z^2-1).
 
@@ -158,42 +171,12 @@ _fe_memo: dict[tuple[int, int], SparseLaurent] = {}
 
 def _kernel3(arity: int, slot: int) -> SparseLaurent:
     """(t^2-1)^3 / t^2 at the given variable slot."""
-    return SparseLaurent(arity, {
-        _unit_key(arity, slot, 4): QONE,
-        _unit_key(arity, slot, 2): Q(-3),
-        _unit_key(arity, slot, 0): Q(3),
-        _unit_key(arity, slot, -2): Q(-1),
-    })
+    return SparseLaurent.in_slot(arity, slot, {4: QONE, 2: Q(-3), 0: Q(3), -2: Q(-1)})
 
 
 def _kernel2(arity: int, slot: int) -> SparseLaurent:
     """(t^2-1)^2 / t^2 at the given variable slot."""
-    return SparseLaurent(arity, {
-        _unit_key(arity, slot, 2): QONE,
-        _unit_key(arity, slot, 0): Q(-2),
-        _unit_key(arity, slot, -2): QONE,
-    })
-
-
-def _unit_key(arity: int, slot: int, e: int) -> tuple[int, ...]:
-    key = [0] * arity
-    key[slot] = e
-    return tuple(key)
-
-
-def _poly_in_slot(arity: int, slot: int, coeffs: Mapping[int, Fraction]) -> SparseLaurent:
-    return SparseLaurent(arity, {_unit_key(arity, slot, e): c
-                                 for e, c in coeffs.items()})
-
-
-def _is_stable(g: int, n: int) -> bool:
-    return 2 * g - 2 + n > 0
-
-
-def _embed_active(f: SparseLaurent, arity: int, active: int,
-                  others: Sequence[int]) -> SparseLaurent:
-    """Embed an m-variable function with slot map [active, *others]."""
-    return f.embed(arity, [active, *others])
+    return SparseLaurent.in_slot(arity, slot, {2: QONE, 0: Q(-2), -2: QONE})
 
 
 def free_energy(g: int, n: int) -> SparseLaurent:
@@ -202,7 +185,7 @@ def free_energy(g: int, n: int) -> SparseLaurent:
     Computed by integrating the loop-equation recursion in t_1 from the
     natural zero at t_1 = -1 and asserting symmetry of the result.
     """
-    if not _is_stable(g, n):
+    if not is_stable(g, n):
         raise InvalidProfile(f"({g},{n}) is unstable")
     key = (g, n)
     cached = _fe_memo.get(key)
@@ -210,7 +193,7 @@ def free_energy(g: int, n: int) -> SparseLaurent:
         return cached
 
     rhs = _recursion_rhs(g, n)
-    fe = rhs.integrate(0, base=Q(-1))
+    fe = rhs.integrate(0, base=BASE_POINT)
     if not fe.is_symmetric():
         raise AsymmetricResult(f"free energy ({g},{n}) failed symmetry")
     _fe_memo[key] = fe
@@ -239,10 +222,10 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
 
             # (u-1)^2 (u+1)^3 (t_k+1) / (u^2 (u+t_k)) at u = t_1 and u = t_j
             def phi(u: int) -> BinomialFraction:
-                num = (_poly_in_slot(n, u, {1: QONE, 0: -QONE}).pow(2)
-                       * _poly_in_slot(n, u, {1: QONE, 0: QONE}).pow(3)
-                       * _poly_in_slot(n, u, {-2: QONE})
-                       * _poly_in_slot(n, k, {1: QONE, 0: QONE}))
+                num = (SparseLaurent.in_slot(n, u, {1: QONE, 0: -QONE}).pow(2)
+                       * SparseLaurent.in_slot(n, u, {1: QONE, 0: QONE}).pow(3)
+                       * SparseLaurent.in_slot(n, u, {-2: QONE})
+                       * SparseLaurent.in_slot(n, k, {1: QONE, 0: QONE}))
                 return BinomialFraction(num).div_factor(factor_sum(u, k))
 
             bracket = phi(0) - phi(j)
@@ -252,26 +235,26 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
                     .div_factor(dkey).div_factor(factor_sum(0, j)))
             absorb(term)
             # second pairing line: -(1/16) (t_1-1)(t_1+1)^2 (t_k+1) / (t_1^2 (t_1+t_k))
-            num2 = (_poly_in_slot(n, 0, {1: QONE, 0: -QONE})
-                    * _poly_in_slot(n, 0, {1: QONE, 0: QONE}).pow(2)
-                    * _poly_in_slot(n, 0, {-2: QONE})
-                    * _poly_in_slot(n, k, {1: QONE, 0: QONE}))
+            num2 = (SparseLaurent.in_slot(n, 0, {1: QONE, 0: -QONE})
+                    * SparseLaurent.in_slot(n, 0, {1: QONE, 0: QONE}).pow(2)
+                    * SparseLaurent.in_slot(n, 0, {-2: QONE})
+                    * SparseLaurent.in_slot(n, k, {1: QONE, 0: QONE}))
             absorb(BinomialFraction(num2).div_factor(factor_sum(0, k)).scale(Q(-1, 16)))
         # unstable-pair product term, entering with the opposite sign of the
         # stable product line (verified against direct graph counts)
-        nump = (_poly_in_slot(n, 0, {1: QONE, 0: QONE}).pow(3)
-                * _poly_in_slot(n, 0, {1: QONE, 0: -QONE})
-                * _poly_in_slot(n, 0, {-2: QONE})
-                * _poly_in_slot(n, 1, {1: QONE, 0: QONE})
-                * _poly_in_slot(n, 2, {1: QONE, 0: QONE}))
+        nump = (SparseLaurent.in_slot(n, 0, {1: QONE, 0: QONE}).pow(3)
+                * SparseLaurent.in_slot(n, 0, {1: QONE, 0: -QONE})
+                * SparseLaurent.in_slot(n, 0, {-2: QONE})
+                * SparseLaurent.in_slot(n, 1, {1: QONE, 0: QONE})
+                * SparseLaurent.in_slot(n, 2, {1: QONE, 0: QONE}))
         absorb(BinomialFraction(nump).div_factor(factor_sum(0, 1))
                .div_factor(factor_sum(0, 2)).scale(Q(1, 16)))
     elif n >= 2:
         fm = free_energy(g, n - 1)
         for j in range(1, n):
             others = [s for s in range(1, n) if s != j]
-            f_at_1 = _embed_active(fm, n, 0, others)
-            f_at_j = _embed_active(fm, n, j, others)
+            f_at_1 = fm.embed(n, [0, *others])
+            f_at_j = fm.embed(n, [j, *others])
             phi_1 = _kernel3(n, 0) * f_at_1.diff(0)
             phi_j = _kernel3(n, j) * f_at_j.diff(j)
             tj = SparseLaurent.var(n, j)
@@ -287,42 +270,17 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
         if (g - 1, n + 1) == (0, 2):
             # mixed second derivative of -log(1 - z_1 z_2) is 1/(t_1+t_2)^2,
             # whose diagonal value is 1/(4 t^2)
-            diag = _poly_in_slot(n, 0, {-2: Q(1, 4)})
+            diag = SparseLaurent.in_slot(n, 0, {-2: Q(1, 4)})
         else:
-            fd = free_energy(g - 1, n + 1)
-            mixed = fd.diff(0).diff(1).merge_vars(0, 1)
-            diag = SparseLaurent(n, {
-                (kk[0],) + kk[2:]: c for kk, c in mixed.terms.items()})
+            diag = diagonal_mixed(free_energy(g - 1, n + 1))
         cleared = cleared + (k3 * diag).scale(Q(-1, 32))
 
-    rest = list(range(1, n))
-    for mask in range(1 << len(rest)):
-        left = [rest[i] for i in range(len(rest)) if mask >> i & 1]
-        right = [rest[i] for i in range(len(rest)) if not mask >> i & 1]
-        for g1 in range(g + 1):
-            g2 = g - g1
-            if not (_is_stable(g1, len(left) + 1) and _is_stable(g2, len(right) + 1)):
-                continue
-            fa = _embed_active(free_energy(g1, len(left) + 1), n, 0, left)
-            fb = _embed_active(free_energy(g2, len(right) + 1), n, 0, right)
-            cleared = cleared + (k3 * fa.diff(0) * fb.diff(0)).scale(Q(-1, 32))
+    for g1, left, g2, right in stable_splits(g, range(1, n)):
+        fa = free_energy(g1, len(left) + 1).embed(n, [0, *left])
+        fb = free_energy(g2, len(right) + 1).embed(n, [0, *right])
+        cleared = cleared + (k3 * fa.diff(0) * fb.diff(0)).scale(Q(-1, 32))
 
     return cleared + pending.finalize()
-
-
-def principal_ratfunc(f: SparseLaurent, var: str = "t") -> RatFunc:
-    """Specialize all variables to a single t, as a rational function."""
-    return RatFunc.from_laurent_dict(f.principal(), var)
-
-
-def stable_levels(level: int) -> list[tuple[int, int]]:
-    """All stable (g, n) with 2g - 2 + n equal to the given level."""
-    out = []
-    for g in range(level // 2 + 2):
-        n = level + 2 - 2 * g
-        if n >= 1 and _is_stable(g, n):
-            out.append((g, n))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +289,12 @@ def stable_levels(level: int) -> list[tuple[int, int]]:
 
 def s_coefficient_assembled(m: int) -> RatFunc:
     """S_m(t) summed from principally specialized free energies (m >= 2)."""
-    if m < 2:
-        raise ValueError("S_0 and S_1 contain logarithms; only m >= 2 here")
-    total = RatFunc.zero("t")
-    for g, n in stable_levels(m - 1):
-        fe = free_energy(g, n)
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
-        total = total + principal_ratfunc(fe) * Q(1, fact)
-    return total
+    return shared.s_coefficient_assembled(free_energy, m)
+
+
+def s_prime(m: int) -> RatFunc:
+    """dS_m/dx from the assembled S_m, as a function of t."""
+    return ddx_factor() * s_coefficient_assembled(m).diff()
 
 
 def _x_frame_primes(m_max: int) -> list[RatFunc]:
@@ -356,11 +310,12 @@ def _x_frame_primes(m_max: int) -> list[RatFunc]:
     for m in range(1, m_max):
         acc = c * primes[m].diff()
         for a in range(1, m + 1):
-            b = m + 1 - a
-            if b >= 1 and b <= m:
-                acc = acc + primes[a] * primes[b]
+            acc = acc + primes[a] * primes[m + 1 - a]
         primes.append(inv * acc)
     return primes
+
+
+base_s_primes = _x_frame_primes  # S_0'..S_max' in the base frame d/dx
 
 
 _s_recursive_memo: dict[int, RatFunc] = {}
@@ -379,7 +334,7 @@ def s_coefficient_recursive(m: int) -> RatFunc:
         if k not in _s_recursive_memo:
             dsdt = primes[k] / c
             _s_recursive_memo[k] = integrate_no_log(
-                dsdt, Q(-1), [QZERO, QONE, -QONE])
+                dsdt, BASE_POINT, [QZERO, QONE, -QONE])
     return _s_recursive_memo[m]
 
 
@@ -452,29 +407,12 @@ def t_of_x_float(x: float) -> float:
 
 
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
-    """Truncated Laplace transform of the weighted counts at the given x's."""
-    total = 0.0
-
-    def rec(prefix: list[int], remaining: int, weight: float) -> None:
-        nonlocal total
-        slot = len(prefix)
-        if slot == n - 1:
-            for m in range(1, remaining + 1):
-                d = dessin_number(g, n, prefix + [m])
-                if d:
-                    total += float(d) * weight * xs[slot] ** (-m)
-            return
-        for m in range(1, remaining - (n - slot - 1) + 1):
-            rec(prefix + [m], remaining - m, weight * xs[slot] ** (-m))
-
-    rec([], cap, 1.0)
-    return total
+    """Truncated Laplace transform: dessin numbers against prod x_i^-mu_i."""
+    return shared.laplace_sum_float(dessin_number, -1, g, n, xs, cap)
 
 
 def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:
-    """Exact free energy evaluated at the t-points corresponding to xs."""
-    fe = free_energy(g, n)
-    return fe.eval_float([t_of_x_float(x) for x in xs])
+    return shared.free_energy_float(free_energy, t_of_x_float, g, n, xs)
 
 
 def clear_caches() -> None:

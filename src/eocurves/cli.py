@@ -36,8 +36,6 @@ def _common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     default = (lambda v: argparse.SUPPRESS if suppress else v)
     parser.add_argument("--format", choices=("json", "csv", "pretty"),
                         default=default("pretty"), help="report output format")
-    parser.add_argument("--jobs", type=int, default=default(1),
-                        help="parallel workers for verification suites")
     parser.add_argument("--tolerance", type=float, default=default(1e-8),
                         help="relative tolerance for floating probes")
     parser.add_argument("--cache", type=str, default=default(""),
@@ -94,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_wkb = sub.add_parser("wkb", help="transport hierarchy on the curve symbol", parents=[common])
     wkb_sub = p_wkb.add_subparsers(dest="subcommand", required=True)
     p = wkb_sub.add_parser("corrections", help="quantization corrections A_k", parents=[common])
-    p.add_argument("--model", choices=("catalan", "hurwitz"), required=True)
+    p.add_argument("--model", choices=sorted(wkb.MODELS), required=True)
     p.add_argument("--order", type=int, default=4)
     p = wkb_sub.add_parser("s-prime", help="solve the hierarchy for S_n'", parents=[common])
-    p.add_argument("--model", choices=("catalan", "hurwitz"), required=True)
+    p.add_argument("--model", choices=sorted(wkb.MODELS), required=True)
     p.add_argument("--n", type=int, required=True)
 
     p_schur = sub.add_parser("schur", help="symmetric-function identities", parents=[common])
@@ -113,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite",
                           choices=("catalan", "hurwitz", "wkb", "schur", "all"),
                           default="all")
-    p_verify.add_argument("--max-order", type=int, default=4,
-                          help="retained for reproducibility echo")
 
     p_cache = sub.add_parser("cache", help="persistent memo tables", parents=[common])
     cache_sub = p_cache.add_subparsers(dest="subcommand", required=True)
@@ -131,11 +127,8 @@ def _report_and_exit(report: Report, fmt: str) -> int:
     return 0 if report.overall == "pass" else 1
 
 
-def _emit(data, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(data, indent=2))
-    else:
-        print(data if isinstance(data, str) else json.dumps(data))
+def _emit(data) -> None:
+    print(json.dumps(data, indent=2))
 
 
 HURWITZ_SUBSUITES = {
@@ -154,11 +147,10 @@ def main(argv: list[str] | None = None) -> int:
                     suite=getattr(args, "suite", "") or "",
                     params={k: v for k, v in sorted(vars(args).items())
                             if k not in {"command", "subcommand", "format",
-                                         "jobs", "tolerance", "cache"}
+                                         "tolerance", "cache"}
                             and not callable(v)},
                     output_format=args.format,
                     cache_path=args.cache,
-                    jobs=args.jobs,
                     tolerance=args.tolerance)
 
     cache_file = Path(args.cache) if args.cache else None
@@ -174,13 +166,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
     fmt = args.format
+    if args.command in wkb.MODELS and args.subcommand == "free-energy":
+        fe = wkb.MODELS[args.command].free_energy(args.g, args.n)
+        _emit({"g": args.g, "n": args.n, "terms": fe.to_json()})
+        return 0
+
     if args.command == "catalan":
         if args.subcommand == "count":
             print(cat.catalan_count(args.g, args.n, args.mu))
-            return 0
-        if args.subcommand == "free-energy":
-            fe = cat.free_energy(args.g, args.n)
-            _emit({"g": args.g, "n": args.n, "terms": fe.to_json()}, "json")
             return 0
         if args.subcommand == "s-coeff":
             if args.m >= 5 and not args.extended:
@@ -194,7 +187,7 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
                 out["recursive"] = cat.s_coefficient_recursive(args.m).to_json()
             if args.path == "both":
                 out["equal"] = (out["assembled"] == out["recursive"])
-            _emit(out, "json")
+            _emit(out)
             return 0 if out.get("equal", True) else 1
         if args.subcommand == "verify-schrodinger":
             residuals = cat.schrodinger_residuals(max(args.max_order - 1, 0))
@@ -210,13 +203,9 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
         if args.subcommand == "number":
             print(qstr(hur.hurwitz_number(args.g, args.n, args.mu)))
             return 0
-        if args.subcommand == "free-energy":
-            fe = hur.free_energy(args.g, args.n)
-            _emit({"g": args.g, "n": args.n, "terms": fe.to_json()}, "json")
-            return 0
         if args.subcommand == "s-coeff":
             poly = hur.s_coefficient(args.m)
-            _emit({"m": args.m, "coeffs": poly.to_json()}, "json")
+            _emit({"m": args.m, "coeffs": poly.to_json()})
             return 0
         if args.subcommand == "verify":
             wanted = (HURWITZ_SUBSUITES.get(args.suite)
@@ -240,33 +229,26 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
                 Report(f"wkb-corrections-{args.model}", records, cfg), fmt)
         if args.subcommand == "s-prime":
             f = wkb.s_prime_from_hierarchy(args.model, args.n)
-            _emit({"model": args.model, "n": args.n, "s_prime": f.to_json()},
-                  "json")
+            _emit({"model": args.model, "n": args.n, "s_prime": f.to_json()})
             return 0
 
     if args.command == "schur":
         if args.subcommand == "character":
             dim, chi = schur.dim_and_character(args.mu, args.lam)
-            _emit({"dim": dim, "character": chi}, "json")
+            _emit({"dim": dim, "character": chi})
             return 0
         if args.subcommand == "verify":
             w, r = args.max_weight, args.s_order
-            records = []
-            tau = schur.tau_expansion_residual(w, r)
-            records.append(CheckRecord(
-                "tau-expansion", "character expansion of exp(H)",
-                "pass" if tau.is_zero() else "fail",
-                f"weight<={w}, order<={r}", 0.0))
-            heat = schur.heat_consistency_residual(w, r)
-            records.append(CheckRecord(
-                "heat-flow", "cut-and-join generates the s-flow",
-                "pass" if heat.is_zero() else "fail",
-                f"weight<={w}, order<={r - 1}", 0.0))
-            cauchy = schur.cauchy_residual(min(w, 5))
-            records.append(CheckRecord(
-                "cauchy", "pairing identity",
-                "pass" if cauchy.is_zero() else "fail",
-                f"weight<={min(w, 5)}", 0.0))
+            checks = [
+                ("tau-expansion", "character expansion of exp(H)",
+                 schur.tau_expansion_residual(w, r), f"weight<={w}, order<={r}"),
+                ("heat-flow", "cut-and-join generates the s-flow",
+                 schur.heat_consistency_residual(w, r), f"weight<={w}, order<={r - 1}"),
+                ("cauchy", "pairing identity",
+                 schur.cauchy_residual(min(w, 5)), f"weight<={min(w, 5)}")]
+            records = [CheckRecord(check_id, statement,
+                                   "pass" if residual.is_zero() else "fail", scope, 0.0)
+                       for check_id, statement, residual, scope in checks]
             return _report_and_exit(Report("schur-verify", records, cfg), fmt)
 
     if args.command == "verify":
@@ -276,11 +258,11 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
         path = Path(args.path) if args.path else cache_dir() / "cache.json"
         if args.subcommand == "export":
             stats = export_caches(path)
-            _emit({"path": str(path), **stats}, "json")
+            _emit({"path": str(path), **stats})
             return 0
         if args.subcommand == "import":
             stats = import_caches(path)
-            _emit({"path": str(path), **stats}, "json")
+            _emit({"path": str(path), **stats})
             return 0
 
     return 2

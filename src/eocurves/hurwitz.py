@@ -15,10 +15,12 @@ rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement as _multisets
 from itertools import permutations as _perms
 from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from . import shared
 from .errors import (
     ExactDivisionError,
     InvalidProfile,
@@ -28,8 +30,15 @@ from .errors import (
 from .laurent import BinomialFraction, SparseLaurent, factor_diff, factor_lin
 from .linsolve import solve_overdetermined
 from .rationals import QONE, QZERO
-from .ratfunc import RatFunc, UPoly, integrate_no_log
+from .ratfunc import RatFunc, UPoly, integrate_no_log, substitute_mobius
 from .series import TruncatedSeries
+from .shared import (
+    CurveSymbol,
+    diagonal_mixed,
+    sorted_key as _sorted_key,
+    stable_splits,
+)
+from .shared import principal_ratfunc, stable_levels  # public in both models
 
 Q = Fraction
 
@@ -41,10 +50,6 @@ Q = Fraction
 # and degree d = |mu|.  Scaled this way the cut-and-join recursion has
 # integer coefficients, so the memo holds integers.
 _h_memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-
-def _sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(entries, reverse=True))
 
 
 def _scale(g: int, mu: Sequence[int]) -> int:
@@ -175,17 +180,7 @@ def xi_polynomial(k: int) -> UPoly:
 
 def _kvectors(n: int, bound: int) -> list[tuple[int, ...]]:
     """Nonincreasing k-tuples of length n with sum <= bound."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(slots: int, largest: int, remaining: int, prefix: tuple[int, ...]):
-        if slots == 0:
-            out.append(prefix)
-            return
-        for v in range(min(largest, remaining), -1, -1):
-            rec(slots - 1, v, remaining - v, prefix + (v,))
-
-    rec(n, bound, bound, ())
-    return out
+    return [k for k in _multisets(range(bound, -1, -1), n) if sum(k) <= bound]
 
 
 def _monomial_sym(kvec: tuple[int, ...], mu: tuple[int, ...]) -> Fraction:
@@ -200,17 +195,8 @@ def _monomial_sym(kvec: tuple[int, ...], mu: tuple[int, ...]) -> Fraction:
 
 
 def _sorted_tuples(n: int, lo: int, hi: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(slots: int, minval: int, prefix: tuple[int, ...]):
-        if slots == 0:
-            out.append(prefix)
-            return
-        for v in range(minval, hi + 1):
-            rec(slots - 1, v, prefix + (v,))
-
-    rec(n, lo, ())
-    return out
+    """Nondecreasing n-tuples with entries in [lo, hi]."""
+    return list(_multisets(range(lo, hi + 1), n))
 
 
 _elsv_memo: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
@@ -278,40 +264,15 @@ def free_energy(g: int, n: int) -> SparseLaurent:
             term = SparseLaurent.const(n, c)
             for slot, k in enumerate(p):
                 xi = xi_polynomial(k)
-                term = term * SparseLaurent(
-                    n, {tuple(e if s == slot else 0 for s in range(n)): cc
-                        for e, cc in enumerate(xi.coeffs) if cc})
+                term = term * SparseLaurent.in_slot(n, slot, dict(enumerate(xi.coeffs)))
             total = total + term
     _fe_memo[key] = total
     return total
 
 
-def principal_ratfunc(f: SparseLaurent, var: str = "t") -> RatFunc:
-    return RatFunc.from_laurent_dict(f.principal(), var)
-
-
-def stable_levels(level: int) -> list[tuple[int, int]]:
-    out = []
-    for g in range(level // 2 + 2):
-        n = level + 2 - 2 * g
-        if n >= 1 and 2 * g - 2 + n > 0:
-            out.append((g, n))
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # the differential recursion as a verification target
 # ---------------------------------------------------------------------------
-
-def _poly_in_slot(arity: int, slot: int, coeffs: Mapping[int, Fraction]) -> SparseLaurent:
-    return SparseLaurent(arity, {tuple(e if s == slot else 0 for s in range(arity)): c
-                                 for e, c in coeffs.items() if c})
-
-
-def _embed_active(f: SparseLaurent, arity: int, active: int,
-                  others: Sequence[int]) -> SparseLaurent:
-    return f.embed(arity, [active, *others])
-
 
 def _d_f02_extended(arity: int, i: int, j: int, xoff: int) -> BinomialFraction:
     """d/dt_i of the two-point primitive, x-values as formal variables.
@@ -320,10 +281,10 @@ def _d_f02_extended(arity: int, i: int, j: int, xoff: int) -> BinomialFraction:
     -X_i / (t_i^2 (t_i - 1) (X_i - X_j)).
     """
     dkey, flip = factor_diff(i, j)
-    zpart = (BinomialFraction(_poly_in_slot(arity, j, {1: QONE})
-                              * _poly_in_slot(arity, i, {-1: Fraction(flip)}))
+    zpart = (BinomialFraction(SparseLaurent.in_slot(arity, j, {1: QONE})
+                              * SparseLaurent.in_slot(arity, i, {-1: Fraction(flip)}))
              .div_factor(dkey))
-    zpart = zpart + BinomialFraction(_poly_in_slot(arity, i, {-2: -QONE}))
+    zpart = zpart + BinomialFraction(SparseLaurent.in_slot(arity, i, {-2: -QONE}))
     xkey, xflip = factor_diff(xoff + i, xoff + j)
     xpart = (BinomialFraction(
         SparseLaurent(arity, {
@@ -339,7 +300,7 @@ def _f02_diagonal_second(arity: int, slot: int) -> SparseLaurent:
     The pole part of the pair correlation cancels on the diagonal leaving
     (3t^2 + 2t + 1)/(12 t^4).
     """
-    return _poly_in_slot(arity, slot, {-2: Q(1, 4), -3: Q(1, 6), -4: Q(1, 12)})
+    return SparseLaurent.in_slot(arity, slot, {-2: Q(1, 4), -3: Q(1, 6), -4: Q(1, 12)})
 
 
 def fh_recursion_residual(g: int, n: int,
@@ -368,7 +329,7 @@ def fh_recursion_residual(g: int, n: int,
     femb = fe.embed(arity, list(range(n)))
     lhs = femb.scale(Q(2 * g - 2 + n))
     for i in range(n):
-        lhs = lhs + _poly_in_slot(arity, i, {2: QONE, 1: -QONE}) * femb.diff(i)
+        lhs = lhs + SparseLaurent.in_slot(arity, i, {2: QONE, 1: -QONE}) * femb.diff(i)
 
     pending = BinomialFraction.zero(arity)
 
@@ -383,16 +344,14 @@ def fh_recursion_residual(g: int, n: int,
                 if i == j:
                     continue
                 others = [s for s in range(n) if s != i and s != j]
+                # d/dt_i of the lower free energy, or of the two-point primitive
                 if stable_lower:
-                    fm = fetch(g, n - 1)
-                    f_i = _embed_active(fm, arity, i, others)
-                    psi_i = BinomialFraction(
-                        _poly_in_slot(arity, i, {4: QONE, 3: Q(-2), 2: QONE})
-                        * f_i.diff(i))
+                    df_i = BinomialFraction(
+                        fetch(g, n - 1).embed(arity, [i, *others]).diff(i))
                 else:
-                    k = others[0]
-                    prefac = _poly_in_slot(arity, i, {4: QONE, 3: Q(-2), 2: QONE})
-                    psi_i = _d_f02_extended(arity, i, k, xoff).mul_laurent(prefac)
+                    df_i = _d_f02_extended(arity, i, others[0], xoff)
+                psi_i = df_i.mul_laurent(
+                    SparseLaurent.in_slot(arity, i, {4: QONE, 3: Q(-2), 2: QONE}))
                 # half of the symmetrized difference-quotient line; the (i,j)
                 # and (j,i) ordered terms each contribute t_i t_j/(t_i-t_j)
                 # psi_i once after the bracket is split
@@ -401,14 +360,8 @@ def fh_recursion_residual(g: int, n: int,
                         ).scale(Fraction(flip))
                 absorb(psi_i.mul_laurent(titj).div_factor(dkey), sign=-1)
                 # second line
-                if stable_lower:
-                    line2 = BinomialFraction(
-                        _poly_in_slot(arity, i, {4: QONE, 3: -QONE})
-                        * f_i.diff(i))
-                else:
-                    line2 = _d_f02_extended(arity, i, others[0], xoff).mul_laurent(
-                        _poly_in_slot(arity, i, {4: QONE, 3: -QONE}))
-                absorb(line2, sign=+1)
+                absorb(df_i.mul_laurent(
+                    SparseLaurent.in_slot(arity, i, {4: QONE, 3: -QONE})), sign=+1)
 
     if g >= 1:
         for i in range(n):
@@ -416,35 +369,25 @@ def fh_recursion_residual(g: int, n: int,
             if (g - 1, n + 1) == (0, 2):
                 diag = _f02_diagonal_second(arity, i)
             else:
-                fd = fetch(g - 1, n + 1)
-                mixed = fd.diff(0).diff(1).merge_vars(0, 1)
-                dropped = SparseLaurent(n, {
-                    (kk[0],) + kk[2:]: c for kk, c in mixed.terms.items()})
-                diag = _embed_active(dropped, arity, i, others)
-            square = _poly_in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
+                diag = diagonal_mixed(fetch(g - 1, n + 1)).embed(arity, [i, *others])
+            square = SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
             absorb(BinomialFraction((square * diag).scale(Q(1, 2))), sign=-1)
 
     for i in range(n):
         rest = [s for s in range(n) if s != i]
-        square = _poly_in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
-        for mask in range(1 << len(rest)):
-            left = [rest[p] for p in range(len(rest)) if mask >> p & 1]
-            right = [rest[p] for p in range(len(rest)) if not mask >> p & 1]
-            for g1 in range(g + 1):
-                g2 = g - g1
-                if (2 * g1 - 1 + len(left) <= 0) or (2 * g2 - 1 + len(right) <= 0):
-                    continue
-                fa = _embed_active(fetch(g1, len(left) + 1), arity, i, left)
-                fb = _embed_active(fetch(g2, len(right) + 1), arity, i, right)
-                absorb(BinomialFraction(
-                    (square * fa.diff(i) * fb.diff(i)).scale(Q(1, 2))), sign=-1)
+        square = SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
+        for g1, left, g2, right in stable_splits(g, rest):
+            fa = fetch(g1, len(left) + 1).embed(arity, [i, *left])
+            fb = fetch(g2, len(right) + 1).embed(arity, [i, *right])
+            absorb(BinomialFraction(
+                (square * fa.diff(i) * fb.diff(i)).scale(Q(1, 2))), sign=-1)
 
     if unstable_pair:
         # the unstable-pair product enters with the opposite sign of the
         # stable product line (verified against cut-and-join values)
         for i in range(n):
             jj, kk = [s for s in range(n) if s != i]
-            square = _poly_in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
+            square = SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
             prod = (_d_f02_extended(arity, i, jj, xoff)
                     * _d_f02_extended(arity, i, kk, xoff))
             absorb(prod.mul_laurent(square), sign=+1)
@@ -455,6 +398,24 @@ def fh_recursion_residual(g: int, n: int,
 # ---------------------------------------------------------------------------
 # WKB coefficients in the logarithmic frame
 # ---------------------------------------------------------------------------
+
+T_OF_Z = (Q(0), Q(1), Q(-1), Q(1))  # t = 1/(1-z), applied to a function of t
+BASE_POINT = QONE  # t = 1 (z = 0, x = 0): free energies vanish here
+
+
+def to_z(f: RatFunc) -> RatFunc:
+    """Rewrite a rational function of t in the z coordinate."""
+    return substitute_mobius(f, T_OF_Z, "z")
+
+
+def curve_symbol() -> CurveSymbol:
+    """-y + x e^y on y = z, x = z e^{-z}; derivative frame x d/dx."""
+    towers = {0: RatFunc.zero("z"),
+              1: RatFunc(UPoly([-1, 1]), UPoly([1]), "z")}  # z - 1
+    zc = RatFunc.x("z")  # every higher derivative is x e^y = z
+    dz = RatFunc(UPoly([0, 1]), UPoly([1, -1]), "z")  # z/(1-z)
+    return CurveSymbol(lambda r: towers.get(r, zc), dz)
+
 
 def d_dw(f: RatFunc) -> RatFunc:
     """d/dw = -t^2 (t-1) d/dt on rational functions of t."""
@@ -478,13 +439,7 @@ def s1_prime_w() -> RatFunc:
 
 def s_coefficient_assembled(m: int) -> RatFunc:
     """S_m(t) from principally specialized free energies (m >= 2)."""
-    if m < 2:
-        raise ValueError("S_0 and S_1 are closed forms with logarithms")
-    total = RatFunc.zero("t")
-    for g, n in stable_levels(m - 1):
-        fe = free_energy(g, n)
-        total = total + principal_ratfunc(fe) * Q(1, factorial(n))
-    return total
+    return shared.s_coefficient_assembled(free_energy, m)
 
 
 _s_recursive_memo: dict[int, RatFunc] = {}
@@ -505,13 +460,11 @@ def s_coefficient_recursive(m: int) -> RatFunc:
         target = k + 1
         acc = d_dw(w1[k]) + w1[k]
         for a in range(1, k + 1):
-            b = k + 1 - a
-            if 1 <= b <= k:
-                acc = acc + w1[a] * w1[b]
+            acc = acc + w1[a] * w1[k + 1 - a]
         z = RatFunc(UPoly([-1, 1]), UPoly([0, 1]), "t")
         half_density = RatFunc(UPoly([1]), UPoly([0, -2, 2]), "t")  # 1/(2t(t-1))
         integrand = z.pow(k) * acc * half_density
-        anti = integrate_no_log(integrand, QONE, [QZERO, QONE])
+        anti = integrate_no_log(integrand, BASE_POINT, [QZERO, QONE])
         s_next = z.pow(-k) * anti
         if not s_next.is_polynomial():
             raise PathMismatch(f"S_{target} failed to come out polynomial")
@@ -539,6 +492,15 @@ def s_coefficient(m: int) -> UPoly:
 def s_prime_logx(m: int) -> RatFunc:
     """x dS_m/dx = -dS_m/dw as a function of t (m >= 2)."""
     return -d_dw(RatFunc(s_coefficient(m), UPoly([1]), "t"))
+
+
+s_prime = s_prime_logx  # S_m' in the base frame x d/dx
+
+
+def base_s_primes(m_max: int) -> list[RatFunc]:
+    """S_0'..S_max' in the base frame x d/dx = -d/dw, as functions of t."""
+    return ([-s0_prime_w(), -s1_prime_w()]
+            + [s_prime_logx(m) for m in range(2, m_max + 1)])
 
 
 def heat_residuals(m_max: int,
@@ -606,12 +568,17 @@ def lambert_inversion_check(order: int) -> dict:
     one = TruncatedSeries([QONE] + [QZERO] * order, "x")
     t_from_z = (one - z).reciprocal()
     second = t_direct - t_from_z
+
+    def first_failing(residual: TruncatedSeries) -> int | None:
+        return next((k for k, c in enumerate(residual.coeffs) if c != 0), None)
+
+    curve_bad, frame_bad = first_failing(first), first_failing(second)
     return {
         "order": order,
-        "pass": all(c == 0 for c in first.coeffs) and all(
-            c == 0 for c in second.coeffs),
-        "curve_residual_terms": sum(1 for c in first.coeffs if c != 0),
-        "frame_residual_terms": sum(1 for c in second.coeffs if c != 0),
+        "pass": curve_bad is None and frame_bad is None,
+        # the x-power of the first nonzero coefficient of each residual
+        "first_failing_curve_order": curve_bad,
+        "first_failing_frame_order": frame_bad,
     }
 
 
@@ -638,27 +605,11 @@ def t_of_x_float(x: float) -> float:
 
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
     """Truncated sum H(mu) x_1^mu_1 ... x_n^mu_n over total degree <= cap."""
-    total = 0.0
-
-    def rec(prefix: list[int], remaining: int, weight: float) -> None:
-        nonlocal total
-        slot = len(prefix)
-        if slot == n - 1:
-            for m in range(1, remaining + 1):
-                h = hurwitz_number(g, n, prefix + [m])
-                if h:
-                    total += float(h) * weight * xs[slot] ** m
-            return
-        for m in range(1, remaining - (n - slot - 1) + 1):
-            rec(prefix + [m], remaining - m, weight * xs[slot] ** m)
-
-    rec([], cap, 1.0)
-    return total
+    return shared.laplace_sum_float(hurwitz_number, 1, g, n, xs, cap)
 
 
 def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:
-    fe = free_energy(g, n)
-    return fe.eval_float([t_of_x_float(x) for x in xs])
+    return shared.free_energy_float(free_energy, t_of_x_float, g, n, xs)
 
 
 def clear_caches() -> None:

@@ -53,12 +53,18 @@ class SparseLaurent:
     @classmethod
     def var(cls, arity: int, i: int, power: int = 1,
             coeff: Fraction | int = 1) -> "SparseLaurent":
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return cls.zero(arity)
-        key = [0] * arity
-        key[i] = power
-        return cls(arity, {tuple(key): coeff}, _prune=False)
+        return cls.in_slot(arity, i, {power: coeff})
+
+    @classmethod
+    def in_slot(cls, arity: int, slot: int,
+                coeffs: Mapping[int, Fraction | int]) -> "SparseLaurent":
+        """A Laurent polynomial in variable ``slot`` alone, exponent -> coefficient."""
+        terms = {}
+        for e, c in coeffs.items():
+            key = [0] * arity
+            key[slot] = e
+            terms[tuple(key)] = c
+        return cls(arity, terms)
 
     # -- basics ----------------------------------------------------------
 
@@ -87,9 +93,6 @@ class SparseLaurent:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def copy(self) -> "SparseLaurent":
-        return SparseLaurent(self.arity, dict(self.terms), _prune=False)
 
     # -- ring operations --------------------------------------------------
 

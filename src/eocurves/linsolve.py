@@ -25,78 +25,43 @@ def _integer_rows(matrix: Sequence[Sequence[Fraction]],
     return rows
 
 
-def solve_exact(matrix: Sequence[Sequence[Fraction]],
-                rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly.
+def solve_overdetermined(matrix: Sequence[Sequence[Fraction]],
+                         rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Solve a consistent square or overdetermined system exactly.
 
-    Raises SingularMatrix when no pivot can be found.
+    Requires full column rank (else SingularMatrix); any equation that the
+    unique solution of the pivot rows fails raises OverdeterminedMismatch.
+    The Bareiss divisions are exact for every row below the pivot, so the
+    extra rows stay integral too.
     """
-    n = len(matrix)
-    if n == 0:
+    m = len(matrix)
+    if m == 0:
         return []
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("matrix must be square with matching rhs")
+    n = len(matrix[0])
+    if any(len(row) != n for row in matrix) or len(rhs) != m:
+        raise ValueError("ragged matrix or rhs of the wrong length")
+    if m < n:
+        raise ValueError("fewer equations than unknowns")
     a = _integer_rows(matrix, rhs)
     prev = 1
     for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        pivot_row = next((i for i in range(k, m) if a[i][k] != 0), None)
         if pivot_row is None:
-            raise SingularMatrix(f"no pivot in column {k}")
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-        for i in range(k + 1, n):
+            raise SingularMatrix(f"rank-deficient at column {k}")
+        a[k], a[pivot_row] = a[pivot_row], a[k]
+        for i in range(k + 1, m):
             for j in range(k + 1, n + 1):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
+    # the rows below the pivot block must have vanished entirely
+    for i in range(n, m):
+        if a[i][n] != 0:
+            raise OverdeterminedMismatch(f"inconsistent equation {i}")
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         s = Fraction(a[i][n])
         for j in range(i + 1, n):
             s -= a[i][j] * x[j]
         x[i] = s / a[i][i]
-    return x
-
-
-def solve_overdetermined(matrix: Sequence[Sequence[Fraction]],
-                         rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a consistent overdetermined system exactly.
-
-    Requires full column rank (else SingularMatrix); any equation that the
-    unique solution of the pivot rows fails raises OverdeterminedMismatch.
-    """
-    m = len(matrix)
-    if m == 0:
-        return []
-    n = len(matrix[0])
-    if m < n:
-        raise ValueError("fewer equations than unknowns")
-    rows = [[Fraction(x) for x in row] + [Fraction(b)]
-            for row, b in zip(matrix, rhs)]
-    # forward elimination with column pivoting over all rows
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrix(f"rank-deficient at column {col}")
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, m):
-            f = rows[i][col] / pv
-            if f:
-                for j in range(col, n + 1):
-                    rows[i][j] -= f * rows[r][j]
-        pivots.append(col)
-        r += 1
-    # the rows below the pivot block must have vanished entirely
-    for i in range(n, m):
-        if any(rows[i][j] != 0 for j in range(n + 1)):
-            raise OverdeterminedMismatch(f"inconsistent equation {i}")
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = rows[i][n]
-        for j in range(i + 1, n):
-            s -= rows[i][j] * x[j]
-        x[i] = s / rows[i][i]
     return x

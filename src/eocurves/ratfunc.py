@@ -2,9 +2,10 @@
 
 ``UPoly`` is a dense coefficient list (low to high).  ``RatFunc`` keeps a
 coprime numerator/denominator pair with monic denominator, so equality is
-literal coefficient comparison.  Antiderivatives are computed by partial
-fractions over a declared set of linear factors only; a nonzero residue at
-a simple pole (which would produce a logarithm) is an error.
+literal comparison of the variable name and the coefficients.
+Antiderivatives are computed by partial fractions over a declared set of
+linear factors only; a nonzero residue at a simple pole (which would
+produce a logarithm) is an error.
 """
 
 from __future__ import annotations
@@ -70,13 +71,7 @@ class UPoly:
         return UPoly(out)
 
     def __sub__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [QZERO] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return UPoly(out)
+        return self + (-other)
 
     def __neg__(self) -> "UPoly":
         return UPoly([-c for c in self.coeffs])
@@ -173,14 +168,6 @@ class UPoly:
             acc = acc * x + float(c)
         return acc
 
-    def compose_linear(self, a: Fraction, b: Fraction) -> "UPoly":
-        """p(a*x + b) by Horner."""
-        lin = UPoly([b, a])
-        acc = UPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + UPoly([c])
-        return acc
-
     def to_json(self) -> list[str]:
         return [qstr(c) for c in self.coeffs]
 
@@ -255,10 +242,11 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.var == other.var and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.var, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r} / {self.den!r}, var={self.var!r})"
@@ -325,11 +313,6 @@ class RatFunc:
     def from_json(cls, data: dict) -> "RatFunc":
         return cls(UPoly.from_json(data["num"]), UPoly.from_json(data["den"]),
                    data.get("var", "t"))
-
-
-def differentiate(f: RatFunc) -> RatFunc:
-    """d f / d var, in reduced form."""
-    return f.diff()
 
 
 def substitute_mobius(f: RatFunc, coeffs: tuple[Fraction, Fraction, Fraction, Fraction],

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -24,6 +23,7 @@ from . import qhbar
 from . import schur
 from . import wkb
 from . import oracles
+from .rationals import qstr
 from .ratfunc import RatFunc, UPoly
 
 Q = Fraction
@@ -39,7 +39,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     output_format: str = "pretty"
     cache_path: str = ""
-    jobs: int = 1
     tolerance: float = 1e-8
 
     def to_json(self) -> dict:
@@ -119,14 +118,23 @@ def check_catalan_curve_inversion(cfg: RunConfig) -> tuple[bool, str]:
                    f" (order {rep['order']})")
 
 
-def check_catalan_free_energies(cfg: RunConfig) -> tuple[bool, str]:
-    for g, n in [(1, 1), (0, 3), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)]:
-        fe = cat.free_energy(g, n)
-        if not fe.is_symmetric():
-            return False, f"({g},{n}) asymmetric"
-        if not fe.eval_partial(0, Q(-1)).is_zero():
-            return False, f"({g},{n}) does not vanish at t=-1"
-    return True, "symmetry and vanishing locus for 7 cases"
+def free_energies_check(model: str) -> CheckFn:
+    """Symmetry, vanishing at the model's base point and the degree bound."""
+    module = wkb.MODELS[model]
+    base = qstr(module.BASE_POINT)
+
+    def check(cfg: RunConfig) -> tuple[bool, str]:
+        for g, n in [(1, 1), (0, 3), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)]:
+            fe = module.free_energy(g, n)
+            if not fe.is_symmetric():
+                return False, f"({g},{n}) asymmetric"
+            if not fe.eval_partial(0, module.BASE_POINT).is_zero():
+                return False, f"({g},{n}) does not vanish at t={base}"
+            if fe.total_degree() > 6 * g - 6 + 3 * n:
+                return False, f"({g},{n}) degree too big"
+        return True, f"symmetry, vanishing at t={base}, degree bound for 7 cases"
+
+    return check
 
 
 def check_catalan_laplace(cfg: RunConfig) -> tuple[bool, str]:
@@ -214,18 +222,6 @@ def check_hurwitz_recursion(cfg: RunConfig) -> tuple[bool, str]:
     return True, "identically zero for all 2g-2+n <= 3"
 
 
-def check_hurwitz_free_energies(cfg: RunConfig) -> tuple[bool, str]:
-    for g, n in [(1, 1), (0, 3), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)]:
-        fe = hur.free_energy(g, n)
-        if not fe.is_symmetric():
-            return False, f"({g},{n}) asymmetric"
-        if not fe.eval_partial(0, Q(1)).is_zero():
-            return False, f"({g},{n}) does not vanish at t=1"
-        if fe.total_degree() > 6 * g - 6 + 3 * n:
-            return False, f"({g},{n}) degree too big"
-    return True, "symmetry, vanishing at t=1, degree bound for 7 cases"
-
-
 def check_hurwitz_laplace(cfg: RunConfig) -> tuple[bool, str]:
     import math
     xs = [math.exp(-w) for w in (3.0, 3.1, 3.2)]
@@ -252,7 +248,13 @@ def check_hurwitz_heat(cfg: RunConfig) -> tuple[bool, str]:
 
 def check_hurwitz_lambert(cfg: RunConfig) -> tuple[bool, str]:
     rep = hur.lambert_inversion_check(12)
-    return rep["pass"], f"series identities exact through order {rep['order']}"
+    if rep["pass"]:
+        return True, f"series identities exact through order {rep['order']}"
+    fails = [f"{name} identity first fails at x^{rep[key]}"
+             for name, key in (("curve", "first_failing_curve_order"),
+                               ("frame", "first_failing_frame_order"))
+             if rep[key] is not None]
+    return False, "; ".join(fails) + f" (order {rep['order']})"
 
 
 def check_zhou_series(cfg: RunConfig) -> tuple[bool, str]:
@@ -266,7 +268,7 @@ def check_pq_commutator(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def check_wkb_corrections(cfg: RunConfig) -> tuple[bool, str]:
-    for model in ("catalan", "hurwitz"):
+    for model in wkb.MODELS:
         corr = wkb.recover_corrections(model, 4)
         if not all(c.is_zero() for c in corr):
             return False, f"nonzero correction for {model}"
@@ -274,17 +276,10 @@ def check_wkb_corrections(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def check_wkb_triple_path(cfg: RunConfig) -> tuple[bool, str]:
-    from .ratfunc import substitute_mobius
     for m in (2, 3, 4):
-        mine = wkb.s_prime_from_hierarchy("catalan", m)
-        other = substitute_mobius(cat.ddx_factor() * cat.s_coefficient_assembled(m).diff(),
-                                  wkb.Z_OF_T_CATALAN, "z")
-        if mine != other:
-            return False, f"catalan mismatch at m={m}"
-        mineh = wkb.s_prime_from_hierarchy("hurwitz", m)
-        otherh = substitute_mobius(hur.s_prime_logx(m), wkb.Z_OF_T_HURWITZ, "z")
-        if mineh != otherh:
-            return False, f"hurwitz mismatch at m={m}"
+        for model, module in wkb.MODELS.items():
+            if wkb.s_prime_from_hierarchy(model, m) != module.to_z(module.s_prime(m)):
+                return False, f"{model} mismatch at m={m}"
     return True, "hierarchy equals direct derivatives, m=2..4, both models"
 
 
@@ -344,7 +339,7 @@ SUITES: dict[str, list[tuple[str, str, CheckFn]]] = {
         ("catalan-curve-inversion", "z(x) series inverts x = z + 1/z",
          check_catalan_curve_inversion),
         ("catalan-free-energies", "free energies symmetric, vanish at t=-1",
-         check_catalan_free_energies),
+         free_energies_check("catalan")),
         ("catalan-laplace", "exact free energies match truncated Laplace sums",
          check_catalan_laplace),
         ("catalan-s-cross-paths", "assembled and recursive S_m agree",
@@ -364,7 +359,7 @@ SUITES: dict[str, list[tuple[str, str, CheckFn]]] = {
         ("hurwitz-nonnegative", "random Hurwitz numbers are non-negative",
          check_hurwitz_nonnegative),
         ("hurwitz-free-energies", "free energies symmetric, vanish at t=1, bounded degree",
-         check_hurwitz_free_energies),
+         free_energies_check("hurwitz")),
         ("hurwitz-recursion", "differential recursion residuals vanish",
          check_hurwitz_recursion),
         ("hurwitz-laplace", "exact free energies match truncated Laplace sums",
@@ -413,21 +408,13 @@ def suite_checks(name: str) -> list[tuple[str, str, CheckFn]]:
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
-    checks = suite_checks(name)
-
-    def run_one(item: tuple[str, str, CheckFn]) -> CheckRecord:
-        check_id, statement, fn = item
+    records = []
+    for check_id, statement, fn in suite_checks(name):
         start = time.monotonic()
         try:
             ok, residual = fn(cfg)
         except Exception as exc:  # a crash is a failure, not a crash of the suite
             ok, residual = False, f"exception: {type(exc).__name__}: {exc}"
-        return CheckRecord(check_id, statement, "pass" if ok else "fail",
-                           residual, time.monotonic() - start)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(run_one, checks))
-    else:
-        records = [run_one(item) for item in checks]
+        records.append(CheckRecord(check_id, statement, "pass" if ok else "fail",
+                                   residual, time.monotonic() - start))
     return Report(suite=name, checks=records, config=cfg)

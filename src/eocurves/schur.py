@@ -212,9 +212,6 @@ class PPolynomial:
     def max_weight(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
-    def weight_component(self, d: int) -> "PPolynomial":
-        return PPolynomial({k: c for k, c in self.terms.items() if sum(k) == d})
-
 
 def schur_in_p(mu: Sequence[int]) -> PPolynomial:
     """s_mu = sum over |lam| = |mu| of chi_mu(lam)/z_lam p_lam."""

@@ -1,0 +1,115 @@
+"""Plumbing shared by the two models.
+
+Both models run one pipeline: counts, then Laplace-transform free
+energies F_{g,n}, then the principal specialization S_m, then an equation
+whose symbol is the spectral curve.  The model modules ``catalan`` and
+``hurwitz`` keep the model-specific mathematics and serve as their own
+records in ``wkb.MODELS``: each provides ``free_energy(g, n)``, the point
+``BASE_POINT`` where free energies vanish, ``to_z`` (t to the curve
+coordinate z), ``curve_symbol()``, ``base_s_primes(m_max)`` and the
+base-frame ``s_prime(m)`` of the assembled S_m.  The helpers here take a
+model's free energy, count weight or coordinate map as an argument.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+from .laurent import SparseLaurent
+from .ratfunc import RatFunc
+
+FreeEnergy = Callable[[int, int], SparseLaurent]
+
+
+class CurveSymbol(NamedTuple):
+    """On-shell y-derivative tower of a plane-curve symbol.
+
+    ``tower(r)`` is (d/dy)^r A restricted to the curve, as a rational
+    function of z; ``dz_factor`` converts the model's base derivative to
+    d/dz (base = d/dx for the polynomial curve, x d/dx for the
+    exponential one).
+    """
+
+    tower: Callable[[int], RatFunc]
+    dz_factor: RatFunc
+
+
+def sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
+    """A profile as the memo keys it: sorted, largest part first."""
+    return tuple(sorted(entries, reverse=True))
+
+
+def is_stable(g: int, n: int) -> bool:
+    return 2 * g - 2 + n > 0
+
+
+def stable_levels(level: int) -> list[tuple[int, int]]:
+    """All stable (g, n) with 2g - 2 + n equal to the given level."""
+    if level < 1:
+        return []
+    return [(g, level + 2 - 2 * g) for g in range((level + 1) // 2 + 1)]
+
+
+def stable_splits(g: int, rest: Sequence[int]
+                  ) -> Iterator[tuple[int, list[int], int, list[int]]]:
+    """(g1, left, g2, right): labeled splits of ``rest`` and of the genus.
+
+    Only splits where both (g1, |left| + 1) and (g2, |right| + 1) are
+    stable are produced; they are the product terms of both recursions.
+    """
+    for mask in range(1 << len(rest)):
+        left = [rest[i] for i in range(len(rest)) if mask >> i & 1]
+        right = [rest[i] for i in range(len(rest)) if not mask >> i & 1]
+        for g1 in range(g + 1):
+            if is_stable(g1, len(left) + 1) and is_stable(g - g1, len(right) + 1):
+                yield g1, left, g - g1, right
+
+
+def diagonal_mixed(f: SparseLaurent) -> SparseLaurent:
+    """d^2 f/dt_1 dt_2 on the diagonal t_1 = t_2, with one variable fewer."""
+    mixed = f.diff(0).diff(1).merge_vars(0, 1)
+    return SparseLaurent(f.arity - 1, {(k[0],) + k[2:]: c for k, c in mixed.terms.items()})
+
+
+def principal_ratfunc(f: SparseLaurent, var: str = "t") -> RatFunc:
+    """Specialize all variables to a single t, as a rational function."""
+    return RatFunc.from_laurent_dict(f.principal(), var)
+
+
+def s_coefficient_assembled(free_energy: FreeEnergy, m: int) -> RatFunc:
+    """S_m(t): the principally specialized F_{g,n}/n! summed over 2g-1+n = m."""
+    if m < 2:
+        raise ValueError("S_0 and S_1 contain logarithms; only m >= 2 here")
+    total = RatFunc.zero("t")
+    for g, n in stable_levels(m - 1):
+        total = total + principal_ratfunc(free_energy(g, n)) * Fraction(1, factorial(n))
+    return total
+
+
+def laplace_sum_float(weight: Callable[[int, int, list[int]], Fraction], sign: int,
+                      g: int, n: int, xs: Sequence[float], cap: int) -> float:
+    """Sum of weight(g, n, mu) prod x_i^(sign mu_i) over |mu| <= cap."""
+    total = 0.0
+
+    def rec(prefix: list[int], remaining: int, scale: float) -> None:
+        nonlocal total
+        slot = len(prefix)
+        if slot == n - 1:
+            for m in range(1, remaining + 1):
+                w = weight(g, n, prefix + [m])
+                if w:
+                    total += float(w) * scale * xs[slot] ** (sign * m)
+            return
+        for m in range(1, remaining - (n - slot - 1) + 1):
+            rec(prefix + [m], remaining - m, scale * xs[slot] ** (sign * m))
+
+    rec([], cap, 1.0)
+    return total
+
+
+def free_energy_float(free_energy: FreeEnergy, t_of_x_float: Callable[[float], float],
+                      g: int, n: int, xs: Sequence[float]) -> float:
+    """The exact free energy evaluated at the t-points corresponding to xs."""
+    return free_energy(g, n).eval_float([t_of_x_float(x) for x in xs])

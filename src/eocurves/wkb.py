@@ -10,21 +10,25 @@ coefficients S_n' can be solved for one at a time.
 Coefficients live in the curve-uniformizing coordinate z.  Each model
 fixes its own base derivative: d/dx for the Catalan curve, the
 logarithmic x d/dx for the exponential curve (that is the only frame in
-which its S-derivatives stay rational).
+which its S-derivatives stay rational).  A model is looked up by name in
+``MODELS``; each model module supplies its curve symbol, its map ``to_z``
+and its base-frame S-derivatives ``base_s_primes``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from . import catalan as _catalan
-from . import hurwitz as _hurwitz
+from . import catalan, hurwitz
 from .errors import DivisionBySingularSymbol, InsufficientData
-from .ratfunc import RatFunc, UPoly, substitute_mobius
+from .ratfunc import RatFunc
+from .shared import CurveSymbol
 
 Q = Fraction
+
+MODELS = {"catalan": catalan, "hurwitz": hurwitz}
 
 
 class YPolyOperator:
@@ -73,93 +77,14 @@ class YPolyOperator:
         return not self.coeffs
 
 
-class CurveSymbol:
-    """On-shell y-derivative tower of a plane-curve symbol.
-
-    ``tower(r)`` is (d/dy)^r A restricted to the curve, as a rational
-    function of z; ``dz_factor`` converts the model's base derivative to
-    d/dz (base = d/dx for the polynomial curve, x d/dx for the
-    exponential one).  ``ordering`` records the normal-ordering rule of
-    the quantized operator; neither shipped symbol has mixed monomials,
-    so it is metadata only.
-    """
-
-    __slots__ = ("model", "tower", "dz_factor", "ordering")
-
-    def __init__(self, model: str, tower: Callable[[int], RatFunc],
-                 dz_factor: RatFunc,
-                 ordering: str = "derivatives right of multiplication"):
-        self.model = model
-        self.tower = tower
-        self.dz_factor = dz_factor
-        self.ordering = ordering
-
-
-def catalan_symbol() -> CurveSymbol:
-    """y^2 + x y + 1 on y = -z, x = z + 1/z; derivative frame d/dx."""
-    dy1 = RatFunc(UPoly([1, 0, -1]), UPoly([0, 1]), "z")  # (1 - z^2)/z
-    two = RatFunc.const(2, "z")
-    zero = RatFunc.zero("z")
-
-    def tower(r: int) -> RatFunc:
-        if r == 0:
-            return zero
-        if r == 1:
-            return dy1
-        if r == 2:
-            return two
-        return zero
-
-    dz = RatFunc(UPoly([0, 0, 1]), UPoly([-1, 0, 1]), "z")  # z^2/(z^2-1)
-    return CurveSymbol("catalan", tower, dz)
-
-
-def hurwitz_symbol() -> CurveSymbol:
-    """-y + x e^y on y = z, x = z e^{-z}; derivative frame x d/dx."""
-    dy1 = RatFunc(UPoly([-1, 1]), UPoly([1]), "z")  # z - 1
-    zc = RatFunc.x("z")
-    zero = RatFunc.zero("z")
-
-    def tower(r: int) -> RatFunc:
-        if r == 0:
-            return zero
-        if r == 1:
-            return dy1
-        return zc
-
-    dz = RatFunc(UPoly([0, 1]), UPoly([1, -1]), "z")  # z/(1-z)
-    return CurveSymbol("hurwitz", tower, dz)
-
-
 def curve_symbol(model: str) -> CurveSymbol:
-    if model == "catalan":
-        return catalan_symbol()
-    if model == "hurwitz":
-        return hurwitz_symbol()
-    raise ValueError(f"unknown model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# model S-derivatives in z
-# ---------------------------------------------------------------------------
-
-Z_OF_T_CATALAN = (Q(1), Q(1), Q(1), Q(-1))   # t = (z+1)/(z-1)
-Z_OF_T_HURWITZ = (Q(0), Q(1), Q(-1), Q(1))   # t = 1/(1-z)
+    return MODELS[model].curve_symbol()
 
 
 def model_s_primes(model: str, m_max: int) -> list[RatFunc]:
     """First base-frame derivatives S_0'..S_max' as functions of z."""
-    if model == "catalan":
-        primes_t = _catalan._x_frame_primes(m_max)
-        return [substitute_mobius(p, Z_OF_T_CATALAN, "z") for p in primes_t]
-    if model == "hurwitz":
-        out = [substitute_mobius(_hurwitz.s0_prime_w(), Z_OF_T_HURWITZ, "z") * -1,
-               substitute_mobius(_hurwitz.s1_prime_w(), Z_OF_T_HURWITZ, "z") * -1]
-        for m in range(2, m_max + 1):
-            out.append(substitute_mobius(_hurwitz.s_prime_logx(m),
-                                         Z_OF_T_HURWITZ, "z"))
-        return out
-    raise ValueError(f"unknown model {model!r}")
+    module = MODELS[model]
+    return [module.to_z(p) for p in module.base_s_primes(m_max)]
 
 
 def _derivative_tower(first: RatFunc, dz_factor: RatFunc, depth: int) -> list[RatFunc]:

@@ -17,7 +17,7 @@ from eocurves import catalan as cat
 from eocurves import hurwitz as hur
 from eocurves import oracles, qhbar, schur, wkb
 from eocurves.laurent import SparseLaurent
-from eocurves.ratfunc import RatFunc, UPoly, substitute_mobius
+from eocurves.ratfunc import RatFunc, UPoly
 from eocurves.series import TruncatedSeries
 
 CATALAN_SEQ = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
@@ -106,8 +106,7 @@ def hurwitz_count_x_series(m: int, order: int) -> list[Q]:
 
 def test_criterion_03_hurwitz_table_both_paths():
     start = time.monotonic()
-    machinery = {m: substitute_mobius(hur.s_prime_logx(m), wkb.Z_OF_T_HURWITZ, "z")
-                 for m in (2, 3, 4)}
+    machinery = {m: hur.to_z(hur.s_prime_logx(m)) for m in (2, 3, 4)}
     hierarchy = {m: wkb.s_prime_from_hierarchy("hurwitz", m) for m in (2, 3, 4)}
     paths_agree = all(machinery[m] == hierarchy[m] for m in (2, 3, 4))
     matches_closed = all(machinery[m] == hurwitz_closed_z(m) for m in (2, 3, 4))

@@ -10,6 +10,7 @@ from eocurves.errors import (
     DegenerateMap,
     ExactDivisionError,
     NonzeroResidue,
+    OverdeterminedMismatch,
     SeriesOrderError,
     SingularMatrix,
     UnfactoredDenominator,
@@ -21,11 +22,10 @@ from eocurves.laurent import (
     factor_lin,
     factor_sum,
 )
-from eocurves.linsolve import solve_exact
+from eocurves.linsolve import solve_overdetermined
 from eocurves.ratfunc import (
     RatFunc,
     UPoly,
-    differentiate,
     even_part,
     integrate_no_log,
     substitute_mobius,
@@ -146,8 +146,15 @@ def test_laurent_symmetry_and_principal():
 
 def test_differentiate_power_rule():
     f = RatFunc(UPoly([0, 0, 1]))  # t^2
-    assert differentiate(f) == RatFunc(UPoly([0, 2]))
-    assert differentiate(RatFunc.const(5)).is_zero()
+    assert f.diff() == RatFunc(UPoly([0, 2]))
+    assert RatFunc.const(5).diff().is_zero()
+
+
+def test_ratfunc_equality_includes_variable():
+    num, den = UPoly([1, 2]), UPoly([-1, 0, 1])
+    assert RatFunc(num, den, "t") != RatFunc(num, den, "z")
+    assert RatFunc(num, den, "z") == RatFunc(num, den, "z")
+    assert len({RatFunc(num, den, "t"), RatFunc(num, den, "z")}) == 2
 
 
 def test_differentiate_matches_finite_difference():
@@ -155,7 +162,7 @@ def test_differentiate_matches_finite_difference():
     num = UPoly([0, 0, 0, 0, 9, 0, 1])
     den = UPoly([1, 0, -1]).pow(3) * 12
     f = RatFunc(num, den, var="z")
-    df = differentiate(f)
+    df = f.diff()
     z, h = Q(1, 3), Q(1, 10 ** 5)
     fd = (-f.eval(z + 2 * h) + 8 * f.eval(z + h)
           - 8 * f.eval(z - h) + f.eval(z - 2 * h)) / (12 * h)
@@ -187,7 +194,7 @@ def test_diff_then_integrate_identity(f):
     den = UPoly([0, 1]).pow(2) * UPoly([-1, 1]) * UPoly([1, 1])
     g = RatFunc(f.num, den)
     base = Q(2)
-    df = differentiate(g)
+    df = g.diff()
     try:
         h = integrate_no_log(df, base, [Q(0), Q(1), Q(-1)])
     except NonzeroResidue:
@@ -258,18 +265,27 @@ def test_even_part():
 def test_solve_identity():
     b = [Q(3), Q(-7), Q(1, 2)]
     eye = [[Q(int(i == j)) for j in range(3)] for i in range(3)]
-    assert solve_exact(eye, b) == b
+    assert solve_overdetermined(eye, b) == b
 
 
 def test_solve_vandermonde():
     # nodes 1, 2 with rhs (3, 5): p(x) = 1 + 2x
     m = [[Q(1), Q(1)], [Q(1), Q(2)]]
-    assert solve_exact(m, [Q(3), Q(5)]) == [Q(1), Q(2)]
+    assert solve_overdetermined(m, [Q(3), Q(5)]) == [Q(1), Q(2)]
 
 
 def test_solve_singular():
     with pytest.raises(SingularMatrix):
-        solve_exact([[Q(0), Q(0)], [Q(0), Q(0)]], [Q(1), Q(2)])
+        solve_overdetermined([[Q(0), Q(0)], [Q(0), Q(0)]], [Q(1), Q(2)])
+
+
+def test_solve_overdetermined_consistent_and_inconsistent():
+    # x + y = 3, x - y = 1, 2x + y = 5 has the solution (2, 1)
+    m = [[Q(1), Q(1)], [Q(1), Q(-1)], [Q(2), Q(1)]]
+    assert solve_overdetermined(m, [Q(3), Q(1), Q(5)]) == [Q(2), Q(1)]
+    # the same pivot rows with a third equation they contradict
+    with pytest.raises(OverdeterminedMismatch):
+        solve_overdetermined(m, [Q(3), Q(1), Q(6)])
 
 
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3),
@@ -277,7 +293,7 @@ def test_solve_singular():
 @settings(max_examples=30)
 def test_solve_random_systems(m, b):
     try:
-        x = solve_exact(m, b)
+        x = solve_overdetermined(m, b)
     except SingularMatrix:
         return
     for row, bi in zip(m, b):

@@ -79,15 +79,11 @@ def _strip_times(report_dict):
     return report_dict
 
 
-def test_report_determinism_and_parallelism():
-    cfg1 = RunConfig(suite="schur", jobs=1)
-    cfg2 = RunConfig(suite="schur", jobs=4)
-    r1 = _strip_times(run_suite("schur", cfg1).to_json_dict())
-    r2 = _strip_times(run_suite("schur", cfg1).to_json_dict())
+def test_report_determinism():
+    cfg = RunConfig(suite="schur")
+    r1 = _strip_times(run_suite("schur", cfg).to_json_dict())
+    r2 = _strip_times(run_suite("schur", cfg).to_json_dict())
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
-    r3 = _strip_times(run_suite("schur", cfg2).to_json_dict())
-    r3["config"]["jobs"] = 1
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
 
 
 def test_cache_roundtrip(tmp_path):
@@ -204,6 +200,23 @@ def test_curve_inversion_check_names_failing_power(monkeypatch):
     ok, residual = check_catalan_curve_inversion(RunConfig())
     assert not ok
     assert "x^-5" in residual and "exact" not in residual
+
+
+def test_lambert_check_names_failing_order(monkeypatch):
+    ok, residual = report.check_hurwitz_lambert(RunConfig())
+    assert ok and residual == "series identities exact through order 12"
+    true_tree = hur.tree_series
+
+    def corrupt_x3(order):
+        z = true_tree(order)
+        z.coeffs[3] += 1
+        return z
+
+    monkeypatch.setattr(hur, "tree_series", corrupt_x3)
+    ok, residual = report.check_hurwitz_lambert(RunConfig())
+    assert not ok
+    assert residual == ("curve identity first fails at x^3; "
+                        "frame identity first fails at x^3 (order 12)")
 
 
 def test_cache_missing_file_cold_start(tmp_path):

@@ -9,18 +9,18 @@ from eocurves import catalan as cat
 from eocurves import hurwitz as hur
 from eocurves import wkb
 from eocurves.errors import InsufficientData
-from eocurves.ratfunc import RatFunc, UPoly, substitute_mobius
+from eocurves.ratfunc import RatFunc, UPoly
 
 
 def test_identity_at_order_zero():
     sp = wkb.model_s_primes("catalan", 0)
-    ops = wkb.build_d_operators(0, sp, wkb.catalan_symbol().dz_factor)
+    ops = wkb.build_d_operators(0, sp, wkb.curve_symbol("catalan").dz_factor)
     assert len(ops) == 1
     assert ops[0].coeffs == {0: RatFunc.const(1, "z")}
 
 
 def test_first_operator_shape():
-    curve = wkb.catalan_symbol()
+    curve = wkb.curve_symbol("catalan")
     sp = wkb.model_s_primes("catalan", 1)
     ops = wkb.build_d_operators(1, sp, curve.dz_factor)
     s0pp = curve.dz_factor * sp[0].diff()
@@ -30,7 +30,7 @@ def test_first_operator_shape():
 
 
 def test_second_operator_top_coefficient():
-    curve = wkb.catalan_symbol()
+    curve = wkb.curve_symbol("catalan")
     sp = wkb.model_s_primes("catalan", 2)
     ops = wkb.build_d_operators(2, sp, curve.dz_factor)
     s0pp = curve.dz_factor * sp[0].diff()
@@ -39,7 +39,7 @@ def test_second_operator_top_coefficient():
 
 def test_operator_expansion_matches_composition_sum():
     """exp of the graded sum equals the direct sum over ordered compositions."""
-    curve = wkb.catalan_symbol()
+    curve = wkb.curve_symbol("catalan")
     order = 4
     sp = wkb.model_s_primes("catalan", order)
     ops = wkb.build_d_operators(order, sp, curve.dz_factor)
@@ -111,7 +111,7 @@ def test_corrections_detect_fault():
 def test_insufficient_data():
     sp = wkb.model_s_primes("catalan", 1)
     with pytest.raises(InsufficientData):
-        wkb.build_d_operators(3, sp, wkb.catalan_symbol().dz_factor)
+        wkb.build_d_operators(3, sp, wkb.curve_symbol("catalan").dz_factor)
 
 
 def test_catalan_s_prime_closed_forms():
@@ -133,22 +133,20 @@ def test_hurwitz_s_prime_closed_form():
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_triple_path_agreement(m):
     mine = wkb.s_prime_from_hierarchy("catalan", m)
-    other = substitute_mobius(
-        cat.ddx_factor() * cat.s_coefficient_assembled(m).diff(),
-        wkb.Z_OF_T_CATALAN, "z")
+    other = cat.to_z(cat.ddx_factor() * cat.s_coefficient_assembled(m).diff())
     assert mine == other
     mineh = wkb.s_prime_from_hierarchy("hurwitz", m)
-    otherh = substitute_mobius(hur.s_prime_logx(m), wkb.Z_OF_T_HURWITZ, "z")
+    otherh = hur.to_z(hur.s_prime_logx(m))
     assert mineh == otherh
 
 
 def test_on_shell_towers():
-    ccat = wkb.catalan_symbol()
+    ccat = wkb.curve_symbol("catalan")
     z = Q(1, 3)
     assert ccat.tower(1).eval(z) == 1 / z - z
     assert ccat.tower(2).eval(z) == 2
     assert ccat.tower(3).is_zero()
-    chur = wkb.hurwitz_symbol()
+    chur = wkb.curve_symbol("hurwitz")
     assert chur.tower(1).eval(z) == z - 1
     for r in (2, 3, 5):
         assert chur.tower(r).eval(z) == z
