@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import shared
 from .errors import AsymmetricResult, ExactDivisionError, InvalidProfile
@@ -338,9 +338,7 @@ def s_coefficient_recursive(m: int) -> RatFunc:
     return _s_recursive_memo[m]
 
 
-def schrodinger_residuals(m_max: int,
-                          s_override: Mapping[int, RatFunc] | None = None
-                          ) -> list[RatFunc]:
+def schrodinger_residuals(m_max: int) -> list[RatFunc]:
     """Order-by-order residuals of the quantum curve equation.
 
     Entry k (0 <= k <= m_max+1) is the hbar^k coefficient of
@@ -350,10 +348,8 @@ def schrodinger_residuals(m_max: int,
     c = ddx_factor()
     x = x_of_t()
     primes: list[RatFunc] = [s0_prime_x(), s1_prime_x()]
-    override = s_override or {}
     for m in range(2, m_max + 2):
-        s_m = override[m] if m in override else s_coefficient_assembled(m)
-        primes.append(c * s_m.diff())
+        primes.append(c * s_coefficient_assembled(m).diff())
     residuals = [primes[0] * primes[0] + x * primes[0] + 1]
     for k in range(1, m_max + 2):
         acc = c * primes[k - 1].diff() + x * primes[k]
@@ -367,22 +363,13 @@ def schrodinger_residuals(m_max: int,
 # series and floating checks
 # ---------------------------------------------------------------------------
 
-def curve_inversion_check(order: int,
-                          corrupt: Mapping[int, Fraction] | None = None) -> dict:
-    """Verify z(x) = sum C_m x^{-2m-1} inverts x = z + 1/z through the order.
-
-    Returns a report dict; ``corrupt`` overrides Catalan coefficients by
-    index for fault-injection tests.
-    """
+def curve_inversion_check(order: int) -> dict:
+    """Verify z(x) = sum C_m x^{-2m-1} inverts x = z + 1/z through the order."""
     n = 2 * order + 1
     coeffs = [QZERO] * (n + 1)
     for m in range(order + 1):
-        c = Fraction(catalan_count(0, 1, [2 * m]))
-        if corrupt and m in corrupt:
-            c = corrupt[m]
-        coeffs[2 * m + 1] = c
-    z = TruncatedSeries(coeffs, "u")  # u = 1/x
-    g = TruncatedSeries(coeffs[1:], "u")  # z / u
+        coeffs[2 * m + 1] = Fraction(catalan_count(0, 1, [2 * m]))
+    g = TruncatedSeries(coeffs[1:], "u")  # z / u with u = 1/x
     # z + 1/z = u^-1 (u^2 g + 1/g) must equal x = u^-1
     probe = TruncatedSeries([QZERO, QZERO] + g.coeffs[:-2], "u") + g.reciprocal()
     ok = probe.coeffs[0] == 1 and all(c == 0 for c in probe.coeffs[1:])
@@ -404,6 +391,10 @@ def z_of_x_float(x: float) -> float:
 def t_of_x_float(x: float) -> float:
     z = z_of_x_float(x)
     return (z + 1.0) / (z - 1.0)
+
+
+# (g, n, xs, cap) of the catalan-laplace check
+LAPLACE_PROBES = [(1, 1, [10.0], 60), (0, 3, [10.0, 11.0, 12.0], 60)]
 
 
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:

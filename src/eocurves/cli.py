@@ -20,7 +20,7 @@ from . import schur
 from . import wkb
 from .cache import cache_dir, export_caches, import_caches
 from .rationals import qstr
-from .report import Report, RunConfig, run_suite, SUITES, CheckRecord
+from .report import Report, RunConfig, run_checks, run_suite, SUITES, CheckRecord
 
 Q = Fraction
 
@@ -208,14 +208,12 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             _emit({"m": args.m, "coeffs": poly.to_json()})
             return 0
         if args.subcommand == "verify":
-            wanted = (HURWITZ_SUBSUITES.get(args.suite)
-                      if args.suite != "all" else None)
-            report = run_suite("hurwitz", cfg)
-            if wanted is not None:
-                report = Report("hurwitz:" + args.suite,
-                                [c for c in report.checks if c.check_id in wanted],
-                                cfg)
-            return _report_and_exit(report, fmt)
+            if args.suite == "all":
+                return _report_and_exit(run_suite("hurwitz", cfg), fmt)
+            wanted = HURWITZ_SUBSUITES[args.suite]
+            checks = [c for c in SUITES["hurwitz"] if c[0] in wanted]
+            return _report_and_exit(
+                run_checks("hurwitz:" + args.suite, checks, cfg), fmt)
 
     if args.command == "wkb":
         if args.subcommand == "corrections":

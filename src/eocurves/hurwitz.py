@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement as _multisets
 from itertools import permutations as _perms
-from math import comb, factorial
-from typing import Mapping, Sequence
+from math import comb, exp, factorial
+from typing import Sequence
 
 from . import shared
 from .errors import (
@@ -303,25 +303,15 @@ def _f02_diagonal_second(arity: int, slot: int) -> SparseLaurent:
     return SparseLaurent.in_slot(arity, slot, {-2: Q(1, 4), -3: Q(1, 6), -4: Q(1, 12)})
 
 
-def fh_recursion_residual(g: int, n: int,
-                          fe_override: Mapping[tuple[int, int], SparseLaurent]
-                          | None = None) -> SparseLaurent:
+def fh_recursion_residual(g: int, n: int) -> SparseLaurent:
     """LHS minus RHS of the cut-and-join differential recursion, cleared.
 
     Identically zero on success.  For (0,3) the unstable two-point inputs
     carry formal X_i variables standing for the transcendental x(t_i); the
     identity holds formally in them, and the returned polynomial lives in
-    the doubled variable set.  ``fe_override`` substitutes free energies
-    for fault-injection tests.
+    the doubled variable set.
     """
-    override = fe_override or {}
-
-    def fetch(gg: int, nn: int) -> SparseLaurent:
-        if (gg, nn) in override:
-            return override[(gg, nn)]
-        return free_energy(gg, nn)
-
-    fe = fetch(g, n)
+    fe = free_energy(g, n)
     unstable_pair = (g, n) == (0, 3)
     arity = 2 * n if unstable_pair else n
     xoff = n
@@ -347,7 +337,7 @@ def fh_recursion_residual(g: int, n: int,
                 # d/dt_i of the lower free energy, or of the two-point primitive
                 if stable_lower:
                     df_i = BinomialFraction(
-                        fetch(g, n - 1).embed(arity, [i, *others]).diff(i))
+                        free_energy(g, n - 1).embed(arity, [i, *others]).diff(i))
                 else:
                     df_i = _d_f02_extended(arity, i, others[0], xoff)
                 psi_i = df_i.mul_laurent(
@@ -369,7 +359,7 @@ def fh_recursion_residual(g: int, n: int,
             if (g - 1, n + 1) == (0, 2):
                 diag = _f02_diagonal_second(arity, i)
             else:
-                diag = diagonal_mixed(fetch(g - 1, n + 1)).embed(arity, [i, *others])
+                diag = diagonal_mixed(free_energy(g - 1, n + 1)).embed(arity, [i, *others])
             square = SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
             absorb(BinomialFraction((square * diag).scale(Q(1, 2))), sign=-1)
 
@@ -377,8 +367,8 @@ def fh_recursion_residual(g: int, n: int,
         rest = [s for s in range(n) if s != i]
         square = SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
         for g1, left, g2, right in stable_splits(g, rest):
-            fa = fetch(g1, len(left) + 1).embed(arity, [i, *left])
-            fb = fetch(g2, len(right) + 1).embed(arity, [i, *right])
+            fa = free_energy(g1, len(left) + 1).embed(arity, [i, *left])
+            fb = free_energy(g2, len(right) + 1).embed(arity, [i, *right])
             absorb(BinomialFraction(
                 (square * fa.diff(i) * fb.diff(i)).scale(Q(1, 2))), sign=-1)
 
@@ -503,26 +493,17 @@ def base_s_primes(m_max: int) -> list[RatFunc]:
             + [s_prime_logx(m) for m in range(2, m_max + 1)])
 
 
-def heat_residuals(m_max: int,
-                   s_override: Mapping[int, RatFunc] | None = None
-                   ) -> list[RatFunc]:
+def heat_residuals(m_max: int) -> list[RatFunc]:
     """Order-by-order residuals of the heat-type equation.
 
     Entry m (0 <= m <= m_max) is
     (d/dw - m) S_{m+1} + (1/2)[S_m'' + sum_{a+b=m+1} S_a' S_b' + S_m']
     with primes d/dw and the pair sum unrestricted; all must vanish.
     """
-    override = s_override or {}
-
-    def s_m(k: int) -> RatFunc:
-        if k in override:
-            return override[k]
-        return RatFunc(s_coefficient(k), UPoly([1]), "t")
-
     svals: list[RatFunc] = [s0_h(), RatFunc.zero("t")]
     w1: list[RatFunc] = [s0_prime_w(), s1_prime_w()]
     for k in range(2, m_max + 2):
-        sk = s_m(k)
+        sk = RatFunc(s_coefficient(k), UPoly([1]), "t")
         svals.append(sk)
         w1.append(d_dw(sk))
     out = []
@@ -601,6 +582,10 @@ def z_of_x_float(x: float) -> float:
 
 def t_of_x_float(x: float) -> float:
     return 1.0 / (1.0 - z_of_x_float(x))
+
+
+# (g, n, xs, cap) of the hurwitz-laplace check, at x = e^{-w}
+LAPLACE_PROBES = [(0, 3, [exp(-w) for w in (3.0, 3.1, 3.2)], 40)]
 
 
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:

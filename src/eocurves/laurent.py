@@ -302,13 +302,6 @@ class SparseLaurent:
                 res.pop(e, None)
         return res
 
-    def degrees(self, i: int) -> tuple[int, int]:
-        """(min, max) exponent of variable i (0, 0 for the zero polynomial)."""
-        if not self.terms:
-            return (0, 0)
-        exps = [k[i] for k in self.terms]
-        return (min(exps), max(exps))
-
     def total_degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 

@@ -1,185 +1,79 @@
-"""Exact ring of finite sums c * q^j hbar^k e^{-m w}, with q = e^hbar.
+"""Exact finite sums c * q^j hbar^k e^{-m w}, with q = e^hbar.
 
 This is where the difference-differential equation, its heat-equation
 companion, and the commutation relation between the two operators are
-checked termwise with no transcendental evaluations: the w-shift acts as
-e^{-m w} -> q^m e^{-m w}, and d/d(hbar) sees q through q' = q.
+checked termwise with no transcendental evaluations.  Elements are
+``SparseLaurent(3, ...)`` in the slots (q, hbar, E = e^{-w}): the w-shift
+acts as E^m -> q^m E^m, and d/d(hbar) sees q through q' = q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
 
-from .rationals import QONE, QZERO, qstr
+from .laurent import SparseLaurent
 
 Q = Fraction
 
-Key = tuple[int, int, int]  # (q power, hbar power, e^{-w} power)
+
+def qh_monomial(j: int, k: int, m: int, c: Fraction | int = 1) -> SparseLaurent:
+    """c q^j hbar^k e^{-m w}."""
+    if m < 0:
+        raise ValueError("e^{-w} powers must be non-negative")
+    return SparseLaurent(3, {(j, k, m): c})
 
 
-class QhExpr:
-    """Finite exact sum over the (q, hbar, e^{-w}) monomial basis."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Key, Fraction] | None = None):
-        self.terms: dict[Key, Fraction] = {
-            k: Fraction(c) for k, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "QhExpr":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QhExpr":
-        return cls({(0, 0, 0): QONE})
-
-    @classmethod
-    def monomial(cls, j: int, k: int, m: int, c: Fraction | int = 1) -> "QhExpr":
-        if m < 0:
-            raise ValueError("e^{-w} powers must be non-negative")
-        return cls({(j, k, m): Fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QhExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        bits = [f"{qstr(c)}*q^{j}*h^{k}*E^{m}"
-                for (j, k, m), c in sorted(self.terms.items())]
-        return "QhExpr(" + (" + ".join(bits) if bits else "0") + ")"
-
-    def __add__(self, other: "QhExpr") -> "QhExpr":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, QZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return QhExpr(out)
-
-    def __sub__(self, other: "QhExpr") -> "QhExpr":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, QZERO) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return QhExpr(out)
-
-    def __neg__(self) -> "QhExpr":
-        return QhExpr({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other: "QhExpr | Fraction | int") -> "QhExpr":
-        if isinstance(other, (Fraction, int)):
-            return QhExpr({k: c * other for k, c in self.terms.items()})
-        out: dict[Key, Fraction] = {}
-        for (j1, k1, m1), c1 in self.terms.items():
-            for (j2, k2, m2), c2 in other.terms.items():
-                key = (j1 + j2, k1 + k2, m1 + m2)
-                s = out.get(key, QZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return QhExpr(out)
-
-    __rmul__ = __mul__
-
-    # -- operators ---------------------------------------------------------
-
-    def d_dw(self) -> "QhExpr":
-        """Differentiation in w: e^{-m w} has eigenvalue -m."""
-        return QhExpr({(j, k, m): -m * c for (j, k, m), c in self.terms.items()})
-
-    def shift_w(self) -> "QhExpr":
-        """The shift w -> w - hbar: e^{-m w} picks up q^m."""
-        return QhExpr({(j + m, k, m): c for (j, k, m), c in self.terms.items()})
-
-    def d_dh(self) -> "QhExpr":
-        """Differentiation in hbar; q^j contributes j q^j since q' = q."""
-        out: dict[Key, Fraction] = {}
-        for (j, k, m), c in self.terms.items():
-            if j:
-                key = (j, k, m)
-                s = out.get(key, QZERO) + j * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-            if k:
-                key = (j, k - 1, m)
-                s = out.get(key, QZERO) + k * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return QhExpr(out)
-
-    def mul_x(self, power: int = 1) -> "QhExpr":
-        """Multiply by e^{-w}^power."""
-        return QhExpr({(j, k, m + power): c for (j, k, m), c in self.terms.items()})
-
-    def mul_h(self, power: int = 1) -> "QhExpr":
-        return QhExpr({(j, k + power, m): c for (j, k, m), c in self.terms.items()})
-
-    def mul_q(self, power: int = 1) -> "QhExpr":
-        return QhExpr({(j + power, k, m): c for (j, k, m), c in self.terms.items()})
+def d_dw(f: SparseLaurent) -> SparseLaurent:
+    """Differentiation in w: E^m has eigenvalue -m."""
+    return -(qh_monomial(0, 0, 1) * f.diff(2))
 
 
-def op_p(f: QhExpr) -> QhExpr:
+def d_dh(f: SparseLaurent) -> SparseLaurent:
+    """Differentiation in hbar; q^j contributes j q^j since q' = q."""
+    return qh_monomial(1, 0, 0) * f.diff(0) + f.diff(1)
+
+
+def shift_w(f: SparseLaurent) -> SparseLaurent:
+    """The shift w -> w - hbar: E^m picks up q^m."""
+    return SparseLaurent(3, {(j + m, k, m): c for (j, k, m), c in f.terms.items()})
+
+
+def op_p(f: SparseLaurent) -> SparseLaurent:
     """P = hbar d/dw + e^{-w} shift."""
-    return f.d_dw().mul_h() + f.shift_w().mul_x()
+    return qh_monomial(0, 1, 0) * d_dw(f) + qh_monomial(0, 0, 1) * shift_w(f)
 
 
-def op_q(f: QhExpr) -> QhExpr:
+def op_q(f: SparseLaurent) -> SparseLaurent:
     """Q = (hbar/2) d2/dw2 + (1 + hbar/2) d/dw - hbar d/dhbar."""
-    return (f.d_dw().d_dw().mul_h() * Q(1, 2)
-            + f.d_dw() + f.d_dw().mul_h() * Q(1, 2)
-            - f.d_dh().mul_h())
+    half_h = qh_monomial(0, 1, 0, Q(1, 2))
+    return (half_h * d_dw(d_dw(f)) + d_dw(f) + half_h * d_dw(f)
+            - qh_monomial(0, 1, 0) * d_dh(f))
 
 
-def zhou_term(m: int) -> QhExpr:
+def zhou_term(m: int) -> SparseLaurent:
     """a_m = q^{m(m-1)/2} hbar^{-m} e^{-m w}."""
-    return QhExpr.monomial(m * (m - 1) // 2, -m, m)
+    return qh_monomial(m * (m - 1) // 2, -m, m)
 
 
-def zhou_series_checks(m_max: int,
-                       exponent=None) -> dict:
+def zhou_series_checks(m_max: int) -> dict:
     """Termwise verification of the explicit partition-function expansion.
 
     Checks, for every m <= m_max: the term recursion
     a_{m+1} = q^m a_m e^{-w} / hbar, the termwise cancellation in the
     difference-differential equation (grouped at e^{-(m+1)w}), and the
-    termwise heat bracket.  ``exponent`` overrides the q-exponent rule
-    m(m-1)/2 for fault injection.
+    termwise heat bracket.
     """
     failures: list[str] = []
-    expo = exponent or (lambda m: m * (m - 1) // 2)
-
-    def term(m: int) -> QhExpr:
-        return QhExpr.monomial(expo(m), -m, m)
-
     for m in range(m_max + 1):
-        lhs = term(m + 1)
-        rhs = term(m).mul_q(m).mul_x().mul_h(-1)
-        if lhs != rhs:
+        if zhou_term(m + 1) != qh_monomial(m, -1, 1) * zhou_term(m):
             failures.append(f"term recursion at order {m + 1}")
         # hbar d/dw of a_{m+1}/(m+1)! plus the shift term from a_m/m!
-        diff_part = (term(m + 1).d_dw().mul_h() * Q(1, factorial(m + 1))
-                     + term(m).shift_w().mul_x() * Q(1, factorial(m)))
+        diff_part = (qh_monomial(0, 1, 0, Q(1, factorial(m + 1))) * d_dw(zhou_term(m + 1))
+                     + qh_monomial(0, 0, 1, Q(1, factorial(m))) * shift_w(zhou_term(m)))
         if not diff_part.is_zero():
             failures.append(f"difference equation at order {m + 1}")
-        heat = op_q(term(m))
-        if not heat.is_zero():
+        if not op_q(zhou_term(m)).is_zero():
             failures.append(f"heat bracket at m={m}")
     return {
         "m_max": m_max,
@@ -188,24 +82,13 @@ def zhou_series_checks(m_max: int,
     }
 
 
-def pq_commutator_check(m_max: int, k_range: int = 3,
-                        drop_half_h: bool = False) -> dict:
-    """([P,Q] - P) f = 0 on every basis element hbar^k e^{-m w}.
-
-    ``drop_half_h`` removes the hbar/2 piece of the second operator
-    (fault injection).
-    """
-    def q_used(f: QhExpr) -> QhExpr:
-        if not drop_half_h:
-            return op_q(f)
-        return (f.d_dw().d_dw().mul_h() * Q(1, 2)
-                + f.d_dw() - f.d_dh().mul_h())
-
+def pq_commutator_check(m_max: int, k_range: int = 3) -> dict:
+    """([P,Q] - P) f = 0 on every basis element hbar^k e^{-m w}."""
     failures: list[str] = []
     for m in range(m_max + 1):
         for k in range(-k_range, k_range + 1):
-            f = QhExpr.monomial(0, k, m)
-            resid = op_p(q_used(f)) - q_used(op_p(f)) - op_p(f)
+            f = qh_monomial(0, k, m)
+            resid = op_p(op_q(f)) - op_q(op_p(f)) - op_p(f)
             if not resid.is_zero():
                 failures.append(f"m={m}, k={k}")
     return {

@@ -29,14 +29,6 @@ class UPoly:
         self.coeffs = cs
 
     @classmethod
-    def const(cls, c: Fraction | int) -> "UPoly":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "UPoly":
-        return cls([0, 1])
-
-    @classmethod
     def monomial(cls, n: int, c: Fraction | int = 1) -> "UPoly":
         return cls([0] * n + [Fraction(c)])
 

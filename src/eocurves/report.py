@@ -137,13 +137,19 @@ def free_energies_check(model: str) -> CheckFn:
     return check
 
 
-def check_catalan_laplace(cfg: RunConfig) -> tuple[bool, str]:
-    worst = 0.0
-    for g, n, xs, cap in [(1, 1, [10.0], 60), (0, 3, [10.0, 11.0, 12.0], 60)]:
-        exact = cat.free_energy_float(g, n, xs)
-        direct = cat.laplace_sum_float(g, n, xs, cap)
-        worst = max(worst, abs(exact - direct) / abs(direct))
-    return worst <= cfg.tolerance, f"max relative error {worst:.2e}"
+def laplace_check(model: str) -> CheckFn:
+    """Exact free energies against truncated Laplace sums at the model's probes."""
+    module = wkb.MODELS[model]
+
+    def check(cfg: RunConfig) -> tuple[bool, str]:
+        worst = 0.0
+        for g, n, xs, cap in module.LAPLACE_PROBES:
+            exact = module.free_energy_float(g, n, xs)
+            direct = module.laplace_sum_float(g, n, xs, cap)
+            worst = max(worst, abs(exact - direct) / abs(direct))
+        return worst <= cfg.tolerance, f"max relative error {worst:.2e}"
+
+    return check
 
 
 def check_catalan_s_cross_paths(cfg: RunConfig) -> tuple[bool, str]:
@@ -220,15 +226,6 @@ def check_hurwitz_recursion(cfg: RunConfig) -> tuple[bool, str]:
         if not hur.fh_recursion_residual(g, n).is_zero():
             return False, f"nonzero residual at ({g},{n})"
     return True, "identically zero for all 2g-2+n <= 3"
-
-
-def check_hurwitz_laplace(cfg: RunConfig) -> tuple[bool, str]:
-    import math
-    xs = [math.exp(-w) for w in (3.0, 3.1, 3.2)]
-    exact = hur.free_energy_float(0, 3, xs)
-    direct = hur.laplace_sum_float(0, 3, xs, 40)
-    err = abs(exact - direct) / abs(direct)
-    return err <= cfg.tolerance, f"relative error {err:.2e}"
 
 
 def check_hurwitz_s_cross_paths(cfg: RunConfig) -> tuple[bool, str]:
@@ -341,7 +338,7 @@ SUITES: dict[str, list[tuple[str, str, CheckFn]]] = {
         ("catalan-free-energies", "free energies symmetric, vanish at t=-1",
          free_energies_check("catalan")),
         ("catalan-laplace", "exact free energies match truncated Laplace sums",
-         check_catalan_laplace),
+         laplace_check("catalan")),
         ("catalan-s-cross-paths", "assembled and recursive S_m agree",
          check_catalan_s_cross_paths),
         ("catalan-s-table", "S_2..S_4 match their closed z-forms",
@@ -363,7 +360,7 @@ SUITES: dict[str, list[tuple[str, str, CheckFn]]] = {
         ("hurwitz-recursion", "differential recursion residuals vanish",
          check_hurwitz_recursion),
         ("hurwitz-laplace", "exact free energies match truncated Laplace sums",
-         check_hurwitz_laplace),
+         laplace_check("hurwitz")),
         ("hurwitz-s-cross-paths", "assembled and recursive S_m agree",
          check_hurwitz_s_cross_paths),
         ("hurwitz-heat", "heat-hierarchy residuals vanish to m=3",
@@ -407,9 +404,11 @@ def suite_checks(name: str) -> list[tuple[str, str, CheckFn]]:
     return SUITES[name]
 
 
-def run_suite(name: str, cfg: RunConfig) -> Report:
+def run_checks(title: str, checks: Sequence[tuple[str, str, CheckFn]],
+               cfg: RunConfig) -> Report:
+    """Run the given registry entries in order; the report is titled ``title``."""
     records = []
-    for check_id, statement, fn in suite_checks(name):
+    for check_id, statement, fn in checks:
         start = time.monotonic()
         try:
             ok, residual = fn(cfg)
@@ -417,4 +416,8 @@ def run_suite(name: str, cfg: RunConfig) -> Report:
             ok, residual = False, f"exception: {type(exc).__name__}: {exc}"
         records.append(CheckRecord(check_id, statement, "pass" if ok else "fail",
                                    residual, time.monotonic() - start))
-    return Report(suite=name, checks=records, config=cfg)
+    return Report(suite=title, checks=records, config=cfg)
+
+
+def run_suite(name: str, cfg: RunConfig) -> Report:
+    return run_checks(name, suite_checks(name), cfg)

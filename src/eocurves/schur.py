@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import SizeMismatch
 from .hurwitz import hurwitz_number
-from .qhbar import QhExpr, zhou_term
+from .laurent import SparseLaurent
+from .qhbar import qh_monomial, zhou_term
 from .rationals import QONE, QZERO
 
 Q = Fraction
@@ -208,9 +209,6 @@ class PPolynomial:
     def weight_truncate(self, d_max: int) -> "PPolynomial":
         return PPolynomial({k: c for k, c in self.terms.items()
                             if sum(k) <= d_max})
-
-    def max_weight(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
 
 
 def schur_in_p(mu: Sequence[int]) -> PPolynomial:
@@ -478,7 +476,7 @@ def principal_collapse_check(m_max: int) -> dict:
     """
     failures: list[str] = []
     for m in range(m_max + 1):
-        total = QhExpr.zero()
+        total = SparseLaurent.zero(3)
         for mu in partitions_of(m):
             sigma = QZERO
             for lam in partitions_of(m):
@@ -491,9 +489,8 @@ def principal_collapse_check(m_max: int) -> dict:
             if eigen2.denominator != 1 or int(eigen2) % 2:
                 failures.append(f"odd eigenvalue at {mu}")
                 continue
-            contrib = QhExpr.monomial(int(eigen2) // 2, -m, m,
-                                      Q(dimension(mu), factorial(m)) * sigma)
-            total = total + contrib
+            total = total + qh_monomial(int(eigen2) // 2, -m, m,
+                                        Q(dimension(mu), factorial(m)) * sigma)
         expected = zhou_term(m) * Q(1, factorial(m))
         if total != expected:
             failures.append(f"collapse total at m={m}")

@@ -8,7 +8,7 @@ truncation is how fake verification passes happen.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import SeriesOrderError
 from .rationals import QONE, QZERO
@@ -24,15 +24,6 @@ class TruncatedSeries:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
         self.var = var
-
-    @classmethod
-    def zero(cls, order: int, var: str = "x") -> "TruncatedSeries":
-        return cls([QZERO] * (order + 1), var)
-
-    @classmethod
-    def build(cls, order: int, term: Callable[[int], Fraction],
-              var: str = "x") -> "TruncatedSeries":
-        return cls([Fraction(term(k)) for k in range(order + 1)], var)
 
     @property
     def order(self) -> int:
@@ -86,10 +77,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by var^k (k >= 0); order grows by k."""
-        return TruncatedSeries([QZERO] * k + self.coeffs, self.var)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise SeriesOrderError(f"cannot extend order {self.order} to {order}")
@@ -134,9 +121,3 @@ class TruncatedSeries:
             return TruncatedSeries([QZERO], self.var)
         return TruncatedSeries([k * self.coeffs[k] for k in range(1, self.order + 1)],
                                self.var)
-
-    def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc

@@ -145,9 +145,7 @@ def apply_to_symbol(op: YPolyOperator, curve: CurveSymbol) -> RatFunc:
     return total
 
 
-def recover_corrections(model: str, order: int,
-                        s_primes: Sequence[RatFunc] | None = None
-                        ) -> list[RatFunc]:
+def recover_corrections(model: str, order: int) -> list[RatFunc]:
     """A_1..A_order solved from the transport hierarchy.
 
     Both shipped models must return identically zero functions.  The
@@ -155,9 +153,7 @@ def recover_corrections(model: str, order: int,
     base symbol feeds each step.
     """
     curve = curve_symbol(model)
-    if s_primes is None:
-        s_primes = model_s_primes(model, order)
-    ops = build_d_operators(order, s_primes, curve.dz_factor)
+    ops = build_d_operators(order, model_s_primes(model, order), curve.dz_factor)
     corrections: list[RatFunc] = []
     for n in range(1, order + 1):
         known = apply_to_symbol(ops[n], curve)

@@ -188,7 +188,7 @@ def test_criterion_09_zhou_and_commutator():
                    "annihilates the basis grid m<=10, |k|<=3")
 
 
-def test_criterion_10_property_suites_and_fault_injection():
+def test_criterion_10_property_suites_and_fault_injection(monkeypatch):
     ok = True
     # structural properties
     for g, n in [(1, 1), (0, 3), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)]:
@@ -211,27 +211,52 @@ def test_criterion_10_property_suites_and_fault_injection():
         ok = ok and cat.catalan_count(g, n, mu) >= 0
         ok = ok and hur.hurwitz_number(g, n, [max(1, m) for m in mu]) >= 0
     # fault injections all flip to fail
-    flips = [
-        not cat.curve_inversion_check(4, corrupt={2: Q(3)})["pass"],
-        not cat.schrodinger_residuals(
-            3, s_override={2: cat.s_coefficient_assembled(2) + RatFunc.x("t")}
-        )[2].is_zero(),
-        not hur.fh_recursion_residual(
-            1, 1, fe_override={(1, 1): SparseLaurent(
-                1, {(3,): Q(1, 23), (2,): Q(-1, 23), (1,): Q(-1, 24),
-                    (0,): Q(1, 24)})}).is_zero(),
-        not hur.heat_residuals(
-            3, s_override={2: RatFunc(hur.s_coefficient(2), UPoly([1]), "t")
-                           + RatFunc.x("t")})[1].is_zero(),
-        not qhbar.zhou_series_checks(
-            5, exponent=lambda m: m * (m + 1) // 2)["pass"],
-        not qhbar.pq_commutator_check(3, 2, drop_half_h=True)["pass"],
-    ]
+    flips = []
+    true_count = cat.catalan_count
+    with monkeypatch.context() as mp:  # C_2 = 2 replaced by 3
+        mp.setattr(cat, "catalan_count", lambda g, n, mu: (
+            3 if list(mu) == [4] else true_count(g, n, mu)))
+        flips.append(not cat.curve_inversion_check(4)["pass"])
+    true_cat_s = cat.s_coefficient_assembled
+    bad_cat_s2 = true_cat_s(2) + RatFunc.x("t")
+    with monkeypatch.context() as mp:
+        mp.setattr(cat, "s_coefficient_assembled",
+                   lambda m: bad_cat_s2 if m == 2 else true_cat_s(m))
+        flips.append(not cat.schrodinger_residuals(3)[2].is_zero())
+    true_fe = hur.free_energy
+    bad_f11 = SparseLaurent(1, {(3,): Q(1, 23), (2,): Q(-1, 23),
+                                (1,): Q(-1, 24), (0,): Q(1, 24)})
+    with monkeypatch.context() as mp:
+        mp.setattr(hur, "free_energy",
+                   lambda g, n: bad_f11 if (g, n) == (1, 1) else true_fe(g, n))
+        flips.append(not hur.fh_recursion_residual(1, 1).is_zero())
+    true_hur_s = hur.s_coefficient
+    bad_hur_s2 = true_hur_s(2) + UPoly([0, 1])
+    with monkeypatch.context() as mp:
+        mp.setattr(hur, "s_coefficient",
+                   lambda m: bad_hur_s2 if m == 2 else true_hur_s(m))
+        flips.append(not hur.heat_residuals(3)[1].is_zero())
+    with monkeypatch.context() as mp:
+        mp.setattr(qhbar, "zhou_term",
+                   lambda m: qhbar.qh_monomial(m * (m + 1) // 2, -m, m))
+        flips.append(not qhbar.zhou_series_checks(5)["pass"])
+    with monkeypatch.context() as mp:
+        mp.setattr(qhbar, "op_q", op_q_without_half_h)
+        flips.append(not qhbar.pq_commutator_check(3, 2)["pass"])
     sp = wkb.model_s_primes("catalan", 4)
     sp[3] = sp[3] + RatFunc.x("z")
-    flips.append(not wkb.recover_corrections("catalan", 4, s_primes=sp)[2].is_zero())
+    with monkeypatch.context() as mp:
+        mp.setattr(wkb, "model_s_primes", lambda model, m_max: sp)
+        flips.append(not wkb.recover_corrections("catalan", 4)[2].is_zero())
     ok = ok and all(flips)
     verdict(10, ok, f"properties hold and all {len(flips)} fault injections flip")
+
+
+def op_q_without_half_h(f):
+    """The second operator with the hbar/2 piece of its d/dw term dropped."""
+    h = qhbar.qh_monomial(0, 1, 0)
+    return (h * qhbar.d_dw(qhbar.d_dw(f)) * Q(1, 2) + qhbar.d_dw(f)
+            - h * qhbar.d_dh(f))
 
 
 def test_criterion_11_euler_characteristic():

@@ -73,10 +73,16 @@ def test_count_symmetric_in_vertices():
 
 # -- curve inversion ----------------------------------------------------------
 
-def test_curve_inversion():
+def test_curve_inversion(monkeypatch):
     assert cat.curve_inversion_check(5)["pass"]
     assert cat.curve_inversion_check(1)["pass"]
-    bad = cat.curve_inversion_check(4, corrupt={2: Q(3)})
+    true_count = cat.catalan_count
+
+    def corrupt_c2(g, n, mu):  # C_2 = 2 replaced by 3
+        return 3 if list(mu) == [4] else true_count(g, n, mu)
+
+    monkeypatch.setattr(cat, "catalan_count", corrupt_c2)
+    bad = cat.curve_inversion_check(4)
     assert not bad["pass"]
     assert bad["first_failing_x_power"] == -3
 
@@ -164,9 +170,12 @@ def test_schrodinger_residuals_vanish():
     assert all(r.is_zero() for r in res)
 
 
-def test_schrodinger_residual_detects_fault():
-    bad = cat.s_coefficient_assembled(2) + RatFunc.x("t")
-    res = cat.schrodinger_residuals(3, s_override={2: bad})
+def test_schrodinger_residual_detects_fault(monkeypatch):
+    true_s = cat.s_coefficient_assembled
+    bad = true_s(2) + RatFunc.x("t")
+    monkeypatch.setattr(cat, "s_coefficient_assembled",
+                        lambda m: bad if m == 2 else true_s(m))
+    res = cat.schrodinger_residuals(3)
     assert not res[2].is_zero()
     assert res[0].is_zero() and res[1].is_zero()
 

@@ -11,7 +11,7 @@ from eocurves import catalan as cat
 from eocurves import hurwitz as hur
 from eocurves import report
 from eocurves.cache import export_caches, import_caches
-from eocurves.cli import main
+from eocurves.cli import HURWITZ_SUBSUITES, main
 from eocurves.report import RunConfig, check_catalan_curve_inversion, run_suite
 
 
@@ -217,6 +217,35 @@ def test_lambert_check_names_failing_order(monkeypatch):
     assert not ok
     assert residual == ("curve identity first fails at x^3; "
                         "frame identity first fails at x^3 (order 12)")
+
+
+def test_hurwitz_subsuite_runs_only_its_checks(capsys, monkeypatch):
+    called = []
+
+    def recorder(check_id):
+        def check(cfg):
+            called.append(check_id)
+            return True, "ok"
+        return check
+
+    checks = [(check_id, statement, recorder(check_id))
+              for check_id, statement, _ in report.SUITES["hurwitz"]]
+    monkeypatch.setitem(report.SUITES, "hurwitz", checks)
+    code, out = run_cli(capsys, "--format", "json", "hurwitz", "verify",
+                        "--suite", "lambert")
+    assert code == 0
+    data = json.loads(out)
+    assert data["suite"] == "hurwitz:lambert"
+    assert [c["check_id"] for c in data["checks"]] == ["hurwitz-lambert"]
+    assert called == ["hurwitz-lambert"]
+
+
+def test_check_registry_ids():
+    ids = [check_id for checks in report.SUITES.values() for check_id, _, _ in checks]
+    assert len(ids) == len(set(ids))
+    hurwitz_ids = {check_id for check_id, _, _ in report.SUITES["hurwitz"]}
+    for sub, wanted in HURWITZ_SUBSUITES.items():
+        assert wanted and set(wanted) <= hurwitz_ids, sub
 
 
 def test_cache_missing_file_cold_start(tmp_path):
