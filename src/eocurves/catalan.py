@@ -201,7 +201,13 @@ def free_energy(g: int, n: int) -> SparseLaurent:
 
 
 def _recursion_rhs(g: int, n: int) -> SparseLaurent:
-    """dF_{g,n}/dt_1 assembled from lower free energies."""
+    """dF_{g,n}/dt_1 assembled from lower free energies.
+
+    Only the (0,3) base case sums terms that do not clear their
+    denominators on their own (in ``pending``).  Every stable pairing term
+    must divide: one that does not raises ExactDivisionError naming the
+    factor, so a wrong lower free energy cannot be absorbed into the sum.
+    """
     cleared = SparseLaurent.zero(n)
     pending = BinomialFraction.zero(n)
 
@@ -262,7 +268,7 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
             term = (BinomialFraction((phi_1 - phi_j) * tj)
                     .scale(Q(-1, 16)).div_factor(dkey)
                     .div_factor(factor_sum(0, j)))
-            absorb(term)
+            cleared = cleared + term.finalize()
             line2 = (_kernel2(n, 0) * f_at_1.diff(0)).scale(Q(-1, 16))
             cleared = cleared + line2
 
@@ -397,9 +403,14 @@ def t_of_x_float(x: float) -> float:
 LAPLACE_PROBES = [(1, 1, [10.0], 60), (0, 3, [10.0, 11.0, 12.0], 60)]
 
 
+def _laplace_weight(g: int, n: int, mu: Sequence[int]) -> float:
+    """float(dessin_number(g, n, mu)) without the Fraction: int / int rounds the same."""
+    return catalan_count(g, n, mu) / prod(mu)
+
+
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
     """Truncated Laplace transform: dessin numbers against prod x_i^-mu_i."""
-    return shared.laplace_sum_float(dessin_number, -1, g, n, xs, cap)
+    return shared.laplace_sum_float(_laplace_weight, -1, g, n, xs, cap)
 
 
 def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:

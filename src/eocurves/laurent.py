@@ -14,10 +14,11 @@ division is all the multivariate rational arithmetic this package needs.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ExactDivisionError, NonzeroResidue
-from .rationals import QZERO, qstr, parse_q
+from .rationals import QZERO, over_common_denominator, qstr, parse_q
 
 ExpVec = tuple[int, ...]
 
@@ -132,16 +133,24 @@ class SparseLaurent:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        res: dict[ExpVec, Fraction] = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-                s = res.get(k, QZERO) + c1 * c2
+        # Accumulate integer numerators over the common denominator da*db.
+        # A partial sum that reaches zero is dropped and its key re-enters
+        # at the end, so the terms come out in the order a Fraction-by-
+        # Fraction accumulation gives them (float evaluation follows it).
+        da, na = over_common_denominator(a.values())
+        db, nb = over_common_denominator(b.values())
+        res: dict[ExpVec, int] = {}
+        for k1, c1 in zip(a, na):
+            for k2, c2 in zip(b, nb):
+                k = tuple(map(add, k1, k2))
+                s = res.get(k, 0) + c1 * c2
                 if s:
                     res[k] = s
                 else:
                     res.pop(k, None)
-        return SparseLaurent(self.arity, res, _prune=False)
+        d = da * db
+        return SparseLaurent(self.arity, {k: Fraction(v, d) for k, v in res.items()},
+                             _prune=False)
 
     __rmul__ = __mul__
 
@@ -292,15 +301,16 @@ class SparseLaurent:
 
     def principal(self) -> dict[int, Fraction]:
         """Set all variables equal; returns univariate exponent -> coefficient."""
-        res: dict[int, Fraction] = {}
-        for k, c in self.terms.items():
+        den, numerators = over_common_denominator(self.terms.values())
+        res: dict[int, int] = {}
+        for k, c in zip(self.terms, numerators):
             e = sum(k)
-            s = res.get(e, QZERO) + c
+            s = res.get(e, 0) + c
             if s:
                 res[e] = s
             else:
                 res.pop(e, None)
-        return res
+        return {e: Fraction(c, den) for e, c in res.items()}
 
     def total_degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
@@ -311,20 +321,23 @@ class SparseLaurent:
         """Exact division by ``v_a - sign*v_b`` (sign is +1 or -1)."""
         if a == b:
             raise ValueError("binomial needs distinct variables")
-        layers: dict[int, dict[ExpVec, Fraction]] = {}
-        for k, c in self.terms.items():
+        # the quotient's coefficients are signed sums of this one's, so they
+        # are integers over the lcm of its denominators
+        den, numerators = over_common_denominator(self.terms.values())
+        layers: dict[int, dict[ExpVec, int]] = {}
+        for k, c in zip(self.terms, numerators):
             layers.setdefault(k[a], {})[k[:a] + (0,) + k[a + 1:]] = c
         if not layers:
             return SparseLaurent.zero(self.arity)
         hi, lo = max(layers), min(layers)
-        quot: dict[ExpVec, Fraction] = {}
-        carry: dict[ExpVec, Fraction] = {}
+        quot: dict[ExpVec, int] = {}
+        carry: dict[ExpVec, int] = {}
         for e in range(hi, lo - 1, -1):
-            step: dict[ExpVec, Fraction] = dict(layers.get(e, {}))
+            step: dict[ExpVec, int] = dict(layers.get(e, {}))
             for k, c in carry.items():
                 nk = k[:b] + (k[b] + 1,) + k[b + 1:]
                 v = c if sign > 0 else -c
-                s = step.get(nk, QZERO) + v
+                s = step.get(nk, 0) + v
                 if s:
                     step[nk] = s
                 else:
@@ -337,7 +350,8 @@ class SparseLaurent:
                 if step:
                     raise ExactDivisionError(
                         f"remainder dividing by v{a} {'-' if sign > 0 else '+'} v{b}")
-        return SparseLaurent(self.arity, quot, _prune=False)
+        return SparseLaurent(self.arity, {k: Fraction(c, den) for k, c in quot.items()},
+                             _prune=False)
 
     def divide_var_linear(self, a: int, c0: Fraction) -> "SparseLaurent":
         """Exact division by ``v_a - c0`` for a rational constant c0."""

@@ -7,22 +7,16 @@ Rows are cleared to integers, eliminated by the Bareiss one-step scheme
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import OverdeterminedMismatch, SingularMatrix
+from .rationals import over_common_denominator
 
 
 def _integer_rows(matrix: Sequence[Sequence[Fraction]],
                   rhs: Sequence[Fraction]) -> list[list[int]]:
-    rows = []
-    for row, b in zip(matrix, rhs):
-        entries = [Fraction(x) for x in row] + [Fraction(b)]
-        lcm = 1
-        for x in entries:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        rows.append([int(x * lcm) for x in entries])
-    return rows
+    return [over_common_denominator([Fraction(x) for x in (*row, b)])[1]
+            for row, b in zip(matrix, rhs)]
 
 
 def solve_overdetermined(matrix: Sequence[Sequence[Fraction]],

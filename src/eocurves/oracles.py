@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Sequence
 
 Q = Fraction

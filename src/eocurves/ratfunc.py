@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DegenerateMap, NonzeroResidue, UnfactoredDenominator
-from .rationals import QONE, QZERO, qstr, parse_q
+from .rationals import QONE, QZERO, over_common_denominator, qstr, parse_q
 
 
 class UPoly:
@@ -23,7 +23,7 @@ class UPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs
@@ -73,14 +73,17 @@ class UPoly:
             return self.scale(Fraction(other))
         if not self.coeffs or not other.coeffs:
             return UPoly()
-        out = [QZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        # integer numerators over the common denominator da * db
+        da, ia = over_common_denominator(self.coeffs)
+        db, ib = over_common_denominator(other.coeffs)
+        out = [0] * (len(ia) + len(ib) - 1)
+        for i, a in enumerate(ia):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UPoly(out)
+            for j, b in enumerate(ib):
+                out[i + j] += a * b
+        d = da * db
+        return UPoly([Fraction(v, d) for v in out])
 
     __rmul__ = __mul__
 
@@ -100,6 +103,13 @@ class UPoly:
                 base = base * base
         return res
 
+    def valuation(self) -> int:
+        """Exponent of the lowest nonzero term; -1 for the zero polynomial."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return -1
+
     def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -109,6 +119,9 @@ class UPoly:
         lead = dn[-1]
         if len(rem) - 1 < dd:
             return UPoly(), UPoly(rem)
+        if other.valuation() == dd:
+            # a monomial lead * t^dd: the quotient is a shifted scale
+            return UPoly([c / lead for c in rem[dd:]]), UPoly(rem[:dd])
         quot = [QZERO] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
@@ -135,12 +148,22 @@ class UPoly:
         return UPoly([c / lead for c in self.coeffs])
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        a, b = self, other
+        """Monic gcd (zero when both are zero).
+
+        The power of t is split off first: with a = t^va a' and b = t^vb b'
+        where t divides neither a' nor b', gcd(a, b) = t^min(va, vb)
+        gcd(a', b'), and Euclid runs only when neither a' nor b' is a
+        constant.
+        """
+        if self.is_zero() or other.is_zero():
+            return (other if self.is_zero() else self).monic()
+        va, vb = self.valuation(), other.valuation()
+        a, b = UPoly(self.coeffs[va:]), UPoly(other.coeffs[vb:])
+        if a.degree() == 0 or b.degree() == 0:
+            return UPoly.monomial(min(va, vb))
         while not b.is_zero():
             a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        return UPoly([QZERO] * min(va, vb) + a.monic().coeffs)
 
     def diff(self) -> "UPoly":
         return UPoly([c * i for i, c in enumerate(self.coeffs)][1:])
@@ -319,14 +342,17 @@ def substitute_mobius(f: RatFunc, coeffs: tuple[Fraction, Fraction, Fraction, Fr
     up = UPoly([b, a])
     dn = UPoly([d, c])
     m = max(f.num.degree(), f.den.degree(), 0)
+    up_pows, dn_pows = [UPoly([1])], [UPoly([1])]
+    for _ in range(m):
+        up_pows.append(up_pows[-1] * up)
+        dn_pows.append(dn_pows[-1] * dn)
 
     def homogenize(p: UPoly) -> UPoly:
         acc = UPoly()
-        deg = p.degree()
         for i, coeff in enumerate(p.coeffs):
             if coeff == 0:
                 continue
-            acc = acc + up.pow(i) * dn.pow(m - i) * coeff
+            acc = acc + up_pows[i] * dn_pows[m - i] * coeff
         return acc
 
     num = homogenize(f.num)

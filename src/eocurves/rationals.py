@@ -9,6 +9,8 @@ directly; this module only adds the wire format used everywhere else:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Collection
 
 Q = Fraction
 
@@ -30,3 +32,9 @@ def parse_q(s: str) -> Fraction:
         num, den = s.split("/", 1)
         return Fraction(int(num), int(den))
     return Fraction(int(s))
+
+
+def over_common_denominator(values: Collection[Fraction]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators, and each value times d (an integer)."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]

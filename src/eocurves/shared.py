@@ -88,7 +88,7 @@ def s_coefficient_assembled(free_energy: FreeEnergy, m: int) -> RatFunc:
     return total
 
 
-def laplace_sum_float(weight: Callable[[int, int, list[int]], Fraction], sign: int,
+def laplace_sum_float(weight: Callable[[int, int, list[int]], Fraction | float], sign: int,
                       g: int, n: int, xs: Sequence[float], cap: int) -> float:
     """Sum of weight(g, n, mu) prod x_i^(sign mu_i) over |mu| <= cap."""
     total = 0.0

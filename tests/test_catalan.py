@@ -5,8 +5,10 @@ from fractions import Fraction as Q
 import pytest
 
 from eocurves import catalan as cat
-from eocurves import oracles
-from eocurves.errors import InvalidProfile
+from eocurves import oracles, report, shared
+from eocurves.errors import ExactDivisionError, InvalidProfile
+from eocurves.laurent import SparseLaurent
+from eocurves.report import RunConfig
 from eocurves.ratfunc import RatFunc, UPoly
 
 
@@ -127,6 +129,40 @@ def test_free_energy_matches_laplace_sum(g, n, xs, cap):
     exact = cat.free_energy_float(g, n, xs)
     direct = cat.laplace_sum_float(g, n, xs, cap)
     assert abs(exact - direct) <= 1e-8 * abs(direct)
+
+
+def test_recursion_stable_term_must_divide(monkeypatch):
+    # F(0,3) + t_1^2 t_2 is not symmetric; building F(0,4) on it, the j = 1
+    # pairing term does not clear v0 + v1 and must raise there, not be
+    # carried along to a final division that names another factor
+    true_f03 = cat.free_energy(0, 3)
+    bad_f03 = true_f03 + SparseLaurent(3, {(2, 1, 0): Q(1)})
+    real = cat.free_energy
+    monkeypatch.setattr(cat, "_fe_memo", {(0, 3): true_f03})
+    monkeypatch.setattr(cat, "free_energy",
+                        lambda g, n: bad_f03 if (g, n) == (0, 3) else real(g, n))
+    with pytest.raises(ExactDivisionError, match=r"v0 \+ v1"):
+        real(0, 4)
+
+
+@pytest.mark.parametrize("g,n,xs,cap", cat.LAPLACE_PROBES)
+def test_laplace_probe_weight_is_exact(g, n, xs, cap):
+    # int / int rounds like float(Fraction): the sums agree to the last bit
+    assert cat.laplace_sum_float(g, n, xs, cap) == shared.laplace_sum_float(
+        cat.dessin_number, -1, g, n, xs, cap)
+
+
+def test_laplace_check_detects_corrupt_count(monkeypatch):
+    assert report.laplace_check("catalan")(RunConfig())[0]
+    true_count = cat.catalan_count
+
+    def corrupt(g, n, mu):  # C_{1,1}(4) = 1 replaced by 2
+        return 2 if (g, list(mu)) == (1, [4]) else true_count(g, n, mu)
+
+    monkeypatch.setattr(cat, "catalan_count", corrupt)
+    ok, residual = report.laplace_check("catalan")(RunConfig())
+    assert not ok
+    assert residual.startswith("max relative error")
 
 
 def test_euler_characteristic_specialization():
