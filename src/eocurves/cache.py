@@ -50,6 +50,11 @@ def _ratio(value) -> tuple[int, int]:
     return p, q
 
 
+def memo_sizes() -> tuple[int, int]:
+    """Entries in the Catalan and Hurwitz memo tables."""
+    return len(cat._count_memo), len(hur._h_memo)
+
+
 def export_caches(path: Path) -> dict:
     payload = {
         "catalan": {_flatten(g, mu): str(v)
@@ -58,7 +63,14 @@ def export_caches(path: Path) -> dict:
                     for (g, mu), v in sorted(hur._h_memo.items())},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+    # write beside the file and rename over it, so an interrupted write
+    # leaves the old file whole
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return {"catalan": len(payload["catalan"]), "hurwitz": len(payload["hurwitz"])}
 
 

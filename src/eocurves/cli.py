@@ -18,7 +18,7 @@ from . import catalan as cat
 from . import hurwitz as hur
 from . import schur
 from . import wkb
-from .cache import cache_dir, export_caches, import_caches
+from .cache import cache_dir, export_caches, import_caches, memo_sizes
 from .rationals import qstr
 from .report import Report, RunConfig, run_checks, run_suite, SUITES, CheckRecord
 
@@ -153,13 +153,17 @@ def main(argv: list[str] | None = None) -> int:
                     cache_path=args.cache,
                     tolerance=args.tolerance)
 
+    # the file is rewritten only if it is missing, lost an entry on import
+    # or would gain one
     cache_file = Path(args.cache) if args.cache else None
+    stale = True
     if cache_file and cache_file.exists():
-        import_caches(cache_file)
+        stale = import_caches(cache_file)["rejected"] > 0
+    sizes = memo_sizes()
 
     code = _dispatch(args, cfg)
 
-    if cache_file:
+    if cache_file and (stale or memo_sizes() != sizes):
         export_caches(cache_file)
     return code
 

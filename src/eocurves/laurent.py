@@ -1,8 +1,16 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
-Terms are stored as a map from integer exponent vectors (entries may be
-negative) to nonzero Fractions; two values are equal iff their term maps
-are identical, so every constructor and operation prunes zeros.
+A polynomial is a map from integer exponent vectors (entries may be
+negative) to nonzero ``int`` numerators, over one positive ``int``
+denominator shared by every term.  The form is canonical: the denominator
+is coprime to the numerators taken together, so it is the lcm of the
+reduced term denominators, and two values are equal iff their arity,
+denominator and numerator maps are.  Every kernel works in integers;
+``terms`` is a ``Fraction`` view built on demand.
+
+The kernels keep the term order a Fraction-by-Fraction accumulation gives:
+a key whose partial sum reaches zero is dropped and re-enters at the end.
+``eval_float`` sums the terms in that order, so float probes depend on it.
 
 ``BinomialFraction`` layers a restricted denominator on top: a multiset
 of factors of the forms ``v_a - v_b``, ``v_a + v_b`` and ``v_a - c``.
@@ -14,42 +22,61 @@ division is all the multivariate rational arithmetic this package needs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ExactDivisionError, NonzeroResidue
-from .rationals import QZERO, over_common_denominator, qstr, parse_q
+from .rationals import QZERO, qstr, parse_q
 
 ExpVec = tuple[int, ...]
 
 
 class SparseLaurent:
-    """A Laurent polynomial in ``arity`` variables with Fraction coefficients."""
+    """A Laurent polynomial in ``arity`` variables: ``num[k] / den`` per term."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "num", "den")
 
-    def __init__(self, arity: int, terms: Mapping[ExpVec, Fraction] | None = None,
-                 _prune: bool = True):
+    def __init__(self, arity: int, terms: Mapping[ExpVec, Fraction | int] | None = None):
         self.arity = arity
-        if terms is None:
-            self.terms: dict[ExpVec, Fraction] = {}
-        elif _prune:
-            self.terms = {k: Fraction(c) for k, c in terms.items() if c != 0}
-        else:
-            self.terms = dict(terms)
+        coeffs = [(k, Fraction(c)) for k, c in (terms or {}).items() if c]
+        # over the lcm of the reduced denominators the numerators are coprime to it
+        self.den = lcm(*(c.denominator for _, c in coeffs))
+        self.num = {k: c.numerator * (self.den // c.denominator) for k, c in coeffs}
+
+    @classmethod
+    def _new(cls, arity: int, num: dict[ExpVec, int], den: int = 1) -> "SparseLaurent":
+        """Wrap numerators that are already canonical (no copy, no check)."""
+        f = object.__new__(cls)
+        f.arity, f.num, f.den = arity, num, den
+        return f
+
+    @classmethod
+    def from_ints(cls, arity: int, num: dict[ExpVec, int], den: int = 1) -> "SparseLaurent":
+        """``num[k] / den`` per term, for zero-free ``num`` and ``den > 0``.
+
+        The dict is taken over, not copied; a factor common to ``den`` and
+        every numerator is divided out.
+        """
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                return cls._new(arity, {k: v // g for k, v in num.items()}, den // g)
+        return cls._new(arity, num, den)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, arity: int) -> "SparseLaurent":
-        return cls(arity, {}, _prune=False)
+        return cls._new(arity, {})
 
     @classmethod
     def const(cls, arity: int, c: Fraction | int) -> "SparseLaurent":
         c = Fraction(c)
         if c == 0:
             return cls.zero(arity)
-        return cls(arity, {(0,) * arity: c}, _prune=False)
+        return cls._new(arity, {(0,) * arity: c.numerator}, c.denominator)
 
     @classmethod
     def var(cls, arity: int, i: int, power: int = 1,
@@ -69,96 +96,100 @@ class SparseLaurent:
 
     # -- basics ----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[ExpVec, Fraction]:
+        """Read-only ``Fraction`` view of the coefficients, in term order."""
+        den = self.den
+        return MappingProxyType({k: Fraction(n, den) for k, n in self.num.items()})
+
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseLaurent):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (self.arity == other.arity and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return f"SparseLaurent({self.arity}, 0)"
         bits = []
-        for key in sorted(self.terms)[:8]:
-            bits.append(f"{qstr(self.terms[key])}*t^{key}")
-        more = "..." if len(self.terms) > 8 else ""
+        for key in sorted(self.num)[:8]:
+            bits.append(f"{qstr(Fraction(self.num[key], self.den))}*t^{key}")
+        more = "..." if len(self.num) > 8 else ""
         return f"SparseLaurent({self.arity}, {' + '.join(bits)}{more})"
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.num)
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other: "SparseLaurent") -> "SparseLaurent":
+    def _plus(self, other: "SparseLaurent", sign: int) -> "SparseLaurent":
+        """self + sign * other, over the lcm of the two denominators."""
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        res = dict(self.terms)
-        for k, c in other.terms.items():
-            s = res.get(k, QZERO) + c
+        d = lcm(self.den, other.den)
+        up = d // self.den
+        res = dict(self.num) if up == 1 else {k: c * up for k, c in self.num.items()}
+        up = sign * (d // other.den)
+        for k, c in other.num.items():
+            s = res.get(k, 0) + c * up
             if s:
                 res[k] = s
             else:
                 res.pop(k, None)
-        return SparseLaurent(self.arity, res, _prune=False)
+        return SparseLaurent.from_ints(self.arity, res, d)
+
+    def __add__(self, other: "SparseLaurent") -> "SparseLaurent":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "SparseLaurent") -> "SparseLaurent":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        res = dict(self.terms)
-        for k, c in other.terms.items():
-            s = res.get(k, QZERO) - c
-            if s:
-                res[k] = s
-            else:
-                res.pop(k, None)
-        return SparseLaurent(self.arity, res, _prune=False)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "SparseLaurent":
-        return SparseLaurent(self.arity, {k: -c for k, c in self.terms.items()},
-                             _prune=False)
+        return SparseLaurent._new(self.arity, {k: -c for k, c in self.num.items()},
+                                  self.den)
 
     def __mul__(self, other: "SparseLaurent | Fraction | int") -> "SparseLaurent":
         if isinstance(other, (Fraction, int)):
             return self.scale(Fraction(other))
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        a, b = self.terms, other.terms
+        a, b = self.num, other.num
         if len(a) > len(b):
             a, b = b, a
-        # Accumulate integer numerators over the common denominator da*db.
-        # A partial sum that reaches zero is dropped and its key re-enters
-        # at the end, so the terms come out in the order a Fraction-by-
-        # Fraction accumulation gives them (float evaluation follows it).
-        da, na = over_common_denominator(a.values())
-        db, nb = over_common_denominator(b.values())
         res: dict[ExpVec, int] = {}
-        for k1, c1 in zip(a, na):
-            for k2, c2 in zip(b, nb):
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = tuple(map(add, k1, k2))
                 s = res.get(k, 0) + c1 * c2
                 if s:
                     res[k] = s
                 else:
                     res.pop(k, None)
-        d = da * db
-        return SparseLaurent(self.arity, {k: Fraction(v, d) for k, v in res.items()},
-                             _prune=False)
+        return SparseLaurent.from_ints(self.arity, res, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def scale(self, c: Fraction) -> "SparseLaurent":
+    def scale(self, c: Fraction | int) -> "SparseLaurent":
         if c == 0:
             return SparseLaurent.zero(self.arity)
-        return SparseLaurent(self.arity, {k: v * c for k, v in self.terms.items()},
-                             _prune=False)
+        p, q = c.numerator, c.denominator
+        # what p shares with den cancels at once; what q shares with the
+        # numerators is left to from_ints
+        g = gcd(p, self.den)
+        up = p // g
+        num = {k: v * up for k, v in self.num.items()}
+        if q == 1:
+            return SparseLaurent._new(self.arity, num, self.den // g)
+        return SparseLaurent.from_ints(self.arity, num, self.den // g * q)
 
     def pow(self, n: int) -> "SparseLaurent":
         if n < 0:
@@ -176,18 +207,12 @@ class SparseLaurent:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, i: int) -> "SparseLaurent":
-        res: dict[ExpVec, Fraction] = {}
-        for k, c in self.terms.items():
+        res: dict[ExpVec, int] = {}
+        for k, c in self.num.items():
             e = k[i]
-            if e == 0:
-                continue
-            nk = k[:i] + (e - 1,) + k[i + 1:]
-            s = res.get(nk, QZERO) + c * e
-            if s:
-                res[nk] = s
-            else:
-                res.pop(nk, None)
-        return SparseLaurent(self.arity, res, _prune=False)
+            if e:
+                res[k[:i] + (e - 1,) + k[i + 1:]] = c * e
+        return SparseLaurent.from_ints(self.arity, res, self.den)
 
     def integrate(self, i: int, base: Fraction | None = None) -> "SparseLaurent":
         """Termwise antiderivative in variable ``i``.
@@ -196,15 +221,15 @@ class SparseLaurent:
         appear).  With ``base`` given, normalizes so the result vanishes at
         ``v_i = base``.
         """
-        res: dict[ExpVec, Fraction] = {}
-        for k, c in self.terms.items():
-            e = k[i]
-            if e == -1:
-                raise NonzeroResidue(
-                    f"residue {qstr(c)} at exponent -1 of variable {i}")
-            nk = k[:i] + (e + 1,) + k[i + 1:]
-            res[nk] = c / (e + 1)
-        anti = SparseLaurent(self.arity, res, _prune=False)
+        for k, c in self.num.items():
+            if k[i] == -1:
+                raise NonzeroResidue(f"residue {qstr(Fraction(c, self.den))} "
+                                     f"at exponent -1 of variable {i}")
+        # every new exponent e + 1 divides m, so c / (e + 1) = c (m / (e + 1)) / m
+        m = lcm(*{k[i] + 1 for k in self.num})
+        res = {k[:i] + (k[i] + 1,) + k[i + 1:]: c * (m // (k[i] + 1))
+               for k, c in self.num.items()}
+        anti = SparseLaurent.from_ints(self.arity, res, self.den * m)
         if base is None:
             return anti
         at_base = anti.eval_partial(i, base)
@@ -212,39 +237,55 @@ class SparseLaurent:
 
     # -- substitution and evaluation ---------------------------------------
 
-    def eval_partial(self, i: int, value: Fraction) -> "SparseLaurent":
+    def eval_partial(self, i: int, value: Fraction | int) -> "SparseLaurent":
         """Substitute ``v_i = value`` (exponent of slot i becomes 0)."""
-        res: dict[ExpVec, Fraction] = {}
-        for k, c in self.terms.items():
-            e = k[i]
-            if e:
-                if value == 0 and e < 0:
-                    raise ZeroDivisionError("negative power at 0")
-                c = c * value ** e
-            if c == 0:
+        if not self.num:
+            return self
+        value = Fraction(value)
+        p, q = value.numerator, value.denominator
+        exps = {k[i] for k in self.num}
+        if p == 0:
+            if min(exps) < 0:
+                raise ZeroDivisionError("negative power at 0")
+            # only the terms free of v_i survive
+            factor, scale = {0: 1}, 1
+        else:
+            # (p/q)^e = p^(e+lo) q^(hi-e) / (q^hi p^lo), with both powers >= 0
+            hi, lo = max(0, max(exps)), max(0, -min(exps))
+            factor = {e: p ** (e + lo) * q ** (hi - e) for e in exps}
+            scale = q ** hi * p ** lo
+            if scale < 0:
+                factor = {e: -f for e, f in factor.items()}
+                scale = -scale
+        res: dict[ExpVec, int] = {}
+        for k, c in self.num.items():
+            f = factor.get(k[i])
+            if f is None:
                 continue
             nk = k[:i] + (0,) + k[i + 1:]
-            s = res.get(nk, QZERO) + c
+            s = res.get(nk, 0) + c * f
             if s:
                 res[nk] = s
             else:
                 res.pop(nk, None)
-        return SparseLaurent(self.arity, res, _prune=False)
+        return SparseLaurent.from_ints(self.arity, res, self.den * scale)
 
     def eval_all(self, values: Sequence[Fraction]) -> Fraction:
         total = QZERO
-        for k, c in self.terms.items():
-            term = c
+        for k, c in self.num.items():
+            term = Fraction(c)
             for e, v in zip(k, values):
                 if e:
                     term *= Fraction(v) ** e
             total += term
-        return total
+        return total / self.den
 
     def eval_float(self, values: Sequence[float]) -> float:
+        # int / int rounds correctly, exactly as float(Fraction) does
+        den = self.den
         total = 0.0
-        for k, c in self.terms.items():
-            term = float(c)
+        for k, c in self.num.items():
+            term = c / den
             for e, v in zip(k, values):
                 if e:
                     term *= v ** e
@@ -254,8 +295,8 @@ class SparseLaurent:
     def permuted(self, perm: Sequence[int]) -> "SparseLaurent":
         """Relabel variables: new slot j carries old slot perm[j]."""
         res = {tuple(k[perm[j]] for j in range(self.arity)): c
-               for k, c in self.terms.items()}
-        return SparseLaurent(self.arity, res, _prune=False)
+               for k, c in self.num.items()}
+        return SparseLaurent._new(self.arity, res, self.den)
 
     def is_symmetric(self) -> bool:
         """Invariance under all variable permutations (checked on generators)."""
@@ -271,49 +312,48 @@ class SparseLaurent:
 
     def embed(self, arity: int, slots: Sequence[int]) -> "SparseLaurent":
         """Embed into ``arity`` variables, old variable i going to slots[i]."""
-        res: dict[ExpVec, Fraction] = {}
-        for k, c in self.terms.items():
+        res: dict[ExpVec, int] = {}
+        for k, c in self.num.items():
             nk = [0] * arity
             for i, e in enumerate(k):
                 nk[slots[i]] += e
             key = tuple(nk)
-            s = res.get(key, QZERO) + c
+            s = res.get(key, 0) + c
             if s:
                 res[key] = s
             else:
                 res.pop(key, None)
-        return SparseLaurent(arity, res, _prune=False)
+        return SparseLaurent.from_ints(arity, res, self.den)
 
     def merge_vars(self, keep: int, absorb: int) -> "SparseLaurent":
         """Set ``v_absorb = v_keep``; slot ``absorb`` becomes unused."""
-        res: dict[ExpVec, Fraction] = {}
-        for k, c in self.terms.items():
+        res: dict[ExpVec, int] = {}
+        for k, c in self.num.items():
             nk = list(k)
             nk[keep] += nk[absorb]
             nk[absorb] = 0
             key = tuple(nk)
-            s = res.get(key, QZERO) + c
+            s = res.get(key, 0) + c
             if s:
                 res[key] = s
             else:
                 res.pop(key, None)
-        return SparseLaurent(self.arity, res, _prune=False)
+        return SparseLaurent.from_ints(self.arity, res, self.den)
 
     def principal(self) -> dict[int, Fraction]:
         """Set all variables equal; returns univariate exponent -> coefficient."""
-        den, numerators = over_common_denominator(self.terms.values())
         res: dict[int, int] = {}
-        for k, c in zip(self.terms, numerators):
+        for k, c in self.num.items():
             e = sum(k)
             s = res.get(e, 0) + c
             if s:
                 res[e] = s
             else:
                 res.pop(e, None)
-        return {e: Fraction(c, den) for e, c in res.items()}
+        return {e: Fraction(c, self.den) for e, c in res.items()}
 
     def total_degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
+        return max((sum(k) for k in self.num), default=0)
 
     # -- exact division -----------------------------------------------------
 
@@ -321,11 +361,8 @@ class SparseLaurent:
         """Exact division by ``v_a - sign*v_b`` (sign is +1 or -1)."""
         if a == b:
             raise ValueError("binomial needs distinct variables")
-        # the quotient's coefficients are signed sums of this one's, so they
-        # are integers over the lcm of its denominators
-        den, numerators = over_common_denominator(self.terms.values())
         layers: dict[int, dict[ExpVec, int]] = {}
-        for k, c in zip(self.terms, numerators):
+        for k, c in self.num.items():
             layers.setdefault(k[a], {})[k[:a] + (0,) + k[a + 1:]] = c
         if not layers:
             return SparseLaurent.zero(self.arity)
@@ -350,45 +387,52 @@ class SparseLaurent:
                 if step:
                     raise ExactDivisionError(
                         f"remainder dividing by v{a} {'-' if sign > 0 else '+'} v{b}")
-        return SparseLaurent(self.arity, {k: Fraction(c, den) for k, c in quot.items()},
-                             _prune=False)
+        # the divisor has content 1, so (Gauss) the quotient's numerators
+        # share no factor with den that this one's did not
+        return SparseLaurent._new(self.arity, quot, self.den)
 
     def divide_var_linear(self, a: int, c0: Fraction) -> "SparseLaurent":
         """Exact division by ``v_a - c0`` for a rational constant c0."""
         if c0 == 0:
             # v_a is a unit here: just shift the exponent down
-            return SparseLaurent(self.arity, {
+            return SparseLaurent._new(self.arity, {
                 k[:a] + (k[a] - 1,) + k[a + 1:]: c
-                for k, c in self.terms.items()}, _prune=False)
-        layers: dict[int, dict[ExpVec, Fraction]] = {}
-        for k, c in self.terms.items():
+                for k, c in self.num.items()}, self.den)
+        c0 = Fraction(c0)
+        p, q = c0.numerator, c0.denominator
+        layers: dict[int, dict[ExpVec, int]] = {}
+        for k, c in self.num.items():
             layers.setdefault(k[a], {})[k[:a] + (0,) + k[a + 1:]] = c
         if not layers:
             return SparseLaurent.zero(self.arity)
         hi, lo = max(layers), min(layers)
-        quot: dict[ExpVec, Fraction] = {}
-        carry: dict[ExpVec, Fraction] = {}
+        quot: dict[ExpVec, int] = {}
+        carry: dict[ExpVec, int] = {}
         for e in range(hi, lo - 1, -1):
-            step: dict[ExpVec, Fraction] = dict(layers.get(e, {}))
+            # step holds q^(hi-e) times the quotient's v_a^(e-1) layer, which
+            # is (p/q) times the layer above plus this one's
+            lift = q ** (hi - e)
+            step = {k: c * lift for k, c in layers.get(e, {}).items()}
             for k, c in carry.items():
-                s = step.get(k, QZERO) + c * c0
+                s = step.get(k, 0) + c * p
                 if s:
                     step[k] = s
                 else:
                     step.pop(k, None)
             if e > lo:
+                down = q ** (e - lo - 1)
                 for k, c in step.items():
-                    quot[k[:a] + (e - 1,) + k[a + 1:]] = c
+                    quot[k[:a] + (e - 1,) + k[a + 1:]] = c * down
                 carry = step
             else:
                 if step:
                     raise ExactDivisionError(f"remainder dividing by v{a} - {qstr(c0)}")
-        return SparseLaurent(self.arity, quot, _prune=False)
+        return SparseLaurent.from_ints(self.arity, quot, self.den * q ** (hi - lo - 1))
 
     # -- JSON wire format -----------------------------------------------------
 
     def to_json(self) -> list:
-        return [[list(k), qstr(c)] for k, c in sorted(self.terms.items())]
+        return [[list(k), qstr(Fraction(self.num[k], self.den))] for k in sorted(self.num)]
 
     @classmethod
     def from_json(cls, arity: int, data: Iterable) -> "SparseLaurent":

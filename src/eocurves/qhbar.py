@@ -36,7 +36,8 @@ def d_dh(f: SparseLaurent) -> SparseLaurent:
 
 def shift_w(f: SparseLaurent) -> SparseLaurent:
     """The shift w -> w - hbar: E^m picks up q^m."""
-    return SparseLaurent(3, {(j + m, k, m): c for (j, k, m), c in f.terms.items()})
+    return SparseLaurent.from_ints(
+        3, {(j + m, k, m): c for (j, k, m), c in f.num.items()}, f.den)
 
 
 def op_p(f: SparseLaurent) -> SparseLaurent:

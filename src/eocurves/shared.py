@@ -70,7 +70,8 @@ def stable_splits(g: int, rest: Sequence[int]
 def diagonal_mixed(f: SparseLaurent) -> SparseLaurent:
     """d^2 f/dt_1 dt_2 on the diagonal t_1 = t_2, with one variable fewer."""
     mixed = f.diff(0).diff(1).merge_vars(0, 1)
-    return SparseLaurent(f.arity - 1, {(k[0],) + k[2:]: c for k, c in mixed.terms.items()})
+    return SparseLaurent.from_ints(
+        f.arity - 1, {(k[0],) + k[2:]: c for k, c in mixed.num.items()}, mixed.den)
 
 
 def principal_ratfunc(f: SparseLaurent, var: str = "t") -> RatFunc:

@@ -7,7 +7,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from eocurves import cache
 from eocurves import catalan as cat
+from eocurves import cli
 from eocurves import hurwitz as hur
 from eocurves import report
 from eocurves.cache import export_caches, import_caches
@@ -263,3 +265,82 @@ def test_cli_cache_flag_roundtrip(tmp_path, capsys):
     code, out = run_cli(capsys, "--cache", str(path), "catalan", "count",
                         "--g", "0", "--n", "1", "--mu", "12")
     assert code == 0 and out.strip() == "132"
+
+
+def _count_exports(monkeypatch) -> list:
+    exports = []
+
+    def spy(path):
+        exports.append(path)
+        return export_caches(path)
+    monkeypatch.setattr(cli, "export_caches", spy)
+    return exports
+
+
+COUNT_10 = ("catalan", "count", "--g", "0", "--n", "1", "--mu", "10")
+
+
+def test_warm_run_leaves_cache_file_untouched(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    exports = _count_exports(monkeypatch)
+    for run in range(3):
+        # each run starts from empty memos, as a new process does
+        cat.clear_caches()
+        hur.clear_caches()
+        code, out = run_cli(capsys, "--cache", str(path), *COUNT_10)
+        assert code == 0 and out.strip() == "42"
+        if run == 0:
+            written = path.read_bytes()
+    assert exports == [path]
+    assert path.read_bytes() == written
+
+
+def test_cache_with_rejected_entry_is_rewritten_without_it(tmp_path, capsys,
+                                                           monkeypatch):
+    path = tmp_path / "c.json"
+    cat.clear_caches()
+    hur.clear_caches()
+    run_cli(capsys, "--cache", str(path), *COUNT_10)
+    clean = path.read_bytes()
+    payload = json.loads(clean)
+    payload["catalan"]["0,1,3"] = "7"  # an odd degree sum: never in the memo
+    path.write_text(json.dumps(payload))
+    cat.clear_caches()
+    exports = _count_exports(monkeypatch)
+    code, out = run_cli(capsys, "--cache", str(path), *COUNT_10)
+    assert code == 0 and out.strip() == "42"
+    assert exports == [path]
+    assert path.read_bytes() == clean
+
+
+def test_run_that_adds_entries_rewrites_cache(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    cat.clear_caches()
+    hur.clear_caches()
+    run_cli(capsys, "--cache", str(path), *COUNT_10)
+    before = json.loads(path.read_text())["catalan"]
+    cat.clear_caches()
+    exports = _count_exports(monkeypatch)
+    code, out = run_cli(capsys, "--cache", str(path), "catalan", "count",
+                        "--g", "1", "--n", "1", "--mu", "12")
+    assert code == 0 and out.strip() == str(cat.catalan_count(1, 1, [12]))
+    assert exports == [path]
+    after = json.loads(path.read_text())["catalan"]
+    assert before.items() < after.items() and "1,1,12" in after
+
+
+def test_interrupted_export_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text('{"catalan": {}, "hurwitz": {}}')
+    cat.catalan_count(0, 1, [6])
+    real_write = type(path).write_text
+
+    def torn_write(self, text, *args, **kwargs):
+        real_write(self, text[:20])
+        raise KeyboardInterrupt
+    monkeypatch.setattr(type(path), "write_text", torn_write)
+    with pytest.raises(KeyboardInterrupt):
+        cache.export_caches(path)
+    monkeypatch.undo()
+    assert path.read_text() == '{"catalan": {}, "hurwitz": {}}'
+    assert list(tmp_path.iterdir()) == [path]

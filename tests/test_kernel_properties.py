@@ -1,19 +1,24 @@
 """Property tests of the layer-2 kernels against independent references.
 
-``UPoly.gcd``/``divmod``, ``RatFunc`` normalisation and ``substitute_mobius``
-are checked against sympy; ``SparseLaurent.__mul__`` against a plain
-Fraction-by-Fraction accumulation, including the order of its terms (float
+``UPoly.gcd``/``divmod``, ``RatFunc`` normalisation, ``substitute_mobius``,
+``partial_fractions`` and ``integrate_no_log`` are checked against sympy
+(``sympy.apart`` for the last two); every ``SparseLaurent`` kernel against a
+plain Fraction-by-Fraction loop, including the order of its terms (float
 evaluation sums the terms in that order).
 """
 
+import itertools
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eocurves.errors import ExactDivisionError, NonzeroResidue, UnfactoredDenominator
 from eocurves.laurent import SparseLaurent
-from eocurves.ratfunc import RatFunc, UPoly, substitute_mobius
+from eocurves.ratfunc import (RatFunc, UPoly, integrate_no_log, partial_fractions,
+                              substitute_mobius)
 
 sympy = pytest.importorskip("sympy")
 
@@ -43,7 +48,7 @@ def from_sympy(poly) -> UPoly:
 
 # -- UPoly -----------------------------------------------------------------
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(upolys(), upolys(), st.one_of(monomials, upolys(max_len=3)))
 def test_gcd_matches_sympy(a, b, common):
     a, b = a * common, b * common
@@ -66,7 +71,7 @@ def test_gcd_edge_cases():
             == UPoly([0, 0, -1, 1]))
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(upolys(max_len=6), divisors)
 def test_divmod_matches_sympy(a, b):
     q, r = a.divmod(b)
@@ -84,7 +89,7 @@ def test_divmod_by_zero():
 
 # -- RatFunc ------------------------------------------------------------------
 
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 @given(upolys(), st.one_of(monomials, upolys().filter(bool)), upolys(max_len=2).filter(bool))
 def test_ratfunc_normalisation_matches_cancel(num, den, common):
     f = RatFunc(num * common, den * common)
@@ -95,7 +100,7 @@ def test_ratfunc_normalisation_matches_cancel(num, den, common):
     assert f.den == from_sympy(q).scale(1 / lead)
 
 
-@settings(max_examples=25)
+@settings(max_examples=25, deadline=None)
 @given(upolys(max_len=3), st.one_of(monomials, upolys(max_len=3).filter(bool)),
        st.tuples(rationals, rationals, rationals, rationals).filter(
            lambda m: m[0] * m[3] != m[1] * m[2]))
@@ -113,42 +118,381 @@ def test_substitute_mobius_matches_sympy(num, den, m):
     assert sympy.cancel(expr - want) == 0
 
 
+# -- partial fractions ----------------------------------------------------------
+
+# distinct rational roots; a few share a denominator so poles crowd together
+ROOTS = [Q(0), Q(1), Q(-1), Q(1, 2), Q(-2, 3), Q(3)]
+
+
+def pole_ratfuncs(max_len: int = 5):
+    """num / (c * prod (t - r)^m) over a random choice of the roots above."""
+    mults = st.lists(st.integers(0, 3), min_size=len(ROOTS), max_size=len(ROOTS))
+    return st.tuples(upolys(max_shift=1, max_len=max_len), mults, nonzero).map(
+        lambda p: RatFunc(p[0], _den(p[1]).scale(p[2])))
+
+
+def _den(mults) -> UPoly:
+    den = UPoly([1])
+    for r, m in zip(ROOTS, mults):
+        den = den * UPoly([-r, 1]).pow(m)
+    return den
+
+
+def _q(x) -> Q:
+    x = sympy.Rational(x)
+    return Q(int(x.p), int(x.q))
+
+
+def to_expr(f: RatFunc):
+    return to_sympy(f.num).as_expr() / to_sympy(f.den).as_expr()
+
+
+def apart_parts(f: RatFunc) -> tuple[UPoly, dict]:
+    """sympy.apart's decomposition, read back as (polynomial, {r: {k: a}})."""
+    poly = sympy.Integer(0)
+    parts: dict = {}
+    for term in sympy.Add.make_args(sympy.apart(to_expr(f), T)):
+        num, den = sympy.fraction(sympy.together(term))
+        if not den.has(T):
+            poly += term
+            continue
+        den = sympy.Poly(den, T, domain="QQ")
+        (root, mult), = sympy.roots(den).items()
+        assert mult == den.degree() and not num.has(T)
+        parts.setdefault(_q(root), {})[den.degree()] = _q(num / den.LC())
+    return from_sympy(sympy.Poly(poly, T, domain="QQ")), parts
+
+
+@settings(max_examples=25, deadline=None)
+@given(pole_ratfuncs())
+def test_partial_fractions_match_apart(f):
+    poly, parts = partial_fractions(f, ROOTS)
+    want_poly, want_parts = apart_parts(f)
+    assert poly == want_poly
+    assert parts == want_parts
+
+
+def test_partial_fractions_rejects_undeclared_factor():
+    f = RatFunc(UPoly([1]), UPoly([-1, 1]) * UPoly([2, 0, 1]))  # 1/((t-1)(t^2+2))
+    with pytest.raises(UnfactoredDenominator):
+        partial_fractions(f, ROOTS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(pole_ratfuncs(max_len=4), st.sampled_from([Q(2), Q(-3), Q(1, 3), Q(5, 2)]))
+def test_integrate_no_log_matches_apart(f, base):
+    _, want_parts = apart_parts(f)
+    if any(1 in table for table in want_parts.values()):
+        with pytest.raises(NonzeroResidue):
+            integrate_no_log(f, base, ROOTS)
+        return
+    anti = sympy.integrate(sympy.apart(to_expr(f), T), T)
+    assert not anti.has(sympy.log)
+    want = anti - anti.subs(T, sympy.Rational(base.numerator, base.denominator))
+    got = integrate_no_log(f, base, ROOTS)
+    assert sympy.cancel(to_expr(got) - want) == 0
+    assert got.eval(base) == 0
+
+
+def test_integrate_no_log_of_a_derivative():
+    # d/dt [(t^2 + 1) / ((t - 1/2)^2 t)], whose residues all vanish
+    g = RatFunc(UPoly([1, 0, 1]), UPoly([-Q(1, 2), 1]).pow(2) * UPoly([0, 1]))
+    got = integrate_no_log(g.diff(), Q(3), ROOTS)
+    assert got == g - RatFunc.const(g.eval(Q(3)))
+
+
 # -- SparseLaurent ----------------------------------------------------------------
+#
+# Every kernel is checked against a plain Fraction-by-Fraction loop over a
+# term dict: the same terms in the same order, since float evaluation sums
+# in that order.  The inputs mix denominators and negative exponents.
 
-# few distinct coefficients, so that products cancel often
-coeffs = st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2, 3), Q(-5, 6), Q(7, 4)])
+# few distinct coefficients, so that sums and products cancel often
+small = st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2, 3), Q(-5, 6), Q(7, 4)])
+coeffs = st.one_of(small, small, st.fractions(-30, 30, max_denominator=16).filter(bool))
 
 
-def laurent_polys(arity: int):
-    keys = st.tuples(*[st.integers(min_value=-2, max_value=2)] * arity)
-    return st.dictionaries(keys, coeffs, max_size=6).map(lambda d: SparseLaurent(arity, d))
+def laurent_polys(arity: int, lo: int = -2, hi: int = 2):
+    keys = st.tuples(*[st.integers(min_value=lo, max_value=hi)] * arity)
+    return st.dictionaries(keys, coeffs, max_size=7).map(lambda d: SparseLaurent(arity, d))
 
 
-def reference_mul(f: SparseLaurent, g: SparseLaurent) -> dict:
-    """Term-by-term Fraction accumulation; a sum that reaches zero is dropped."""
-    a, b = f.terms, g.terms
+def pairs(arity_lo: int = 1):
+    return st.integers(arity_lo, 3).flatmap(
+        lambda n: st.tuples(laurent_polys(n), laurent_polys(n)))
+
+
+def singles(arity_lo: int = 1):
+    return st.integers(arity_lo, 3).flatmap(
+        lambda n: st.tuples(laurent_polys(n), st.integers(0, n - 1)))
+
+
+def assert_canonical(f: SparseLaurent) -> None:
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int and c for c in f.num.values())
+    assert gcd(f.den, *f.num.values()) == 1
+
+
+def check(got: SparseLaurent, want: dict) -> None:
+    """Same terms in the same order as the reference, in canonical form."""
+    assert_canonical(got)
+    assert list(got.terms.items()) == list(want.items())
+    assert all(type(c) is Q for c in got.terms.values())
+
+
+def accumulate(res: dict, k, c) -> None:
+    s = res.get(k, Q(0)) + c
+    if s:
+        res[k] = s
+    else:
+        res.pop(k, None)
+
+
+def ref_plus(a: dict, b: dict, sign: int) -> dict:
+    res = dict(a)
+    for k, c in b.items():
+        accumulate(res, k, sign * c)
+    return res
+
+
+def ref_mul(a: dict, b: dict) -> dict:
     if len(a) > len(b):
         a, b = b, a
     res: dict = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
-            k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
-            s = res.get(k, Q(0)) + c1 * c2
-            if s:
-                res[k] = s
-            else:
-                res.pop(k, None)
+            accumulate(res, tuple(e1 + e2 for e1, e2 in zip(k1, k2)), c1 * c2)
     return res
 
 
-@settings(max_examples=120)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(laurent_polys(n), laurent_polys(n))))
+def ref_diff(terms: dict, i: int) -> dict:
+    res: dict = {}
+    for k, c in terms.items():
+        if k[i]:
+            accumulate(res, k[:i] + (k[i] - 1,) + k[i + 1:], c * k[i])
+    return res
+
+
+def ref_eval_partial(terms: dict, i: int, value: Q) -> dict:
+    res: dict = {}
+    for k, c in terms.items():
+        if k[i]:
+            if value == 0 and k[i] < 0:
+                raise ZeroDivisionError
+            c = c * value ** k[i]
+        if c:
+            accumulate(res, k[:i] + (0,) + k[i + 1:], c)
+    return res
+
+
+def ref_integrate(terms: dict, i: int, base: Q | None) -> dict:
+    anti: dict = {}
+    for k, c in terms.items():
+        if k[i] == -1:
+            raise NonzeroResidue
+        anti[k[:i] + (k[i] + 1,) + k[i + 1:]] = c / (k[i] + 1)
+    if base is None:
+        return anti
+    return ref_plus(anti, ref_eval_partial(anti, i, base), -1)
+
+
+def ref_relabel(terms: dict, key) -> dict:
+    res: dict = {}
+    for k, c in terms.items():
+        accumulate(res, key(k), c)
+    return res
+
+
+def ref_divide(terms: dict, a: int, carry_term) -> dict:
+    """Synthetic division by v_a - r, highest power of v_a first.
+
+    ``carry_term(k, c)`` is the key and value r times a quotient term adds
+    to the next layer down.
+    """
+    layers: dict = {}
+    for k, c in terms.items():
+        layers.setdefault(k[a], {})[k[:a] + (0,) + k[a + 1:]] = c
+    if not layers:
+        return {}
+    hi, lo = max(layers), min(layers)
+    quot: dict = {}
+    carry: dict = {}
+    for e in range(hi, lo - 1, -1):
+        step = dict(layers.get(e, {}))
+        for k, c in carry.items():
+            accumulate(step, *carry_term(k, c))
+        if e > lo:
+            for k, c in step.items():
+                quot[k[:a] + (e - 1,) + k[a + 1:]] = c
+            carry = step
+        elif step:
+            raise ExactDivisionError
+    return quot
+
+
+@settings(max_examples=80)
+@given(pairs())
 def test_laurent_mul_matches_fraction_accumulation(pair):
     f, g = pair
-    prod = f * g
-    want = reference_mul(f, g)
-    assert list(prod.terms.items()) == list(want.items())
-    assert all(type(c) is Q and c for c in prod.terms.values())
+    check(f * g, ref_mul(f.terms, g.terms))
+
+
+@settings(max_examples=80)
+@given(pairs())
+def test_laurent_sums_match_fraction_loops(pair):
+    f, g = pair
+    check(f + g, ref_plus(f.terms, g.terms, 1))
+    check(f - g, ref_plus(f.terms, g.terms, -1))
+    check(-f, {k: -c for k, c in f.terms.items()})
+
+
+@settings(max_examples=60)
+@given(singles(), st.one_of(st.integers(-6, 6), coeffs))
+def test_laurent_scale_matches_fraction_loop(fi, c):
+    f, _ = fi
+    want = {k: v * c for k, v in f.terms.items()} if c else {}
+    check(f.scale(Q(c)), want)
+    check(f * c, want)
+
+
+@settings(max_examples=60)
+@given(singles(), st.one_of(st.none(), st.sampled_from([Q(0), Q(1), Q(-1), Q(2, 3)])))
+def test_laurent_calculus_matches_fraction_loops(fi, base):
+    f, i = fi
+    check(f.diff(i), ref_diff(f.terms, i))
+    try:
+        want = ref_integrate(f.terms, i, base)
+    except (NonzeroResidue, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            f.integrate(i, base)
+    else:
+        check(f.integrate(i, base), want)
+
+
+@settings(max_examples=80)
+@given(singles(), st.sampled_from([Q(0), Q(1), Q(-1), Q(2), Q(-3, 2), Q(5, 7), Q(-4, 9)]))
+def test_laurent_eval_partial_matches_fraction_loop(fi, value):
+    f, i = fi
+    try:
+        want = ref_eval_partial(f.terms, i, value)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.eval_partial(i, value)
+    else:
+        check(f.eval_partial(i, value), want)
+
+
+@settings(max_examples=60)
+@given(singles(arity_lo=2), st.data())
+def test_laurent_relabelling_matches_fraction_loops(fi, data):
+    f, i = fi
+    n = f.arity
+    keep = (i + 1) % n
+    perm = data.draw(st.permutations(range(n)))
+    check(f.permuted(perm), ref_relabel(f.terms, lambda k: tuple(k[p] for p in perm)))
+    check(f.merge_vars(keep, i), ref_relabel(
+        f.terms, lambda k: tuple(k[keep] + k[i] if s == keep else 0 if s == i else k[s]
+                           for s in range(n))))
+    arity = data.draw(st.integers(1, 4))
+    slots = data.draw(st.lists(st.integers(0, arity - 1), min_size=n, max_size=n))
+
+    def embedded(k):
+        out = [0] * arity
+        for e, s in zip(k, slots):
+            out[s] += e
+        return tuple(out)
+    check(f.embed(arity, slots), ref_relabel(f.terms, embedded))
+    assert f.is_symmetric() == all(
+        f.permuted(p) == f for p in itertools.permutations(range(n)))
+
+
+@settings(max_examples=60)
+@given(singles(arity_lo=2), st.sampled_from([1, -1]), st.booleans())
+def test_laurent_divide_binomial_matches_fraction_loop(fi, sign, exact):
+    f, a = fi
+    b = (a + 1) % f.arity
+    if exact:
+        f = f * (SparseLaurent.var(f.arity, a) - SparseLaurent.var(f.arity, b).scale(Q(sign)))
+    try:
+        want = ref_divide(f.terms, a, lambda k, c: (k[:b] + (k[b] + 1,) + k[b + 1:], sign * c))
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            f.divide_var_binomial(a, b, sign)
+    else:
+        check(f.divide_var_binomial(a, b, sign), want)
+
+
+@settings(max_examples=60)
+@given(singles(), st.sampled_from([Q(1), Q(-1), Q(2, 3), Q(-5, 2)]), st.booleans())
+def test_laurent_divide_linear_matches_fraction_loop(fi, c0, exact):
+    f, a = fi
+    if exact:
+        f = f * (SparseLaurent.var(f.arity, a) - SparseLaurent.const(f.arity, c0))
+    try:
+        want = ref_divide(f.terms, a, lambda k, c: (k, c * c0))
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            f.divide_var_linear(a, c0)
+    else:
+        check(f.divide_var_linear(a, c0), want)
+
+
+@settings(max_examples=60)
+@given(singles(), st.lists(st.sampled_from([0.5, -1.25, 0.3, 3.0, -0.7]),
+                           min_size=3, max_size=3))
+def test_laurent_principal_and_float_eval_match_fraction_loops(fi, xs):
+    f, _ = fi
+    res: dict = {}
+    for k, c in f.terms.items():
+        accumulate(res, sum(k), c)
+    assert list(f.principal().items()) == list(res.items())
+    total = 0.0
+    for k, c in f.terms.items():
+        term = float(c)
+        for e, v in zip(k, xs):
+            if e:
+                term *= v ** e
+        total += term
+    assert float.hex(f.eval_float(xs)) == float.hex(total)
+
+
+@settings(max_examples=60)
+@given(pairs())
+def test_laurent_equal_values_compare_and_hash_equal(pair):
+    f, g = pair
+    routes = [(f + g) - g, -(-f), f.scale(Q(3, 4)).scale(Q(4, 3)),
+              SparseLaurent(f.arity, f.terms), SparseLaurent.from_json(f.arity, f.to_json())]
+    for h in routes:
+        assert_canonical(h)
+        assert h == f and hash(h) == hash(f)
+    assert (f - f).is_zero() and (f - f).den == 1
+    assert ((f + g) == f) == g.is_zero()
+
+
+def test_laurent_from_ints_reduces_and_terms_is_read_only():
+    f = SparseLaurent.from_ints(2, {(1, 0): 6, (0, -1): -4}, 8)
+    assert (f.num, f.den) == ({(1, 0): 3, (0, -1): -2}, 4)
+    assert f == SparseLaurent(2, {(1, 0): Q(3, 4), (0, -1): Q(-1, 2)})
+    with pytest.raises(TypeError):
+        f.terms[(1, 0)] = Q(1)
+    assert SparseLaurent.from_ints(1, {}, 6) == SparseLaurent.zero(1)
+
+
+def test_laurent_cancelled_key_reenters_last():
+    # collapsing slot 0 sends (1,0), (2,0) and (0,0) to one key: the first two
+    # cancel, so the key is dropped and comes back after (0,1)
+    f = SparseLaurent(2, {(1, 0): Q(1, 2), (0, 1): Q(3), (2, 0): Q(-1, 2), (0, 0): Q(5, 4)})
+    g = SparseLaurent(2, {(0, 1): Q(-3), (1, 1): Q(1, 6), (0, 0): Q(1, 4)})
+    collapse = lambda k: (0, k[0] + k[1])  # noqa: E731
+    check(f.eval_partial(0, Q(1)), ref_eval_partial(f.terms, 0, Q(1)))
+    assert list(f.eval_partial(0, Q(1)).num) == [(0, 1), (0, 0)]
+    check(f.merge_vars(1, 0), ref_relabel(f.terms, collapse))
+    check(f.embed(2, [1, 1]), ref_relabel(f.terms, collapse))
+    check(f + g, ref_plus(f.terms, g.terms, 1))
+    res: dict = {}
+    for k, c in f.terms.items():
+        accumulate(res, sum(k), c)
+    assert list(f.principal().items()) == list(res.items())
 
 
 def test_laurent_mul_cancellation_and_term_order():

@@ -3,8 +3,7 @@
 Each case is the SHA-256 of the compact, key-sorted JSON of an exact
 result: free energies, both S_m paths, S_m' from the transport hierarchy,
 A_1..A_4, the Schrodinger/heat residuals and the recursion residuals.
-The file is only read here.  Catalan F(0,6) and F(1,5) are left out to
-keep the run short; S_5 still depends on F(0,6).
+The file is only read here.
 """
 
 import hashlib
@@ -19,7 +18,6 @@ from eocurves import wkb
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "symbolic-ladder.json"
 PINNED = json.loads(GOLDEN.read_text())
-LEFT_OUT = {"catalan.F(0,6)", "catalan.F(1,5)"}
 
 
 def _cases() -> dict:
@@ -33,14 +31,14 @@ def _cases() -> dict:
             cases[f"{model}.S{m}.recursive"] = (module.s_coefficient_recursive, m)
             cases[f"{model}.S{m}'.hierarchy"] = (wkb.s_prime_from_hierarchy, model, m)
         cases[f"{model}.A(1..4)"] = (wkb.recover_corrections, model, 4)
+    cases["catalan.F(1,5)"] = (cat.free_energy, 1, 5)
     cases["catalan.schrodinger_residuals(4)"] = (cat.schrodinger_residuals, 4)
     cases["hurwitz.heat_residuals(3)"] = (hur.heat_residuals, 3)
     for level in range(1, 4):
         for g, n in hur.stable_levels(level):
             cases[f"hurwitz.recursion_residual({g},{n})"] = (hur.fh_recursion_residual, g, n)
     # only the labels the ladder pins
-    return {label: call for label, call in cases.items()
-            if label in PINNED and label not in LEFT_OUT}
+    return {label: call for label, call in cases.items() if label in PINNED}
 
 
 CASES = _cases()
@@ -53,7 +51,7 @@ def _wire(value):
 
 
 def test_every_pinned_case_is_covered():
-    assert set(CASES) == set(PINNED) - LEFT_OUT
+    assert set(CASES) == set(PINNED)
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
