@@ -45,6 +45,8 @@ class SparseLaurent:
         self.den = lcm(*(c.denominator for _, c in coeffs))
         self.num = {k: c.numerator * (self.den // c.denominator) for k, c in coeffs}
 
+    # -- constructors ---------------------------------------------------
+
     @classmethod
     def _new(cls, arity: int, num: dict[ExpVec, int], den: int = 1) -> "SparseLaurent":
         """Wrap numerators that are already canonical (no copy, no check)."""
@@ -64,8 +66,6 @@ class SparseLaurent:
             if g != 1:
                 return cls._new(arity, {k: v // g for k, v in num.items()}, den // g)
         return cls._new(arity, num, den)
-
-    # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, arity: int) -> "SparseLaurent":

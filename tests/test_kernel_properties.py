@@ -163,7 +163,7 @@ def apart_parts(f: RatFunc) -> tuple[UPoly, dict]:
     return from_sympy(sympy.Poly(poly, T, domain="QQ")), parts
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(pole_ratfuncs())
 def test_partial_fractions_match_apart(f):
     poly, parts = partial_fractions(f, ROOTS)
@@ -178,7 +178,7 @@ def test_partial_fractions_rejects_undeclared_factor():
         partial_fractions(f, ROOTS)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(pole_ratfuncs(max_len=4), st.sampled_from([Q(2), Q(-3), Q(1, 3), Q(5, 2)]))
 def test_integrate_no_log_matches_apart(f, base):
     _, want_parts = apart_parts(f)
