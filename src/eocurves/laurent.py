@@ -361,35 +361,7 @@ class SparseLaurent:
         """Exact division by ``v_a - sign*v_b`` (sign is +1 or -1)."""
         if a == b:
             raise ValueError("binomial needs distinct variables")
-        layers: dict[int, dict[ExpVec, int]] = {}
-        for k, c in self.num.items():
-            layers.setdefault(k[a], {})[k[:a] + (0,) + k[a + 1:]] = c
-        if not layers:
-            return SparseLaurent.zero(self.arity)
-        hi, lo = max(layers), min(layers)
-        quot: dict[ExpVec, int] = {}
-        carry: dict[ExpVec, int] = {}
-        for e in range(hi, lo - 1, -1):
-            step: dict[ExpVec, int] = dict(layers.get(e, {}))
-            for k, c in carry.items():
-                nk = k[:b] + (k[b] + 1,) + k[b + 1:]
-                v = c if sign > 0 else -c
-                s = step.get(nk, 0) + v
-                if s:
-                    step[nk] = s
-                else:
-                    step.pop(nk, None)
-            if e > lo:
-                for k, c in step.items():
-                    quot[k[:a] + (e - 1,) + k[a + 1:]] = c
-                carry = step
-            else:
-                if step:
-                    raise ExactDivisionError(
-                        f"remainder dividing by v{a} {'-' if sign > 0 else '+'} v{b}")
-        # the divisor has content 1, so (Gauss) the quotient's numerators
-        # share no factor with den that this one's did not
-        return SparseLaurent._new(self.arity, quot, self.den)
+        return self._divide(a, b, sign, 1, f"v{a} {'-' if sign > 0 else '+'} v{b}")
 
     def divide_var_linear(self, a: int, c0: Fraction) -> "SparseLaurent":
         """Exact division by ``v_a - c0`` for a rational constant c0."""
@@ -399,7 +371,14 @@ class SparseLaurent:
                 k[:a] + (k[a] - 1,) + k[a + 1:]: c
                 for k, c in self.num.items()}, self.den)
         c0 = Fraction(c0)
-        p, q = c0.numerator, c0.denominator
+        return self._divide(a, None, c0.numerator, c0.denominator, f"v{a} - {qstr(c0)}")
+
+    def _divide(self, a: int, b: int | None, p: int, q: int,
+                divisor: str) -> "SparseLaurent":
+        """Exact division by ``v_a - (p/q) v_b``, or by ``v_a - p/q`` when b is None.
+
+        Synthetic division from the highest power of ``v_a`` down.
+        """
         layers: dict[int, dict[ExpVec, int]] = {}
         for k, c in self.num.items():
             layers.setdefault(k[a], {})[k[:a] + (0,) + k[a + 1:]] = c
@@ -409,11 +388,13 @@ class SparseLaurent:
         quot: dict[ExpVec, int] = {}
         carry: dict[ExpVec, int] = {}
         for e in range(hi, lo - 1, -1):
-            # step holds q^(hi-e) times the quotient's v_a^(e-1) layer, which
-            # is (p/q) times the layer above plus this one's
+            # step holds q^(hi-e) times the quotient's v_a^(e-1) layer: this
+            # layer plus (p/q) v_b times the layer above
             lift = q ** (hi - e)
             step = {k: c * lift for k, c in layers.get(e, {}).items()}
             for k, c in carry.items():
+                if b is not None:
+                    k = k[:b] + (k[b] + 1,) + k[b + 1:]
                 s = step.get(k, 0) + c * p
                 if s:
                     step[k] = s
@@ -424,9 +405,8 @@ class SparseLaurent:
                 for k, c in step.items():
                     quot[k[:a] + (e - 1,) + k[a + 1:]] = c * down
                 carry = step
-            else:
-                if step:
-                    raise ExactDivisionError(f"remainder dividing by v{a} - {qstr(c0)}")
+            elif step:
+                raise ExactDivisionError(f"remainder dividing by {divisor}")
         return SparseLaurent.from_ints(self.arity, quot, self.den * q ** (hi - lo - 1))
 
     # -- JSON wire format -----------------------------------------------------
