@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ExactDivisionError, NonzeroResidue
 from .rationals import QZERO, qstr, parse_q
@@ -297,6 +297,13 @@ class SparseLaurent:
         res = {tuple(k[perm[j]] for j in range(self.arity)): c
                for k, c in self.num.items()}
         return SparseLaurent._new(self.arity, res, self.den)
+
+    def relabel(self, arity: int, key: Callable[[ExpVec], ExpVec]) -> "SparseLaurent":
+        """Move each term to exponent ``key(k)`` in ``arity`` variables.
+
+        ``key`` must be one-to-one on the exponents present.
+        """
+        return SparseLaurent._new(arity, {key(k): c for k, c in self.num.items()}, self.den)
 
     def is_symmetric(self) -> bool:
         """Invariance under all variable permutations (checked on generators)."""

@@ -36,8 +36,7 @@ def d_dh(f: SparseLaurent) -> SparseLaurent:
 
 def shift_w(f: SparseLaurent) -> SparseLaurent:
     """The shift w -> w - hbar: E^m picks up q^m."""
-    return SparseLaurent.from_ints(
-        3, {(j + m, k, m): c for (j, k, m), c in f.num.items()}, f.den)
+    return f.relabel(3, lambda k: (k[0] + k[2], k[1], k[2]))
 
 
 def op_p(f: SparseLaurent) -> SparseLaurent:

@@ -69,9 +69,7 @@ def stable_splits(g: int, rest: Sequence[int]
 
 def diagonal_mixed(f: SparseLaurent) -> SparseLaurent:
     """d^2 f/dt_1 dt_2 on the diagonal t_1 = t_2, with one variable fewer."""
-    mixed = f.diff(0).diff(1).merge_vars(0, 1)
-    return SparseLaurent.from_ints(
-        f.arity - 1, {(k[0],) + k[2:]: c for k, c in mixed.num.items()}, mixed.den)
+    return f.diff(0).diff(1).merge_vars(0, 1).relabel(f.arity - 1, lambda k: k[:1] + k[2:])
 
 
 def principal_ratfunc(f: SparseLaurent, var: str = "t") -> RatFunc:

@@ -48,7 +48,7 @@ def from_sympy(poly) -> UPoly:
 
 # -- UPoly -----------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(upolys(), upolys(), st.one_of(monomials, upolys(max_len=3)))
 def test_gcd_matches_sympy(a, b, common):
     a, b = a * common, b * common
@@ -71,7 +71,7 @@ def test_gcd_edge_cases():
             == UPoly([0, 0, -1, 1]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(upolys(max_len=6), divisors)
 def test_divmod_matches_sympy(a, b):
     q, r = a.divmod(b)
@@ -89,7 +89,7 @@ def test_divmod_by_zero():
 
 # -- RatFunc ------------------------------------------------------------------
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(upolys(), st.one_of(monomials, upolys().filter(bool)), upolys(max_len=2).filter(bool))
 def test_ratfunc_normalisation_matches_cancel(num, den, common):
     f = RatFunc(num * common, den * common)
@@ -100,7 +100,7 @@ def test_ratfunc_normalisation_matches_cancel(num, den, common):
     assert f.den == from_sympy(q).scale(1 / lead)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(upolys(max_len=3), st.one_of(monomials, upolys(max_len=3).filter(bool)),
        st.tuples(rationals, rationals, rationals, rationals).filter(
            lambda m: m[0] * m[3] != m[1] * m[2]))
@@ -212,9 +212,10 @@ small = st.sampled_from([Q(1), Q(-1), Q(1, 2), Q(-1, 2), Q(2, 3), Q(-5, 6), Q(7,
 coeffs = st.one_of(small, small, st.fractions(-30, 30, max_denominator=16).filter(bool))
 
 
-def laurent_polys(arity: int, lo: int = -2, hi: int = 2):
-    keys = st.tuples(*[st.integers(min_value=lo, max_value=hi)] * arity)
-    return st.dictionaries(keys, coeffs, max_size=7).map(lambda d: SparseLaurent(arity, d))
+def laurent_polys(arity: int, values=coeffs, max_size: int = 7):
+    keys = st.tuples(*[st.integers(min_value=-2, max_value=2)] * arity)
+    return st.dictionaries(keys, values, max_size=max_size).map(
+        lambda d: SparseLaurent(arity, d))
 
 
 def pairs(arity_lo: int = 1):
@@ -330,9 +331,17 @@ def ref_divide(terms: dict, a: int, carry_term) -> dict:
     return quot
 
 
+@settings(max_examples=120)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(laurent_polys(n, small, 6), laurent_polys(n, small, 6))))
+def test_laurent_mul_matches_fraction_accumulation(pair):
+    f, g = pair
+    check(f * g, ref_mul(f.terms, g.terms))
+
+
 @settings(max_examples=80)
 @given(pairs())
-def test_laurent_mul_matches_fraction_accumulation(pair):
+def test_laurent_mul_mixed_denominators_matches_fraction_accumulation(pair):
     f, g = pair
     check(f * g, ref_mul(f.terms, g.terms))
 
@@ -402,6 +411,7 @@ def test_laurent_relabelling_matches_fraction_loops(fi, data):
             out[s] += e
         return tuple(out)
     check(f.embed(arity, slots), ref_relabel(f.terms, embedded))
+    check(f.relabel(n + 1, lambda k: k + (k[i],)), ref_relabel(f.terms, lambda k: k + (k[i],)))
     assert f.is_symmetric() == all(
         f.permuted(p) == f for p in itertools.permutations(range(n)))
 
