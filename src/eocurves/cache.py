@@ -5,7 +5,8 @@ for the graph counts and "p/q" strings for the Hurwitz numbers.  The
 Hurwitz memo holds the integers r! d! H, which import computes as
 p (r! d! / q) in integers; a q that does not divide r! d! marks a corrupt
 entry.  Corrupt entries are rejected with a warning and recomputed
-rather than trusted.
+rather than trusted; an oversized Hurwitz key is rejected before r! d!
+is computed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from . import catalan as cat
 from . import hurwitz as hur
 from .errors import CorruptCache
 from .rationals import qstr
+
+# Largest r = 2g - 2 + n + |mu| of a Hurwitz key, so |mu| <= r + 1: a cold
+# ``eo verify --suite all`` stores r <= 41; 400! is cheap.
+MAX_BRANCH_POINTS = 400
 
 
 def cache_dir(default: str | None = None) -> Path:
@@ -102,8 +107,11 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
     for key, value in payload.get("hurwitz", {}).items():
         try:
             g, mu = _unflatten(key)
-            if not mu or min(mu) < 1 or 2 * g - 2 + len(mu) + sum(mu) < 1:
+            r = 2 * g - 2 + len(mu) + sum(mu)
+            if not mu or min(mu) < 1 or r < 1:
                 raise CorruptCache(f"key {key!r} is not a profile the memo holds")
+            if r > MAX_BRANCH_POINTS:
+                raise CorruptCache(f"key {key!r} has r = {r} > {MAX_BRANCH_POINTS}")
             p, q = _ratio(value)
             if p < 0:
                 raise CorruptCache(f"count {key} = {value} is negative")

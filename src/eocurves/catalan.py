@@ -18,7 +18,7 @@ from math import prod
 from typing import Sequence
 
 from . import shared
-from .errors import AsymmetricResult, ExactDivisionError, InvalidProfile
+from .errors import AsymmetricResult, InvalidProfile
 from .laurent import (
     BinomialFraction,
     SparseLaurent,
@@ -205,19 +205,12 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
 
     Only the (0,3) base case sums terms that do not clear their
     denominators on their own (in ``pending``).  Every stable pairing term
-    must divide: one that does not raises ExactDivisionError naming the
-    factor, so a wrong lower free energy cannot be absorbed into the sum.
+    is divided where it is made: one that does not divide raises
+    ExactDivisionError naming the factor, so a wrong lower free energy
+    cannot be absorbed into the sum.
     """
     cleared = SparseLaurent.zero(n)
-    pending = BinomialFraction.zero(n)
-
-    def absorb(term: BinomialFraction) -> None:
-        nonlocal cleared, pending
-        try:
-            cleared = cleared + term.finalize()
-        except ExactDivisionError:
-            pending = pending + term
-
+    pending = BinomialFraction(SparseLaurent.zero(n))
     k3 = _kernel3(n, 0)
 
     if n >= 2 and (g, n - 1) == (0, 2):
@@ -236,16 +229,15 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
 
             bracket = phi(0) - phi(j)
             tj = SparseLaurent.var(n, j)
-            dkey, _ = factor_diff(0, j)
-            term = (bracket.mul_laurent(tj).scale(Q(-1, 16))
-                    .div_factor(dkey).div_factor(factor_sum(0, j)))
-            absorb(term)
+            pending = pending + (bracket.mul_laurent(tj).scale(Q(-1, 16))
+                                 .div_factor(factor_diff(0, j)[0]).div_factor(factor_sum(0, j)))
             # second pairing line: -(1/16) (t_1-1)(t_1+1)^2 (t_k+1) / (t_1^2 (t_1+t_k))
             num2 = (SparseLaurent.in_slot(n, 0, {1: QONE, 0: -QONE})
                     * SparseLaurent.in_slot(n, 0, {1: QONE, 0: QONE}).pow(2)
                     * SparseLaurent.in_slot(n, 0, {-2: QONE})
                     * SparseLaurent.in_slot(n, k, {1: QONE, 0: QONE}))
-            absorb(BinomialFraction(num2).div_factor(factor_sum(0, k)).scale(Q(-1, 16)))
+            pending = pending + (BinomialFraction(num2).div_factor(factor_sum(0, k))
+                                 .scale(Q(-1, 16)))
         # unstable-pair product term, entering with the opposite sign of the
         # stable product line (verified against direct graph counts)
         nump = (SparseLaurent.in_slot(n, 0, {1: QONE, 0: QONE}).pow(3)
@@ -253,8 +245,8 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
                 * SparseLaurent.in_slot(n, 0, {-2: QONE})
                 * SparseLaurent.in_slot(n, 1, {1: QONE, 0: QONE})
                 * SparseLaurent.in_slot(n, 2, {1: QONE, 0: QONE}))
-        absorb(BinomialFraction(nump).div_factor(factor_sum(0, 1))
-               .div_factor(factor_sum(0, 2)).scale(Q(1, 16)))
+        pending = pending + (BinomialFraction(nump).div_factor(factor_sum(0, 1))
+                             .div_factor(factor_sum(0, 2)).scale(Q(1, 16)))
     elif n >= 2:
         fm = free_energy(g, n - 1)
         for j in range(1, n):
@@ -264,13 +256,9 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
             phi_1 = _kernel3(n, 0) * f_at_1.diff(0)
             phi_j = _kernel3(n, j) * f_at_j.diff(j)
             tj = SparseLaurent.var(n, j)
-            dkey, _ = factor_diff(0, j)
-            term = (BinomialFraction((phi_1 - phi_j) * tj)
-                    .scale(Q(-1, 16)).div_factor(dkey)
-                    .div_factor(factor_sum(0, j)))
-            cleared = cleared + term.finalize()
-            line2 = (_kernel2(n, 0) * f_at_1.diff(0)).scale(Q(-1, 16))
-            cleared = cleared + line2
+            cleared = cleared + (((phi_1 - phi_j) * tj).scale(Q(-1, 16))
+                                 .divide_var_binomial(0, j, +1).divide_var_binomial(0, j, -1))
+            cleared = cleared + (_kernel2(n, 0) * f_at_1.diff(0)).scale(Q(-1, 16))
 
     if g >= 1:
         if (g - 1, n + 1) == (0, 2):

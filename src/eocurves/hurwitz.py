@@ -306,83 +306,78 @@ def _f02_diagonal_second(arity: int, slot: int) -> SparseLaurent:
 def fh_recursion_residual(g: int, n: int) -> SparseLaurent:
     """LHS minus RHS of the cut-and-join differential recursion, cleared.
 
-    Identically zero on success.  For (0,3) the unstable two-point inputs
-    carry formal X_i variables standing for the transcendental x(t_i); the
-    identity holds formally in them, and the returned polynomial lives in
-    the doubled variable set.
+    Identically zero on success.  In the stable case the ordered pairing
+    terms (i,j) and (j,i) enter as one difference quotient, which divides
+    on its own; every other term is a polynomial.  For (0,3) the unstable
+    two-point inputs carry formal X_i variables standing for the
+    transcendental x(t_i); their denominators clear only in the sum, and
+    the returned polynomial lives in the doubled variable set.
     """
     fe = free_energy(g, n)
     unstable_pair = (g, n) == (0, 3)
     arity = 2 * n if unstable_pair else n
-    xoff = n
 
     femb = fe.embed(arity, list(range(n)))
-    lhs = femb.scale(Q(2 * g - 2 + n))
+    res = femb.scale(Q(2 * g - 2 + n))
     for i in range(n):
-        lhs = lhs + SparseLaurent.in_slot(arity, i, {2: QONE, 1: -QONE}) * femb.diff(i)
+        res = res + SparseLaurent.in_slot(arity, i, {2: QONE, 1: -QONE}) * femb.diff(i)
 
-    pending = BinomialFraction.zero(arity)
+    # per slot: t_i^2 (t_i-1)^2, t_i^3 (t_i-1) and (t_i^3 - t_i^2)^2
+    quartic = [SparseLaurent.in_slot(arity, i, {4: QONE, 3: Q(-2), 2: QONE}) for i in range(n)]
+    cubic = [SparseLaurent.in_slot(arity, i, {4: QONE, 3: -QONE}) for i in range(n)]
+    square = [SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2) for i in range(n)]
 
-    def absorb(term: BinomialFraction, sign: int = 1) -> None:
-        nonlocal pending
-        pending = (pending + term) if sign > 0 else (pending - term)
+    if unstable_pair:
+        pending = BinomialFraction(SparseLaurent.zero(arity))
+        for i, j in _perms(range(n), 2):
+            df_i = _d_f02_extended(arity, i, 3 - i - j, n)
+            # the (i,j) ordered term: t_i t_j/(t_i-t_j) psi_i, psi_i = quartic_i df_i
+            dkey, flip = factor_diff(i, j)
+            titj = (SparseLaurent.var(arity, i) * SparseLaurent.var(arity, j)
+                    ).scale(Fraction(flip))
+            pending = pending - df_i.mul_laurent(quartic[i]).mul_laurent(titj).div_factor(dkey)
+            pending = pending + df_i.mul_laurent(cubic[i])
+        # the unstable-pair product enters with the opposite sign of the
+        # stable product line (verified against cut-and-join values)
+        for i in range(n):
+            jj, kk = [s for s in range(n) if s != i]
+            prod = (_d_f02_extended(arity, i, jj, n)
+                    * _d_f02_extended(arity, i, kk, n))
+            pending = pending + prod.mul_laurent(square[i])
+        return res + pending.finalize()
 
     if n >= 2:
-        stable_lower = 2 * g - 2 + (n - 1) > 0
+        fm = free_energy(g, n - 1)
         for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
+            for j in range(i + 1, n):
                 others = [s for s in range(n) if s != i and s != j]
-                # d/dt_i of the lower free energy, or of the two-point primitive
-                if stable_lower:
-                    df_i = BinomialFraction(
-                        free_energy(g, n - 1).embed(arity, [i, *others]).diff(i))
-                else:
-                    df_i = _d_f02_extended(arity, i, others[0], xoff)
-                psi_i = df_i.mul_laurent(
-                    SparseLaurent.in_slot(arity, i, {4: QONE, 3: Q(-2), 2: QONE}))
-                # half of the symmetrized difference-quotient line; the (i,j)
-                # and (j,i) ordered terms each contribute t_i t_j/(t_i-t_j)
-                # psi_i once after the bracket is split
-                dkey, flip = factor_diff(i, j)
-                titj = (SparseLaurent.var(arity, i) * SparseLaurent.var(arity, j)
-                        ).scale(Fraction(flip))
-                absorb(psi_i.mul_laurent(titj).div_factor(dkey), sign=-1)
-                # second line
-                absorb(df_i.mul_laurent(
-                    SparseLaurent.in_slot(arity, i, {4: QONE, 3: -QONE})), sign=+1)
+                df_i = fm.embed(n, [i, *others]).diff(i)
+                df_j = fm.embed(n, [j, *others]).diff(j)
+                # the ordered terms (i,j) and (j,i) add up to
+                # -t_i t_j (psi_i - psi_j)/(t_i - t_j), psi_i = t_i^2 (t_i-1)^2 d_i F;
+                # the numerator vanishes on t_i = t_j whatever F is
+                psi = quartic[i] * df_i - quartic[j] * df_j
+                titj = SparseLaurent.var(n, i) * SparseLaurent.var(n, j)
+                res = res - (psi * titj).divide_var_binomial(i, j, +1)
+                res = res + cubic[i] * df_i + cubic[j] * df_j
 
     if g >= 1:
         for i in range(n):
             others = [s for s in range(n) if s != i]
             if (g - 1, n + 1) == (0, 2):
-                diag = _f02_diagonal_second(arity, i)
+                diag = _f02_diagonal_second(n, i)
             else:
-                diag = diagonal_mixed(free_energy(g - 1, n + 1)).embed(arity, [i, *others])
-            square = SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
-            absorb(BinomialFraction((square * diag).scale(Q(1, 2))), sign=-1)
+                diag = diagonal_mixed(free_energy(g - 1, n + 1)).embed(n, [i, *others])
+            res = res - (square[i] * diag).scale(Q(1, 2))
 
     for i in range(n):
         rest = [s for s in range(n) if s != i]
-        square = SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
         for g1, left, g2, right in stable_splits(g, rest):
-            fa = free_energy(g1, len(left) + 1).embed(arity, [i, *left])
-            fb = free_energy(g2, len(right) + 1).embed(arity, [i, *right])
-            absorb(BinomialFraction(
-                (square * fa.diff(i) * fb.diff(i)).scale(Q(1, 2))), sign=-1)
+            fa = free_energy(g1, len(left) + 1).embed(n, [i, *left])
+            fb = free_energy(g2, len(right) + 1).embed(n, [i, *right])
+            res = res - (square[i] * fa.diff(i) * fb.diff(i)).scale(Q(1, 2))
 
-    if unstable_pair:
-        # the unstable-pair product enters with the opposite sign of the
-        # stable product line (verified against cut-and-join values)
-        for i in range(n):
-            jj, kk = [s for s in range(n) if s != i]
-            square = SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2)
-            prod = (_d_f02_extended(arity, i, jj, xoff)
-                    * _d_f02_extended(arity, i, kk, xoff))
-            absorb(prod.mul_laurent(square), sign=+1)
-
-    return lhs + pending.finalize()
+    return res
 
 
 # ---------------------------------------------------------------------------

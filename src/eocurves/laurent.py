@@ -14,9 +14,10 @@ a key whose partial sum reaches zero is dropped and re-enters at the end.
 
 ``BinomialFraction`` layers a restricted denominator on top: a multiset
 of factors of the forms ``v_a - v_b``, ``v_a + v_b`` and ``v_a - c``.
-These are the only denominators produced by the free-energy recursions;
-summing such fractions and clearing the denominator by exact synthetic
-division is all the multivariate rational arithmetic this package needs.
+It serves only the (0,3) base cases of the two recursions, whose
+unstable two-point inputs give terms that clear their denominators only
+in the sum; every stable term divides on its own by
+``divide_var_binomial``.
 """
 
 from __future__ import annotations
@@ -469,11 +470,7 @@ class BinomialFraction:
 
     def __init__(self, num: SparseLaurent, den: Mapping[FactorKey, int] | None = None):
         self.num = num
-        self.den: dict[FactorKey, int] = {k: e for k, e in (den or {}).items() if e}
-
-    @classmethod
-    def zero(cls, arity: int) -> "BinomialFraction":
-        return cls(SparseLaurent.zero(arity))
+        self.den: dict[FactorKey, int] = dict(den or {})
 
     def mul_laurent(self, p: SparseLaurent) -> "BinomialFraction":
         return BinomialFraction(self.num * p, self.den)
@@ -481,9 +478,9 @@ class BinomialFraction:
     def scale(self, c: Fraction) -> "BinomialFraction":
         return BinomialFraction(self.num.scale(c), self.den)
 
-    def div_factor(self, key: FactorKey, power: int = 1) -> "BinomialFraction":
+    def div_factor(self, key: FactorKey) -> "BinomialFraction":
         den = dict(self.den)
-        den[key] = den.get(key, 0) + power
+        den[key] = den.get(key, 0) + 1
         return BinomialFraction(self.num, den)
 
     def __add__(self, other: "BinomialFraction") -> "BinomialFraction":

@@ -222,9 +222,13 @@ def check_hurwitz_nonnegative(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def check_hurwitz_recursion(cfg: RunConfig) -> tuple[bool, str]:
-    for g, n in [(1, 1), (0, 3), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)]:
-        if not hur.fh_recursion_residual(g, n).is_zero():
-            return False, f"nonzero residual at ({g},{n})"
+    for level in (1, 2, 3):
+        for g, n in hur.stable_levels(level):
+            res = hur.fh_recursion_residual(g, n)
+            if not res.is_zero():
+                key, c = min(res.terms.items())
+                return False, (f"nonzero residual at ({g},{n}), level {level}: "
+                               f"{len(res.terms)} terms, first term {qstr(c)} t^{key}")
     return True, "identically zero for all 2g-2+n <= 3"
 
 

@@ -14,6 +14,7 @@ from eocurves import hurwitz as hur
 from eocurves import report
 from eocurves.cache import export_caches, import_caches
 from eocurves.cli import HURWITZ_SUBSUITES, main
+from eocurves.laurent import SparseLaurent
 from eocurves.report import RunConfig, check_catalan_curve_inversion, run_suite
 
 
@@ -171,6 +172,28 @@ def test_cache_rejects_profiles_the_memo_never_holds(tmp_path):
     assert hur.hurwitz_number(0, 1, [1]) == 1
 
 
+def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
+    # a forged key for a huge profile is refused before r! d! is computed
+    cat.clear_caches()
+    hur.clear_caches()
+
+    def no_arithmetic(g, mu):
+        raise AssertionError("r! d! computed for an oversized key")
+
+    monkeypatch.setattr(hur, "_scale", no_arithmetic)
+    path = tmp_path / "c.json"
+    big = cache.MAX_BRANCH_POINTS + 2  # r = |mu| - 1 for g = 0, n = 1
+    path.write_text(json.dumps({"hurwitz": {"200000,1,1": "1/7", f"0,1,{big}": "1"}}))
+    warnings = []
+    stats = import_caches(path, warn=warnings.append)
+    assert stats == {"catalan": 0, "hurwitz": 0, "rejected": 2}
+    assert warnings == [f"cache: rejecting '200000,1,1': key '200000,1,1' has "
+                        f"r = 400000 > {cache.MAX_BRANCH_POINTS}",
+                        f"cache: rejecting '0,1,{big}': key '0,1,{big}' has "
+                        f"r = {big - 1} > {cache.MAX_BRANCH_POINTS}"]
+    assert not hur._h_memo
+
+
 def test_csv_report_parses_back(capsys, monkeypatch):
     # the two checks whose residual text holds commas, plus one holding a
     # quote and a line break
@@ -219,6 +242,19 @@ def test_lambert_check_names_failing_order(monkeypatch):
     assert not ok
     assert residual == ("curve identity first fails at x^3; "
                         "frame identity first fails at x^3 (order 12)")
+
+
+def test_recursion_check_names_failing_term(monkeypatch):
+    ok, residual = report.check_hurwitz_recursion(RunConfig())
+    assert ok and residual == "identically zero for all 2g-2+n <= 3"
+    true_fe = hur.free_energy
+    bad = true_fe(0, 4) + SparseLaurent(4, {(3, 1, 1, 1): Q(1, 7)})
+    monkeypatch.setattr(hur, "free_energy",
+                        lambda g, n: bad if (g, n) == (0, 4) else true_fe(g, n))
+    ok, residual = report.check_hurwitz_recursion(RunConfig())
+    assert not ok
+    assert residual == ("nonzero residual at (0,4), level 2: "
+                        "5 terms, first term -4/7 t^(3, 1, 1, 1)")
 
 
 def test_hurwitz_subsuite_runs_only_its_checks(capsys, monkeypatch):

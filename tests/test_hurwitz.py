@@ -164,6 +164,22 @@ def test_recursion_residual_detects_fault(monkeypatch):
     assert not res.is_zero()
 
 
+@pytest.mark.parametrize("key", [(3, 1, 1, 1), (1, 1, 0, 2)])
+def test_recursion_residual_detects_paired_fault(monkeypatch, key):
+    """A wrong F(0,4) reaches (0,5) through the per-pair difference quotients.
+
+    The pair numerator vanishes on t_i = t_j whatever F(0,4) is, so the
+    quotient still divides and the fault shows as a nonzero residual, not
+    as an error.  F(0,4) enters only through the derivative in its first
+    slot, so a corruption at (0,0,0,2) would be invisible here.
+    """
+    true_fe = hur.free_energy
+    bad = true_fe(0, 4) + SparseLaurent(4, {key: Q(1, 7)})
+    monkeypatch.setattr(hur, "free_energy",
+                        lambda g, n: bad if (g, n) == (0, 4) else true_fe(g, n))
+    assert not hur.fh_recursion_residual(0, 5).is_zero()
+
+
 def test_two_point_diagonal_formula():
     """The hard-coded pair-correlation diagonal against a series oracle."""
     order = 12
