@@ -391,9 +391,9 @@ def t_of_x_float(x: float) -> float:
 LAPLACE_PROBES = [(1, 1, [10.0], 60), (0, 3, [10.0, 11.0, 12.0], 60)]
 
 
-def _laplace_weight(g: int, n: int, mu: Sequence[int]) -> float:
-    """float(dessin_number(g, n, mu)) without the Fraction: int / int rounds the same."""
-    return catalan_count(g, n, mu) / prod(mu)
+def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
+    """float(dessin_number) of a sorted profile, from the memo: int / int rounds the same."""
+    return _count(g, key) / prod(key)
 
 
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:

@@ -583,9 +583,14 @@ def t_of_x_float(x: float) -> float:
 LAPLACE_PROBES = [(0, 3, [exp(-w) for w in (3.0, 3.1, 3.2)], 40)]
 
 
+def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
+    """float(hurwitz_number) of a sorted profile, from the memo: int / int rounds the same."""
+    return _hurwitz(g, key) / _scale(g, key)
+
+
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
     """Truncated sum H(mu) x_1^mu_1 ... x_n^mu_n over total degree <= cap."""
-    return shared.laplace_sum_float(hurwitz_number, 1, g, n, xs, cap)
+    return shared.laplace_sum_float(_laplace_weight, 1, g, n, xs, cap)
 
 
 def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:

@@ -142,12 +142,15 @@ def laplace_check(model: str) -> CheckFn:
     module = wkb.MODELS[model]
 
     def check(cfg: RunConfig) -> tuple[bool, str]:
-        worst = 0.0
+        worst, where = 0.0, ""
         for g, n, xs, cap in module.LAPLACE_PROBES:
             exact = module.free_energy_float(g, n, xs)
             direct = module.laplace_sum_float(g, n, xs, cap)
-            worst = max(worst, abs(exact - direct) / abs(direct))
-        return worst <= cfg.tolerance, f"max relative error {worst:.2e}"
+            error = abs(exact - direct) / abs(direct)
+            if error > worst:
+                worst, where = error, f" at ({g},{n})"
+        ok = worst <= cfg.tolerance
+        return ok, f"max relative error {worst:.2e}" + ("" if ok else where)
 
     return check
 

@@ -13,8 +13,10 @@ model's free energy, count weight or coordinate map as an argument.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import factorial
+from operator import neg
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .laurent import SparseLaurent
@@ -87,24 +89,38 @@ def s_coefficient_assembled(free_energy: FreeEnergy, m: int) -> RatFunc:
     return total
 
 
-def laplace_sum_float(weight: Callable[[int, int, list[int]], Fraction | float], sign: int,
+def laplace_sum_float(weight: Callable[[int, tuple[int, ...]], float], sign: int,
                       g: int, n: int, xs: Sequence[float], cap: int) -> float:
-    """Sum of weight(g, n, mu) prod x_i^(sign mu_i) over |mu| <= cap."""
+    """Sum of weight(g, key) prod x_i^(sign mu_i) over ordered mu, |mu| <= cap.
+
+    ``key`` is mu sorted as the count memos key it, largest part first, so
+    a weight can read its memo directly.  The recursion carries the sorted
+    prefix down and each leaf only inserts its last part.  The ordered
+    profiles are summed in lexicographic order with the same float
+    operations every time, so the sum is reproducible to the last bit.
+    """
     total = 0.0
+    last = n - 1
+    x_last = xs[last]
 
-    def rec(prefix: list[int], remaining: int, scale: float) -> None:
+    def rec(key: tuple[int, ...], remaining: int, scale: float) -> None:
         nonlocal total
-        slot = len(prefix)
-        if slot == n - 1:
+        slot = len(key)
+        if slot == last:
+            # head keeps the parts >= m; it shrinks from the right as m grows
+            head, tail = key, ()
             for m in range(1, remaining + 1):
-                w = weight(g, n, prefix + [m])
+                while head and head[-1] < m:
+                    head, tail = head[:-1], head[-1:] + tail
+                w = weight(g, head + (m,) + tail)
                 if w:
-                    total += float(w) * scale * xs[slot] ** (sign * m)
+                    total += w * scale * x_last ** (sign * m)
             return
-        for m in range(1, remaining - (n - slot - 1) + 1):
-            rec(prefix + [m], remaining - m, scale * xs[slot] ** (sign * m))
+        for m in range(1, remaining - (last - slot) + 1):
+            at = bisect(key, -m, key=neg)
+            rec(key[:at] + (m,) + key[at:], remaining - m, scale * xs[slot] ** (sign * m))
 
-    rec([], cap, 1.0)
+    rec((), cap, 1.0)
     return total
 
 

@@ -145,24 +145,43 @@ def test_recursion_stable_term_must_divide(monkeypatch):
         real(0, 4)
 
 
-@pytest.mark.parametrize("g,n,xs,cap", cat.LAPLACE_PROBES)
+# float.hex() of each probe sum, keyed by (g, n, cap): the probe adds the
+# ordered profiles in one fixed order, so a change to it must keep every bit
+LAPLACE_HEX = {
+    (1, 1, 60): "0x1.c0ef2ccfba444p-16",
+    (0, 3, 60): "0x1.cfe7db219ec0dp-13",
+    (0, 4, 32): "0x1.5164b85413f67p-17",
+    (1, 2, 40): "0x1.7eaeb3c136144p-19",
+    (0, 5, 26): "0x1.455636c7d1facp-20",
+    (1, 3, 30): "0x1.4b4b30777a1fdp-22",
+}
+
+
+@pytest.mark.parametrize("g,n,xs,cap", cat.LAPLACE_PROBES + [
+    (0, 4, [10.0, 11.0, 12.0, 13.0], 32),
+    (1, 2, [10.0, 11.0], 40),
+    (0, 5, [10.0, 10.5, 11.0, 11.5, 12.0], 26),
+    (1, 3, [10.0, 11.0, 12.0], 30),
+])
 def test_laplace_probe_weight_is_exact(g, n, xs, cap):
-    # int / int rounds like float(Fraction): the sums agree to the last bit
-    assert cat.laplace_sum_float(g, n, xs, cap) == shared.laplace_sum_float(
-        cat.dessin_number, -1, g, n, xs, cap)
+    # the memo read over int / int rounds like float(Fraction): the sums
+    # agree to the last bit with Fraction weights
+    direct = cat.laplace_sum_float(g, n, xs, cap)
+    assert direct.hex() == LAPLACE_HEX[g, n, cap]
+    assert direct == shared.laplace_sum_float(
+        lambda g, key: float(cat.dessin_number(g, len(key), key)), -1, g, n, xs, cap)
 
 
 def test_laplace_check_detects_corrupt_count(monkeypatch):
     assert report.laplace_check("catalan")(RunConfig())[0]
-    true_count = cat.catalan_count
-
-    def corrupt(g, n, mu):  # C_{1,1}(4) = 1 replaced by 2
-        return 2 if (g, list(mu)) == (1, [4]) else true_count(g, n, mu)
-
-    monkeypatch.setattr(cat, "catalan_count", corrupt)
+    # C_{1,1}(4) = 1 replaced by 2 where the probe reads it, as a poisoned
+    # cache would; on a copy, so nothing derived from it outlives the test
+    monkeypatch.setattr(cat, "_count_memo", dict(cat._count_memo))
+    monkeypatch.setitem(cat._count_memo, (1, (4,)), 2)
     ok, residual = report.laplace_check("catalan")(RunConfig())
     assert not ok
     assert residual.startswith("max relative error")
+    assert residual.endswith(" at (1,1)")
 
 
 def test_euler_characteristic_specialization():

@@ -194,6 +194,23 @@ def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
     assert not hur._h_memo
 
 
+def test_poisoned_count_fails_only_the_laplace_probe(tmp_path, capsys, monkeypatch):
+    # a whole number for a valid profile passes import (C_{1,1}(4) is 1);
+    # the catalan-laplace probe, which reads the memo, is what sees it.  The
+    # counts the probe computes from the forged one are wrong too, hence
+    # 4.86e-01 here against 4.83e-01 for the forged entry alone.
+    monkeypatch.setattr(cat, "_count_memo", {})
+    monkeypatch.setattr(hur, "_h_memo", {})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"catalan": {"1,1,4": "2"}}))
+    code, out = run_cli(capsys, "--cache", str(path), "verify", "--suite", "catalan",
+                        "--format", "json")
+    assert code == 1
+    failed = {c["check_id"]: c["residual"] for c in json.loads(out)["checks"]
+              if c["status"] != "pass"}
+    assert failed == {"catalan-laplace": "max relative error 4.86e-01 at (1,1)"}
+
+
 def test_csv_report_parses_back(capsys, monkeypatch):
     # the two checks whose residual text holds commas, plus one holding a
     # quote and a line break

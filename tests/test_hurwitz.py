@@ -7,9 +7,10 @@ from itertools import product
 import pytest
 
 from eocurves import hurwitz as hur
-from eocurves import oracles
+from eocurves import oracles, report, shared
 from eocurves.errors import InvalidProfile, NonzeroResidue
 from eocurves.laurent import SparseLaurent
+from eocurves.report import RunConfig
 from eocurves.ratfunc import (RatFunc, UPoly, integrate_no_log, partial_fractions,
                                substitute_mobius)
 from eocurves.series import TruncatedSeries
@@ -147,6 +148,28 @@ def test_free_energy_matches_laplace_sum(g, n, ws, cap):
     exact = hur.free_energy_float(g, n, xs)
     direct = hur.laplace_sum_float(g, n, xs, cap)
     assert abs(exact - direct) <= 1e-8 * abs(direct)
+
+
+@pytest.mark.parametrize("g,n,xs,cap", hur.LAPLACE_PROBES)
+def test_laplace_probe_weight_is_exact(g, n, xs, cap):
+    # the memo read over int / int rounds like float(Fraction): the sum
+    # agrees to the last bit with Fraction weights, and with its pinned hex
+    direct = hur.laplace_sum_float(g, n, xs, cap)
+    assert direct.hex() == "0x1.ff6db3667c56bp-14"
+    assert direct == shared.laplace_sum_float(
+        lambda g, key: float(hur.hurwitz_number(g, len(key), key)), 1, g, n, xs, cap)
+
+
+def test_laplace_check_detects_corrupt_count(monkeypatch):
+    assert report.laplace_check("hurwitz")(RunConfig())[0]
+    # N_0(1,1,1) doubled where the probe reads it, as a poisoned cache would;
+    # on a copy, so nothing derived from it outlives the test
+    monkeypatch.setattr(hur, "_h_memo", dict(hur._h_memo))
+    monkeypatch.setitem(hur._h_memo, (0, (1, 1, 1)), 2 * hur._h_memo[0, (1, 1, 1)])
+    ok, residual = report.laplace_check("hurwitz")(RunConfig())
+    assert not ok
+    assert residual.startswith("max relative error")
+    assert residual.endswith(" at (0,3)")
 
 
 @pytest.mark.parametrize("g,n", LEVELS)

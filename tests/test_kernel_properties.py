@@ -100,7 +100,9 @@ def test_ratfunc_normalisation_matches_cancel(num, den, common):
     assert f.den == from_sympy(q).scale(1 / lead)
 
 
-@settings(max_examples=25)
+# no deadline: sympy warms up on its first call in a process, and a replayed
+# example that ran into the warm-up would fail as FlakyFailure every time
+@settings(max_examples=25, deadline=None)
 @given(upolys(max_len=3), st.one_of(monomials, upolys(max_len=3).filter(bool)),
        st.tuples(rationals, rationals, rationals, rationals).filter(
            lambda m: m[0] * m[3] != m[1] * m[2]))
