@@ -1,0 +1,52 @@
+"""Term order of the exact free energies, and the float probes that read it.
+
+``eval_float`` sums the terms in dict order, so two free energies that are
+equal as polynomials can still give different float probes.  The golden
+digests sort the keys and cannot see this; these pins can.
+"""
+
+import hashlib
+
+import pytest
+
+from eocurves import catalan as cat
+from eocurves import hurwitz as hur
+
+# SHA-256 of repr(list(F.num.items())): the numerators in term order
+CATALAN_TERM_ORDER = {
+    (1, 1): "c5ebb9d807be76b1550a308eeb06faa231746e320594c862ae7e89028315e3a5",
+    (0, 3): "1938101c844e01e51fb3206a7808ac316772142081acfd089d47a540349c098d",
+    (0, 4): "e698f51aa924811dc8d79c8a3883c7acfc40d563a1d909e1a390ebfdc3fe4158",
+    (1, 2): "f452ac3c20d7a35d135a7f9bf15817a2e1e823a9068a8b4afddc1405fe08c012",
+    (0, 5): "48c19d1d087c10ea19db43e97d3ba2d322b1d4de8ace79f492cad41b6f92a0ec",
+    (1, 3): "d308110c2f463546402ae5e7d3ba1cf3c5ec197507d4b15bf3a8316d1f5f8675",
+    (2, 1): "617447d0423011c4539ec6d4307104983f009ccaead3e3b34c8c301e65cde5f4",
+}
+
+# float.hex() of free_energy_float at each Laplace probe point
+PROBE_HEX = {
+    ("catalan", 1, 1): "0x1.c0ef2ccfba000p-16",
+    ("catalan", 0, 3): "0x1.cfe7db219ed00p-13",
+    ("hurwitz", 0, 3): "0x1.ff6db3667c000p-14",
+}
+
+
+@pytest.mark.parametrize("g,n", sorted(CATALAN_TERM_ORDER))
+def test_catalan_free_energy_term_order(g, n):
+    items = repr(list(cat.free_energy(g, n).num.items()))
+    assert hashlib.sha256(items.encode()).hexdigest() == CATALAN_TERM_ORDER[g, n]
+
+
+def test_every_probe_is_pinned():
+    probes = {("catalan", g, n) for g, n, _, _ in cat.LAPLACE_PROBES}
+    probes |= {("hurwitz", g, n) for g, n, _, _ in hur.LAPLACE_PROBES}
+    assert probes == set(PROBE_HEX)
+
+
+@pytest.mark.parametrize("model,g,n,xs", [
+    *(("catalan", g, n, xs) for g, n, xs, _ in cat.LAPLACE_PROBES),
+    *(("hurwitz", g, n, xs) for g, n, xs, _ in hur.LAPLACE_PROBES),
+])
+def test_free_energy_float_bits(model, g, n, xs):
+    module = cat if model == "catalan" else hur
+    assert float.hex(module.free_energy_float(g, n, xs)) == PROBE_HEX[model, g, n]
