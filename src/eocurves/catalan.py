@@ -19,12 +19,7 @@ from typing import Sequence
 
 from . import shared
 from .errors import AsymmetricResult, InvalidProfile
-from .laurent import (
-    BinomialFraction,
-    SparseLaurent,
-    factor_diff,
-    factor_sum,
-)
+from .laurent import SparseLaurent, sum_over_divisors
 from .rationals import QONE, QZERO
 from .ratfunc import RatFunc, UPoly, integrate_no_log, substitute_mobius, even_part
 from .series import TruncatedSeries
@@ -204,40 +199,36 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
     """dF_{g,n}/dt_1 assembled from lower free energies.
 
     Only the (0,3) base case sums terms that do not clear their
-    denominators on their own (in ``pending``).  Every stable pairing term
-    is divided where it is made: one that does not divide raises
-    ExactDivisionError naming the factor, so a wrong lower free energy
-    cannot be absorbed into the sum.
+    denominators on their own; ``sum_over_divisors`` adds them and divides
+    the sum.  Every stable pairing term is divided where it is made: one
+    that does not divide raises ExactDivisionError naming the factor, so a
+    wrong lower free energy cannot be absorbed into the sum.
     """
-    cleared = SparseLaurent.zero(n)
-    pending = BinomialFraction(SparseLaurent.zero(n))
-    k3 = _kernel3(n, 0)
-
-    if n >= 2 and (g, n - 1) == (0, 2):
-        # three-point case: both pairing factors are the unstable two-point
-        # function; its t-derivative is (t_k+1)/((t_1-1)(t_1+t_k)).
+    if (g, n) == (0, 3):
+        # both pairing factors are the unstable two-point function; its
+        # t-derivative is (t_k+1)/((t_1-1)(t_1+t_k)).  A divisor (a, b, s)
+        # is t_a - s t_b.
+        terms = []
         for j in (1, 2):
             k = 3 - j
 
-            # (u-1)^2 (u+1)^3 (t_k+1) / (u^2 (u+t_k)) at u = t_1 and u = t_j
-            def phi(u: int) -> BinomialFraction:
-                num = (SparseLaurent.in_slot(n, u, {1: QONE, 0: -QONE}).pow(2)
-                       * SparseLaurent.in_slot(n, u, {1: QONE, 0: QONE}).pow(3)
-                       * SparseLaurent.in_slot(n, u, {-2: QONE})
-                       * SparseLaurent.in_slot(n, k, {1: QONE, 0: QONE}))
-                return BinomialFraction(num).div_factor(factor_sum(u, k))
+            # (u-1)^2 (u+1)^3 (t_k+1) / u^2, over u + t_k, at u = t_1 and u = t_j
+            def phi(u: int) -> SparseLaurent:
+                return (SparseLaurent.in_slot(n, u, {1: QONE, 0: -QONE}).pow(2)
+                        * SparseLaurent.in_slot(n, u, {1: QONE, 0: QONE}).pow(3)
+                        * SparseLaurent.in_slot(n, u, {-2: QONE})
+                        * SparseLaurent.in_slot(n, k, {1: QONE, 0: QONE}))
 
-            bracket = phi(0) - phi(j)
+            # -(1/16) t_j (phi(t_1) - phi(t_j)) / ((t_1-t_j)(t_1+t_j))
             tj = SparseLaurent.var(n, j)
-            pending = pending + (bracket.mul_laurent(tj).scale(Q(-1, 16))
-                                 .div_factor(factor_diff(0, j)[0]).div_factor(factor_sum(0, j)))
+            terms.append(((phi(0) * tj).scale(Q(-1, 16)), [(0, k, -1), (0, j, 1), (0, j, -1)]))
+            terms.append(((phi(j) * tj).scale(Q(1, 16)), [(j, k, -1), (0, j, 1), (0, j, -1)]))
             # second pairing line: -(1/16) (t_1-1)(t_1+1)^2 (t_k+1) / (t_1^2 (t_1+t_k))
             num2 = (SparseLaurent.in_slot(n, 0, {1: QONE, 0: -QONE})
                     * SparseLaurent.in_slot(n, 0, {1: QONE, 0: QONE}).pow(2)
                     * SparseLaurent.in_slot(n, 0, {-2: QONE})
                     * SparseLaurent.in_slot(n, k, {1: QONE, 0: QONE}))
-            pending = pending + (BinomialFraction(num2).div_factor(factor_sum(0, k))
-                                 .scale(Q(-1, 16)))
+            terms.append((num2.scale(Q(-1, 16)), [(0, k, -1)]))
         # unstable-pair product term, entering with the opposite sign of the
         # stable product line (verified against direct graph counts)
         nump = (SparseLaurent.in_slot(n, 0, {1: QONE, 0: QONE}).pow(3)
@@ -245,9 +236,12 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
                 * SparseLaurent.in_slot(n, 0, {-2: QONE})
                 * SparseLaurent.in_slot(n, 1, {1: QONE, 0: QONE})
                 * SparseLaurent.in_slot(n, 2, {1: QONE, 0: QONE}))
-        pending = pending + (BinomialFraction(nump).div_factor(factor_sum(0, 1))
-                             .div_factor(factor_sum(0, 2)).scale(Q(1, 16)))
-    elif n >= 2:
+        terms.append((nump.scale(Q(1, 16)), [(0, 1, -1), (0, 2, -1)]))
+        return sum_over_divisors(n, terms)
+
+    cleared = SparseLaurent.zero(n)
+    k3 = _kernel3(n, 0)
+    if n >= 2:
         fm = free_energy(g, n - 1)
         for j in range(1, n):
             others = [s for s in range(1, n) if s != j]
@@ -274,7 +268,7 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
         fb = free_energy(g2, len(right) + 1).embed(n, [0, *right])
         cleared = cleared + (k3 * fa.diff(0) * fb.diff(0)).scale(Q(-1, 32))
 
-    return cleared + pending.finalize()
+    return cleared
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement as _multisets
 from itertools import permutations as _perms
-from math import comb, exp, factorial
+from math import comb, exp, factorial, prod
 from typing import Sequence
 
 from . import shared
@@ -27,7 +27,7 @@ from .errors import (
     OverdeterminedMismatch,
     PathMismatch,
 )
-from .laurent import BinomialFraction, SparseLaurent, factor_diff, factor_lin
+from .laurent import Divisor, SparseLaurent, sum_over_divisors
 from .linsolve import solve_overdetermined
 from .rationals import QONE, QZERO
 from .ratfunc import RatFunc, UPoly, integrate_no_log, substitute_mobius
@@ -183,15 +183,9 @@ def _kvectors(n: int, bound: int) -> list[tuple[int, ...]]:
     return [k for k in _multisets(range(bound, -1, -1), n) if sum(k) <= bound]
 
 
-def _monomial_sym(kvec: tuple[int, ...], mu: tuple[int, ...]) -> Fraction:
+def _monomial_sym(kvec: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Sum over distinct permutations p of kvec of prod mu_i^{p_i}."""
-    total = QZERO
-    for p in set(_perms(kvec)):
-        term = QONE
-        for m, k in zip(mu, p):
-            term *= Fraction(m) ** k
-        total += term
-    return total
+    return sum(prod(m ** k for m, k in zip(mu, p)) for p in set(_perms(kvec)))
 
 
 def _sorted_tuples(n: int, lo: int, hi: int) -> list[tuple[int, ...]]:
@@ -274,24 +268,18 @@ def free_energy(g: int, n: int) -> SparseLaurent:
 # the differential recursion as a verification target
 # ---------------------------------------------------------------------------
 
-def _d_f02_extended(arity: int, i: int, j: int, xoff: int) -> BinomialFraction:
+def _d_f02_extended(arity: int, i: int, j: int,
+                     xoff: int) -> list[tuple[SparseLaurent, list[Divisor]]]:
     """d/dt_i of the two-point primitive, x-values as formal variables.
 
     z part: t_j/(t_i (t_i - t_j)) - 1/t_i^2; x part:
-    -X_i / (t_i^2 (t_i - 1) (X_i - X_j)).
+    -X_i / (t_i^2 (t_i - 1) (X_i - X_j)).  Returned as ``(numerator,
+    divisors)`` terms for ``sum_over_divisors``.
     """
-    dkey, flip = factor_diff(i, j)
-    zpart = (BinomialFraction(SparseLaurent.in_slot(arity, j, {1: QONE})
-                              * SparseLaurent.in_slot(arity, i, {-1: Fraction(flip)}))
-             .div_factor(dkey))
-    zpart = zpart + BinomialFraction(SparseLaurent.in_slot(arity, i, {-2: -QONE}))
-    xkey, xflip = factor_diff(xoff + i, xoff + j)
-    xpart = (BinomialFraction(
-        SparseLaurent(arity, {
-            tuple((-2 if s == i else 0) + (1 if s == xoff + i else 0)
-                  for s in range(arity)): Fraction(-xflip)}))
-        .div_factor(xkey).div_factor(factor_lin(i, QONE)))
-    return zpart + xpart
+    xkey = tuple((-2 if s == i else 0) + (1 if s == xoff + i else 0) for s in range(arity))
+    return [(SparseLaurent.var(arity, j) * SparseLaurent.var(arity, i, -1), [(i, j, 1)]),
+            (SparseLaurent.var(arity, i, -2, -QONE), []),
+            (SparseLaurent(arity, {xkey: -QONE}), [(xoff + i, xoff + j, 1), (i, None, 1)])]
 
 
 def _f02_diagonal_second(arity: int, slot: int) -> SparseLaurent:
@@ -310,8 +298,9 @@ def fh_recursion_residual(g: int, n: int) -> SparseLaurent:
     terms (i,j) and (j,i) enter as one difference quotient, which divides
     on its own; every other term is a polynomial.  For (0,3) the unstable
     two-point inputs carry formal X_i variables standing for the
-    transcendental x(t_i); their denominators clear only in the sum, and
-    the returned polynomial lives in the doubled variable set.
+    transcendental x(t_i); their denominators clear only in the sum, which
+    ``sum_over_divisors`` forms, and the returned polynomial lives in the
+    doubled variable set.
     """
     fe = free_energy(g, n)
     unstable_pair = (g, n) == (0, 3)
@@ -328,23 +317,21 @@ def fh_recursion_residual(g: int, n: int) -> SparseLaurent:
     square = [SparseLaurent.in_slot(arity, i, {3: QONE, 2: -QONE}).pow(2) for i in range(n)]
 
     if unstable_pair:
-        pending = BinomialFraction(SparseLaurent.zero(arity))
+        terms = []
         for i, j in _perms(range(n), 2):
             df_i = _d_f02_extended(arity, i, 3 - i - j, n)
             # the (i,j) ordered term: t_i t_j/(t_i-t_j) psi_i, psi_i = quartic_i df_i
-            dkey, flip = factor_diff(i, j)
-            titj = (SparseLaurent.var(arity, i) * SparseLaurent.var(arity, j)
-                    ).scale(Fraction(flip))
-            pending = pending - df_i.mul_laurent(quartic[i]).mul_laurent(titj).div_factor(dkey)
-            pending = pending + df_i.mul_laurent(cubic[i])
+            titj = SparseLaurent.var(arity, i) * SparseLaurent.var(arity, j)
+            terms += [(-(num * quartic[i] * titj), [*divs, (i, j, 1)]) for num, divs in df_i]
+            terms += [(num * cubic[i], divs) for num, divs in df_i]
         # the unstable-pair product enters with the opposite sign of the
         # stable product line (verified against cut-and-join values)
         for i in range(n):
             jj, kk = [s for s in range(n) if s != i]
-            prod = (_d_f02_extended(arity, i, jj, n)
-                    * _d_f02_extended(arity, i, kk, n))
-            pending = pending + prod.mul_laurent(square[i])
-        return res + pending.finalize()
+            terms += [(a * b * square[i], [*da, *db])
+                      for a, da in _d_f02_extended(arity, i, jj, n)
+                      for b, db in _d_f02_extended(arity, i, kk, n)]
+        return res + sum_over_divisors(arity, terms)
 
     if n >= 2:
         fm = free_energy(g, n - 1)

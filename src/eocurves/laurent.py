@@ -12,16 +12,17 @@ The kernels keep the term order a Fraction-by-Fraction accumulation gives:
 a key whose partial sum reaches zero is dropped and re-enters at the end.
 ``eval_float`` sums the terms in that order, so float probes depend on it.
 
-``BinomialFraction`` layers a restricted denominator on top: a multiset
-of factors of the forms ``v_a - v_b``, ``v_a + v_b`` and ``v_a - c``.
-It serves only the (0,3) base cases of the two recursions, whose
-unstable two-point inputs give terms that clear their denominators only
-in the sum; every stable term divides on its own by
+``sum_over_divisors`` adds terms over products of the divisors
+``v_a - v_b``, ``v_a + v_b`` and ``v_a - c`` and divides the sum out
+exactly.  It serves only the (0,3) base cases of the two recursions,
+whose unstable two-point inputs give terms that clear their denominators
+only in the sum; every stable term divides on its own by
 ``divide_var_binomial``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -32,6 +33,8 @@ from .errors import ExactDivisionError, NonzeroResidue
 from .rationals import QZERO, qstr, parse_q
 
 ExpVec = tuple[int, ...]
+# (a, b, s): v_a - s*v_b, or v_a - s when b is None
+Divisor = tuple[int, int | None, Fraction | int]
 
 
 class SparseLaurent:
@@ -430,97 +433,47 @@ class SparseLaurent:
         return cls(arity, terms)
 
 
-# Denominator factor keys for BinomialFraction:
-#   ("D", a, b)  = v_a - v_b   with a < b
-#   ("S", a, b)  = v_a + v_b   with a < b
-#   ("L", a, c)  = v_a - c     with c a Fraction
-FactorKey = tuple
+def sum_over_divisors(arity: int,
+                      terms: Iterable[tuple[SparseLaurent, Sequence[Divisor]]]) -> SparseLaurent:
+    """The polynomial ``sum num / prod(divisors)`` over ``(num, divisors)`` terms.
 
-
-def factor_diff(a: int, b: int) -> tuple[FactorKey, int]:
-    """Normalized key for v_a - v_b; the second element is the sign flip."""
-    if a < b:
-        return ("D", a, b), 1
-    return ("D", b, a), -1
-
-
-def factor_sum(a: int, b: int) -> FactorKey:
-    return ("S", min(a, b), max(a, b))
-
-
-def factor_lin(a: int, c: Fraction) -> FactorKey:
-    return ("L", a, Fraction(c))
-
-
-def _factor_poly(arity: int, key: FactorKey) -> SparseLaurent:
-    kind = key[0]
-    if kind == "D":
-        return SparseLaurent.var(arity, key[1]) - SparseLaurent.var(arity, key[2])
-    if kind == "S":
-        return SparseLaurent.var(arity, key[1]) + SparseLaurent.var(arity, key[2])
-    if kind == "L":
-        return SparseLaurent.var(arity, key[1]) - SparseLaurent.const(arity, key[2])
-    raise ValueError(f"unknown factor {key}")
-
-
-class BinomialFraction:
-    """A SparseLaurent numerator over a multiset of binomial/linear factors."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: SparseLaurent, den: Mapping[FactorKey, int] | None = None):
-        self.num = num
-        self.den: dict[FactorKey, int] = dict(den or {})
-
-    def mul_laurent(self, p: SparseLaurent) -> "BinomialFraction":
-        return BinomialFraction(self.num * p, self.den)
-
-    def scale(self, c: Fraction) -> "BinomialFraction":
-        return BinomialFraction(self.num.scale(c), self.den)
-
-    def div_factor(self, key: FactorKey) -> "BinomialFraction":
-        den = dict(self.den)
-        den[key] = den.get(key, 0) + 1
-        return BinomialFraction(self.num, den)
-
-    def __add__(self, other: "BinomialFraction") -> "BinomialFraction":
-        arity = self.num.arity
-        keys = set(self.den) | set(other.den)
-        den = {k: max(self.den.get(k, 0), other.den.get(k, 0)) for k in keys}
-        num_a, num_b = self.num, other.num
-        for k, e in den.items():
-            fa = e - self.den.get(k, 0)
-            fb = e - other.den.get(k, 0)
-            if fa or fb:
-                fpoly = _factor_poly(arity, k)
-                for _ in range(fa):
-                    num_a = num_a * fpoly
-                for _ in range(fb):
-                    num_b = num_b * fpoly
-        return BinomialFraction(num_a + num_b, den)
-
-    def __mul__(self, other: "BinomialFraction") -> "BinomialFraction":
-        den = dict(self.den)
-        for k, e in other.den.items():
-            den[k] = den.get(k, 0) + e
-        return BinomialFraction(self.num * other.num, den)
-
-    def __neg__(self) -> "BinomialFraction":
-        return BinomialFraction(-self.num, self.den)
-
-    def __sub__(self, other: "BinomialFraction") -> "BinomialFraction":
-        return self + (-other)
-
-    def finalize(self) -> SparseLaurent:
-        """Clear the denominator by exact division; raises if any factor fails."""
-        num = self.num
-        for key, e in self.den.items():
-            kind = key[0]
-            for _ in range(e):
-                if kind == "D":
-                    num = num.divide_var_binomial(key[1], key[2], +1)
-                elif kind == "S":
-                    num = num.divide_var_binomial(key[1], key[2], -1)
-                else:
-                    num = num.divide_var_linear(key[1], key[2])
-        return num
+    A divisor ``(a, b, s)`` is ``v_a - s*v_b`` with s = +1 or -1, or
+    ``v_a - s`` when ``b`` is None.  Terms over the same divisor multiset
+    are added first.  The groups are then summed in order of appearance,
+    each addition bringing the running sum and the group over the lcm of
+    their divisors, and the sum is divided by each divisor in turn.  A
+    remainder raises ExactDivisionError naming the divisor.
+    """
+    groups: dict[frozenset, tuple[Counter, SparseLaurent]] = {}
+    for num, divisors in terms:
+        mult: Counter = Counter()
+        for a, b, s in divisors:
+            if b is not None and a > b:
+                # v_a - s v_b is -s (v_b - s v_a)
+                a, b = b, a
+                if s == 1:
+                    num = -num
+            mult[a, b, s] += 1
+        key = frozenset(mult.items())
+        if key in groups:
+            num = groups[key][1] + num
+        groups[key] = (mult, num)
+    total, common = SparseLaurent.zero(arity), Counter()
+    for mult, num in groups.values():
+        for d in common | mult:
+            if mult[d] != common[d]:
+                a, b, s = d
+                factor = SparseLaurent.var(arity, a) - (
+                    SparseLaurent.const(arity, s) if b is None
+                    else SparseLaurent.var(arity, b, coeff=s))
+                for _ in range(mult[d] - common[d]):
+                    total = total * factor
+                for _ in range(common[d] - mult[d]):
+                    num = num * factor
+        common |= mult
+        total = total + num
+    for (a, b, s), e in common.items():
+        for _ in range(e):
+            total = (total.divide_var_linear(a, s) if b is None
+                     else total.divide_var_binomial(a, b, s))
+    return total

@@ -69,11 +69,6 @@ def _cycle_count(step, size: int) -> int:
     return cycles
 
 
-def two_vertex_single_edge_count() -> int:
-    """The (0,2,(1,1)) case by hand: one edge joining two labeled vertices."""
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Hurwitz numbers by monodromy factorizations
 # ---------------------------------------------------------------------------
@@ -200,32 +195,3 @@ def moduli_euler_characteristic(g: int, n: int) -> Fraction:
     for k in range(1, n):
         chi *= 2 - 2 * g - k
     return chi
-
-
-# ---------------------------------------------------------------------------
-# symmetric-group identities
-# ---------------------------------------------------------------------------
-
-def partitions_of(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n, parts weakly decreasing."""
-    if n == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
-
-    rec(n, n, ())
-    return out
-
-
-def burnside_dimension_square_sum(n: int) -> int:
-    """sum over |mu| = n of (dim mu)^2, counted from raw permutations.
-
-    Computed as |S_n| directly; serves as the oracle for the identity.
-    """
-    return factorial(n)

@@ -15,13 +15,7 @@ from eocurves.errors import (
     SingularMatrix,
     UnfactoredDenominator,
 )
-from eocurves.laurent import (
-    BinomialFraction,
-    SparseLaurent,
-    factor_diff,
-    factor_lin,
-    factor_sum,
-)
+from eocurves.laurent import SparseLaurent, sum_over_divisors
 from eocurves.linsolve import solve_overdetermined
 from eocurves.ratfunc import (
     RatFunc,
@@ -120,17 +114,53 @@ def test_laurent_linear_division():
     assert q == (t - SparseLaurent.const(1, 1)).pow(2)
 
 
-def test_binomial_fraction_clears():
+def test_sum_over_divisors_clears_only_jointly():
+    # 1/(t1-t2) - 1/(t1+t2) - 2 t2/((t1-t2)(t1+t2)) = 0, no term divides alone
+    t2 = SparseLaurent.var(2, 1)
+    one = SparseLaurent.const(2, 1)
+    terms = [(one, [(0, 1, 1)]), (-one, [(0, 1, -1)]), (t2.scale(Q(-2)), [(0, 1, 1), (0, 1, -1)])]
+    assert sum_over_divisors(2, terms).is_zero()
+    for term in terms:
+        with pytest.raises(ExactDivisionError):
+            sum_over_divisors(2, [term])
+
+
+def test_sum_over_divisors_repeated_divisor():
+    # (t1 - t2)/(t1-t2)^2 + 1/(t2-t1) = 0, the last term spelled with b < a
     t1 = SparseLaurent.var(2, 0)
     t2 = SparseLaurent.var(2, 1)
-    a = BinomialFraction(t1 * t1 - t2 * t2).div_factor(factor_diff(0, 1)[0])
-    b = BinomialFraction(t1 + t2)
-    assert (a - b).finalize().is_zero()
-    c = BinomialFraction(t1 * t1 - SparseLaurent.const(2, 1)).div_factor(
-        factor_lin(0, Q(1)))
-    assert c.finalize() == t1 + SparseLaurent.const(2, 1)
-    d = BinomialFraction(t1.pow(2) - t2.pow(2)).div_factor(factor_sum(0, 1))
-    assert d.finalize() == t1 - t2
+    one = SparseLaurent.const(2, 1)
+    terms = [(t1, [(0, 1, 1), (0, 1, 1)]), (-t2, [(0, 1, 1), (0, 1, 1)]), (one, [(1, 0, 1)])]
+    assert sum_over_divisors(2, terms).is_zero()
+    cube = (t1 - t2).pow(3) + t1
+    # (t1-t2)^3/(t1-t2)^2 + t1/(t1-t2)^2 + t1/((t1-t2)(t2-t1)) = t1 - t2
+    assert sum_over_divisors(2, [(cube, [(0, 1, 1)] * 2), (t1, [(0, 1, 1), (1, 0, 1)])]) == t1 - t2
+
+
+def test_sum_over_divisors_sum_and_linear_divisors():
+    t1 = SparseLaurent.var(2, 0)
+    t2 = SparseLaurent.var(2, 1)
+    one = SparseLaurent.const(2, 1)
+    # v_a + v_b, in either spelling
+    assert sum_over_divisors(2, [(t1.pow(2) - t2.pow(2), [(0, 1, -1)])]) == t1 - t2
+    assert sum_over_divisors(2, [(t1.pow(2) - t2.pow(2), [(1, 0, -1)])]) == t1 - t2
+    # v_0 - 1: t1^2/(t1-1) - 1/(t1-1) = t1 + 1
+    assert sum_over_divisors(2, [(t1.pow(2), [(0, None, 1)]),
+                                 (-one, [(0, None, 1)])]) == t1 + one
+    # with no divisors it is a plain sum
+    assert sum_over_divisors(2, [(t1, []), (t2, [])]) == t1 + t2
+    assert sum_over_divisors(2, []).is_zero()
+
+
+@pytest.mark.parametrize("divisor,name", [((0, 1, 1), "v0 - v1"), ((0, 1, -1), "v0 \\+ v1"),
+                                          ((0, None, 1), "v0 - 1")])
+def test_sum_over_divisors_names_the_failing_divisor(divisor, name):
+    t1 = SparseLaurent.var(2, 0)
+    t2 = SparseLaurent.var(2, 1)
+    # t1 t2 + 1 vanishes on none of the three divisors
+    terms = [(t1 * t2, [divisor]), (SparseLaurent.const(2, 1), [divisor])]
+    with pytest.raises(ExactDivisionError, match=f"remainder dividing by {name}$"):
+        sum_over_divisors(2, terms)
 
 
 def test_laurent_symmetry_and_principal():

@@ -2,13 +2,13 @@
 
 import math
 from fractions import Fraction as Q
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from eocurves import hurwitz as hur
 from eocurves import oracles, report, shared
-from eocurves.errors import InvalidProfile, NonzeroResidue
+from eocurves.errors import ExactDivisionError, InvalidProfile, NonzeroResidue
 from eocurves.laurent import SparseLaurent
 from eocurves.report import RunConfig
 from eocurves.ratfunc import (RatFunc, UPoly, integrate_no_log, partial_fractions,
@@ -201,6 +201,36 @@ def test_recursion_residual_detects_paired_fault(monkeypatch, key):
     monkeypatch.setattr(hur, "free_energy",
                         lambda g, n: bad if (g, n) == (0, 4) else true_fe(g, n))
     assert not hur.fh_recursion_residual(0, 5).is_zero()
+
+
+def test_three_point_residual_detects_symmetric_fault(monkeypatch):
+    """A symmetric corruption of F(0,3) survives the sum over divisors.
+
+    The (0,3) residual adds terms that clear their denominators only
+    jointly; adding 1/7 to each t_i^2 t_j term of F(0,3) keeps it symmetric
+    and leaves a nonzero residual, not an error.
+    """
+    keys = [tuple(2 if s == i else 1 if s == j else 0 for s in range(3))
+            for i, j in permutations(range(3), 2)]
+    true_fe = hur.free_energy
+    bad = true_fe(0, 3) + SparseLaurent(3, {key: Q(1, 7) for key in keys})
+    assert bad.is_symmetric()
+    monkeypatch.setattr(hur, "free_energy",
+                        lambda g, n: bad if (g, n) == (0, 3) else true_fe(g, n))
+    assert len(hur.fh_recursion_residual(0, 3)) == 15
+
+
+def test_three_point_residual_rejects_wrong_two_point_input(monkeypatch):
+    # doubling the first term of d/dt_i F(0,2) leaves a sum that does not divide
+    true_df = hur._d_f02_extended
+
+    def doubled_first(*args):
+        (num, divisors), *rest = true_df(*args)
+        return [(num.scale(2), divisors), *rest]
+
+    monkeypatch.setattr(hur, "_d_f02_extended", doubled_first)
+    with pytest.raises(ExactDivisionError, match="remainder dividing by"):
+        hur.fh_recursion_residual(0, 3)
 
 
 def test_two_point_diagonal_formula():
