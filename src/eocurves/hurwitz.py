@@ -276,10 +276,11 @@ def _d_f02_extended(arity: int, i: int, j: int,
     -X_i / (t_i^2 (t_i - 1) (X_i - X_j)).  Returned as ``(numerator,
     divisors)`` terms for ``sum_over_divisors``.
     """
-    xkey = tuple((-2 if s == i else 0) + (1 if s == xoff + i else 0) for s in range(arity))
+    minus_inv_sq = SparseLaurent.var(arity, i, -2, -QONE)
     return [(SparseLaurent.var(arity, j) * SparseLaurent.var(arity, i, -1), [(i, j, 1)]),
-            (SparseLaurent.var(arity, i, -2, -QONE), []),
-            (SparseLaurent(arity, {xkey: -QONE}), [(xoff + i, xoff + j, 1), (i, None, 1)])]
+            (minus_inv_sq, []),
+            (minus_inv_sq * SparseLaurent.var(arity, xoff + i),
+             [(xoff + i, xoff + j, 1), (i, None, 1)])]
 
 
 def _f02_diagonal_second(arity: int, slot: int) -> SparseLaurent:
