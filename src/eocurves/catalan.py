@@ -154,7 +154,7 @@ def s_polynomial(f: RatFunc) -> UPoly:
     in_s = substitute_mobius(in_u, U_OF_S, "s")
     if not in_s.is_polynomial():
         raise ValueError("not a polynomial in s")
-    return in_s.num * (1 / in_s.den.coeffs[0])
+    return in_s.num * Q(in_s.den.den, in_s.den.num[0])
 
 
 # ---------------------------------------------------------------------------

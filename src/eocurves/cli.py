@@ -153,8 +153,9 @@ def main(argv: list[str] | None = None) -> int:
                     cache_path=args.cache,
                     tolerance=args.tolerance)
 
-    # the file is rewritten only if it is missing, lost an entry on import
-    # or would gain one
+    # the file is rewritten only after a run that passed, and only if it is
+    # missing, lost an entry on import or would gain one: a failed run may
+    # have computed its new entries from a forged one
     cache_file = Path(args.cache) if args.cache else None
     stale = True
     if cache_file and cache_file.exists():
@@ -163,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
 
     code = _dispatch(args, cfg)
 
-    if cache_file and (stale or memo_sizes() != sizes):
+    if cache_file and code == 0 and (stale or memo_sizes() != sizes):
         export_caches(cache_file)
     return code
 

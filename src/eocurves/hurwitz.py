@@ -258,7 +258,8 @@ def free_energy(g: int, n: int) -> SparseLaurent:
             term = SparseLaurent.const(n, c)
             for slot, k in enumerate(p):
                 xi = xi_polynomial(k)
-                term = term * SparseLaurent.in_slot(n, slot, dict(enumerate(xi.coeffs)))
+                # xi_k has integer coefficients, so den is 1
+                term = term * SparseLaurent.in_slot(n, slot, dict(enumerate(xi.num)))
             total = total + term
     _fe_memo[key] = total
     return total
@@ -454,7 +455,7 @@ def s_coefficient(m: int) -> UPoly:
         raise PathMismatch(f"S_{m}: assembled and recursive paths differ")
     if not assembled.is_polynomial():
         raise PathMismatch(f"S_{m} is not polynomial")
-    poly = assembled.num * (1 / assembled.den.coeffs[0])
+    poly = assembled.num * Q(assembled.den.den, assembled.den.num[0])
     if poly.degree() != 3 * m - 3:
         raise PathMismatch(f"S_{m} has degree {poly.degree()}, expected {3 * m - 3}")
     if poly.eval(QONE) != 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -298,9 +298,12 @@ class SparseLaurent:
 
     def permuted(self, perm: Sequence[int]) -> "SparseLaurent":
         """Relabel variables: new slot j carries old slot perm[j]."""
-        res = {tuple(k[perm[j]] for j in range(self.arity)): c
-               for k, c in self.num.items()}
-        return SparseLaurent._new(self.arity, res, self.den)
+        if self.arity < 2:
+            # the one relabelling there is; itemgetter of one index gives no tuple
+            return SparseLaurent._new(self.arity, dict(self.num), self.den)
+        key = itemgetter(*perm)
+        return SparseLaurent._new(self.arity, {key(k): c for k, c in self.num.items()},
+                                  self.den)
 
     def relabel(self, arity: int, key: Callable[[ExpVec], ExpVec]) -> "SparseLaurent":
         """Move each term to exponent ``key(k)`` in ``arity`` variables.

@@ -1,8 +1,11 @@
 """Univariate polynomials and reduced rational functions over the rationals.
 
-``UPoly`` is a dense coefficient list (low to high).  ``RatFunc`` keeps a
-coprime numerator/denominator pair with monic denominator, so equality is
-literal comparison of the variable name and the coefficients.
+``UPoly`` is a dense list of ``int`` numerators (low to high) over one
+``int`` denominator; every kernel works in integers, and the gcd runs the
+primitive remainder sequence (Brown 1971; Knuth, TAOCP vol. 2, 4.6.1).
+``RatFunc`` keeps a coprime numerator/denominator pair with monic
+denominator, so equality is literal comparison of the variable name and
+the two polynomials.
 Antiderivatives are computed by partial fractions over a declared set of
 linear factors only; a nonzero residue at a simple pole (which would
 produce a logarithm) is an error.
@@ -11,86 +14,102 @@ produce a logarithm) is an error.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DegenerateMap, NonzeroResidue, UnfactoredDenominator
-from .rationals import QONE, QZERO, over_common_denominator, qstr, parse_q
+from .rationals import QZERO, over_common_denominator, qstr, parse_q
 
 
 class UPoly:
-    """Dense univariate polynomial, coefficients low to high."""
+    """Dense univariate polynomial: ``num[i] / den`` is the coefficient of t^i.
 
-    __slots__ = ("coeffs",)
+    Canonical: no trailing zero numerator, ``den > 0`` coprime to the
+    numerators taken together, zero is ``([], 1)``; so equal values have
+    equal ``(den, num)``.  ``coeffs`` is a ``Fraction`` view built on demand.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = cs
+        # over the lcm of the reduced denominators the numerators are coprime to it
+        self.den, self.num = over_common_denominator(cs)
+
+    @classmethod
+    def from_ints(cls, num: list[int], den: int = 1) -> "UPoly":
+        """``num[i] / den`` low to high, for nonzero ``den``; the list is taken over."""
+        while num and not num[-1]:
+            num.pop()
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        p = object.__new__(cls)
+        p.num, p.den = (num, den) if g == 1 else ([c // g for c in num], den // g)
+        return p
 
     @classmethod
     def monomial(cls, n: int, c: Fraction | int = 1) -> "UPoly":
         return cls([0] * n + [Fraction(c)])
 
+    @property
+    def coeffs(self) -> list[Fraction]:
+        """``Fraction`` view of the coefficients, low to high (a new list)."""
+        den = self.den
+        return [Fraction(c, den) for c in self.num]
+
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        return hash((self.den, tuple(self.num)))
 
     def __repr__(self) -> str:
         return f"UPoly({[qstr(c) for c in self.coeffs]})"
 
     def __add__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [QZERO] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return UPoly(out)
+        d = lcm(self.den, other.den)
+        ua, ub = d // self.den, d // other.den
+        return UPoly.from_ints([a * ua + b * ub for a, b in
+                                zip_longest(self.num, other.num, fillvalue=0)], d)
 
     def __sub__(self, other: "UPoly") -> "UPoly":
         return self + (-other)
 
     def __neg__(self) -> "UPoly":
-        return UPoly([-c for c in self.coeffs])
+        return UPoly.from_ints([-c for c in self.num], self.den)
 
     def __mul__(self, other: "UPoly | Fraction | int") -> "UPoly":
         if isinstance(other, (Fraction, int)):
-            return self.scale(Fraction(other))
-        if not self.coeffs or not other.coeffs:
-            return UPoly()
-        # integer numerators over the common denominator da * db
-        da, ia = over_common_denominator(self.coeffs)
-        db, ib = over_common_denominator(other.coeffs)
+            return self.scale(other)
+        ia, ib = self.num, other.num
         out = [0] * (len(ia) + len(ib) - 1)
         for i, a in enumerate(ia):
             if a == 0:
                 continue
             for j, b in enumerate(ib):
                 out[i + j] += a * b
-        d = da * db
-        return UPoly([Fraction(v, d) for v in out])
+        return UPoly.from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def scale(self, c: Fraction) -> "UPoly":
+    def scale(self, c: Fraction | int) -> "UPoly":
         if c == 0:
             return UPoly()
-        return UPoly([a * c for a in self.coeffs])
+        return UPoly.from_ints([v * c.numerator for v in self.num], self.den * c.denominator)
 
     def pow(self, n: int) -> "UPoly":
         res = UPoly([1])
@@ -105,33 +124,42 @@ class UPoly:
 
     def valuation(self) -> int:
         """Exponent of the lowest nonzero term; -1 for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return -1
+        return next((i for i, c in enumerate(self.num) if c), -1)
 
     def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
+        """Quotient and remainder, by pseudo-division of the numerators."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.coeffs
-        dd = other.degree()
-        lead = dn[-1]
-        if len(rem) - 1 < dd:
-            return UPoly(), UPoly(rem)
+        a, b = self.num, other.num
+        dd = len(b) - 1
+        lead = b[-1]
+        if len(a) - 1 < dd:
+            return UPoly(), self
         if other.valuation() == dd:
-            # a monomial lead * t^dd: the quotient is a shifted scale
-            return UPoly([c / lead for c in rem[dd:]]), UPoly(rem[:dd])
-        quot = [QZERO] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
+            # a monomial lead/db * t^dd: the quotient is a shifted scale
+            return (UPoly.from_ints([c * other.den for c in a[dd:]], self.den * lead),
+                    UPoly.from_ints(a[:dd], self.den))
+        # self = a/da, other = b/db and s a = quot b + rem: self = (quot db other + rem)/(s da)
+        rem = list(a)
+        quot = [0] * (len(a) - dd)
+        s = 1
+        for i in range(len(a) - 1, dd - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            q = c / lead
-            quot[i - dd] = q
-            for j, b in enumerate(dn):
-                rem[i - dd + j] -= q * b
-        return UPoly(quot), UPoly(rem)
+            # scale by as little of lead as makes c divisible by it
+            up = abs(lead) // gcd(c, lead)
+            if up != 1:
+                s *= up
+                rem = [v * up for v in rem[:i]]
+                quot = [v * up for v in quot]
+                c *= up
+            quot[i - dd] = q = c // lead
+            for j in range(dd):
+                rem[i - dd + j] -= q * b[j]
+        d = self.den * s
+        return (UPoly.from_ints([v * other.den for v in quot], d),
+                UPoly.from_ints(rem[:dd], d))
 
     def __floordiv__(self, other: "UPoly") -> "UPoly":
         return self.divmod(other)[0]
@@ -140,47 +168,56 @@ class UPoly:
         return self.divmod(other)[1]
 
     def monic(self) -> "UPoly":
-        if not self.coeffs:
+        if not self.num or self.num[-1] == self.den:
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return UPoly([c / lead for c in self.coeffs])
+        return UPoly.from_ints(list(self.num), self.num[-1])
 
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic gcd (zero when both are zero).
 
         The power of t is split off first: with a = t^va a' and b = t^vb b'
         where t divides neither a' nor b', gcd(a, b) = t^min(va, vb)
-        gcd(a', b'), and Euclid runs only when neither a' nor b' is a
-        constant.
+        gcd(a', b'), and the remainder sequence runs only when neither a'
+        nor b' is a constant.  It is the primitive one: each remainder is
+        divided by its content (num over gcd(num)), and only the last is
+        made monic.
         """
         if self.is_zero() or other.is_zero():
             return (other if self.is_zero() else self).monic()
         va, vb = self.valuation(), other.valuation()
-        a, b = UPoly(self.coeffs[va:]), UPoly(other.coeffs[vb:])
+        a = UPoly.from_ints(self.num[va:], gcd(*self.num))
+        b = UPoly.from_ints(other.num[vb:], gcd(*other.num))
         if a.degree() == 0 or b.degree() == 0:
             return UPoly.monomial(min(va, vb))
         while not b.is_zero():
-            a, b = b, a % b
-        return UPoly([QZERO] * min(va, vb) + a.monic().coeffs)
+            r = (a % b).num
+            a, b = b, UPoly.from_ints(r, gcd(*r) or 1)
+        g = a.monic()
+        return UPoly.from_ints([0] * min(va, vb) + g.num, g.den)
 
     def diff(self) -> "UPoly":
-        return UPoly([c * i for i, c in enumerate(self.coeffs)][1:])
+        return UPoly.from_ints([c * i for i, c in enumerate(self.num)][1:], self.den)
 
     def integrate(self) -> "UPoly":
-        return UPoly([QZERO] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        # every new exponent i + 1 divides m, so c / (i + 1) = c (m / (i + 1)) / m
+        m = lcm(*range(1, len(self.num) + 1))
+        return UPoly.from_ints([0] + [c * (m // (i + 1)) for i, c in enumerate(self.num)],
+                               self.den * m)
 
-    def eval(self, x: Fraction) -> Fraction:
-        acc = QZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def eval(self, x: Fraction | int) -> Fraction:
+        # Horner on x = p/q in integers: after step i, acc / q^i is the partial value
+        p, q = x.numerator, x.denominator
+        acc = 0
+        for i, c in enumerate(reversed(self.num)):
+            acc = acc * p + c * q ** i
+        return Fraction(acc, self.den * q ** max(len(self.num) - 1, 0))
 
     def eval_float(self, x: float) -> float:
+        # int / int rounds correctly, exactly as float(Fraction) does
+        den = self.den
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in reversed(self.num):
+            acc = acc * x + c / den
         return acc
 
     def to_json(self) -> list[str]:
@@ -210,10 +247,9 @@ class RatFunc:
                 if g.degree() > 0:
                     num = num // g
                     den = den // g
-                lead = den.coeffs[-1]
-                if lead != 1:
-                    num = num.scale(1 / lead)
-                    den = den.scale(1 / lead)
+                if den.num[-1] != den.den:
+                    num = num.scale(Fraction(den.den, den.num[-1]))
+                    den = den.monic()
         self.num = num
         self.den = den
         self.var = var
@@ -349,11 +385,11 @@ def substitute_mobius(f: RatFunc, coeffs: tuple[Fraction, Fraction, Fraction, Fr
 
     def homogenize(p: UPoly) -> UPoly:
         acc = UPoly()
-        for i, coeff in enumerate(p.coeffs):
-            if coeff == 0:
+        for i, c in enumerate(p.num):
+            if c == 0:
                 continue
-            acc = acc + up_pows[i] * dn_pows[m - i] * coeff
-        return acc
+            acc = acc + up_pows[i] * dn_pows[m - i] * c
+        return acc.scale(Fraction(1, p.den))
 
     num = homogenize(f.num)
     den = homogenize(f.den)
@@ -368,7 +404,6 @@ def partial_fractions(f: RatFunc, roots: Sequence[Fraction]
     given roots, otherwise UnfactoredDenominator is raised.
     """
     num, den = f.num, f.den
-    lead = den.coeffs[-1] if den.coeffs else QONE
     mults: dict[Fraction, int] = {}
     rest = den
     for r in roots:
@@ -383,7 +418,7 @@ def partial_fractions(f: RatFunc, roots: Sequence[Fraction]
     if rest.degree() != 0:
         raise UnfactoredDenominator(
             f"denominator factor of degree {rest.degree()} outside declared roots")
-    num = num.scale(1 / rest.coeffs[0])
+    num = num.scale(Fraction(rest.den, rest.num[0]))
 
     parts: dict[Fraction, dict[int, Fraction]] = {}
     den_left = UPoly([1])
@@ -425,14 +460,14 @@ def even_part(f: RatFunc, new_var: str = "u") -> RatFunc:
     """Rewrite an even rational function of x as a function of u = x^2."""
     # f(x) = N(x) D(-x) / (D(x) D(-x)); both products must be even.
     def negate(p: UPoly) -> UPoly:
-        return UPoly([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])
+        return UPoly.from_ints([c if i % 2 == 0 else -c for i, c in enumerate(p.num)], p.den)
 
     num = f.num * negate(f.den)
     den = f.den * negate(f.den)
 
     def squeeze(p: UPoly) -> UPoly:
-        if any(c != 0 for c in p.coeffs[1::2]):
+        if any(p.num[1::2]):
             raise ValueError("function is not even")
-        return UPoly(p.coeffs[0::2])
+        return UPoly.from_ints(p.num[0::2], p.den)
 
     return RatFunc(squeeze(num), squeeze(den), new_var)

@@ -198,17 +198,35 @@ def test_poisoned_count_fails_only_the_laplace_probe(tmp_path, capsys, monkeypat
     # a whole number for a valid profile passes import (C_{1,1}(4) is 1);
     # the catalan-laplace probe, which reads the memo, is what sees it.  The
     # counts the probe computes from the forged one are wrong too, hence
-    # 4.86e-01 here against 4.83e-01 for the forged entry alone.
+    # 4.86e-01 here against 4.83e-01 for the forged entry alone.  The failed
+    # run exports nothing, so they do not reach the file.
     monkeypatch.setattr(cat, "_count_memo", {})
     monkeypatch.setattr(hur, "_h_memo", {})
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"catalan": {"1,1,4": "2"}}))
+    forged = path.read_bytes()
     code, out = run_cli(capsys, "--cache", str(path), "verify", "--suite", "catalan",
                         "--format", "json")
     assert code == 1
     failed = {c["check_id"]: c["residual"] for c in json.loads(out)["checks"]
               if c["status"] != "pass"}
     assert failed == {"catalan-laplace": "max relative error 4.86e-01 at (1,1)"}
+    assert path.read_bytes() == forged
+
+
+def test_passing_cold_run_writes_the_cache(tmp_path, capsys, monkeypatch):
+    # the same run from no file and empty memos passes and exports what it
+    # computed, the true counts among it
+    monkeypatch.setattr(cat, "_count_memo", {})
+    monkeypatch.setattr(hur, "_h_memo", {})
+    path = tmp_path / "c.json"
+    exports = _count_exports(monkeypatch)
+    code, out = run_cli(capsys, "--cache", str(path), "verify", "--suite", "catalan",
+                        "--format", "json")
+    assert code == 0 and json.loads(out)["overall"] == "pass"
+    assert exports == [path]
+    counts = json.loads(path.read_text())["catalan"]
+    assert (counts["1,1,4"], counts["1,1,6"], counts["1,1,8"]) == ("1", "10", "70")
 
 
 def test_csv_report_parses_back(capsys, monkeypatch):

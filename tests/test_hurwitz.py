@@ -79,6 +79,7 @@ def test_xi_polynomials():
     assert hur.xi_polynomial(2).coeffs == [Q(0), Q(0), Q(0), Q(2), Q(-5), Q(3)]
     for k in range(7):
         assert hur.xi_polynomial(k).degree() == 2 * k + 1
+        assert hur.xi_polynomial(k).den == 1  # free_energy reads the numerators
         assert hur.xi_polynomial(k).eval(Q(1)) == 0
 
 

@@ -2,9 +2,10 @@
 
 ``UPoly.gcd``/``divmod``, ``RatFunc`` normalisation, ``substitute_mobius``,
 ``partial_fractions`` and ``integrate_no_log`` are checked against sympy
-(``sympy.apart`` for the last two); every ``SparseLaurent`` kernel against a
-plain Fraction-by-Fraction loop, including the order of its terms (float
-evaluation sums the terms in that order).
+(``sympy.apart`` for the last two); the other ``UPoly`` kernels and every
+``SparseLaurent`` kernel against a plain Fraction-by-Fraction loop, for
+``SparseLaurent`` including the order of its terms (float evaluation sums
+the terms in that order).
 """
 
 import itertools
@@ -85,6 +86,104 @@ def test_divmod_matches_sympy(a, b):
 def test_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
         UPoly([1, 2]).divmod(UPoly())
+
+
+# leading coefficients that are neither 1 nor integers, such as 3/7
+fractional = st.fractions(-20, 20, max_denominator=12).filter(lambda c: c.denominator > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(upolys(max_len=7), fractional, st.lists(rationals, max_size=3))
+def test_divmod_by_fractional_lead_matches_sympy(a, lead, lower):
+    b = UPoly(lower + [0] * (3 - len(lower)) + [lead])
+    q, r = a.divmod(b)
+    sq, sr = to_sympy(a).div(to_sympy(b))
+    assert (q, r) == (from_sympy(sq), from_sympy(sr))
+    # 3/7 t^2 + 1/2 t - 5/3 against a quartic with an integer lead
+    a, b = UPoly([1, Q(-2, 5), 0, 4, 7]), UPoly([Q(-5, 3), Q(1, 2), Q(3, 7)])
+    sq, sr = to_sympy(a).div(to_sympy(b))
+    assert a.divmod(b) == (from_sympy(sq), from_sympy(sr))
+
+
+def assert_upoly_canonical(p: UPoly) -> None:
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.num)
+    assert gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    if p.is_zero():
+        assert (p.num, p.den) == ([], 1)
+
+
+def ref_upoly_plus(a: list, b: list, sign: int) -> list:
+    out = [Q(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += sign * c
+    return out
+
+
+def ref_upoly_mul(a: list, b: list) -> list:
+    out = [Q(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def check_upoly(got: UPoly, want: list) -> None:
+    """The reference coefficients, trailing zeros dropped, in canonical form."""
+    assert_upoly_canonical(got)
+    while want and want[-1] == 0:
+        want = want[:-1]
+    assert got.coeffs == want
+    assert all(type(c) is Q for c in got.coeffs)
+
+
+@settings(max_examples=80)
+@given(upolys(max_len=6), upolys(max_len=6), rationals,
+       st.sampled_from([Q(0), Q(1), Q(-1), Q(3), Q(-2, 3), Q(5, 7)]))
+def test_upoly_kernels_match_fraction_loops(a, b, c, x):
+    ca, cb = a.coeffs, b.coeffs
+    check_upoly(a + b, ref_upoly_plus(ca, cb, 1))
+    check_upoly(a - b, ref_upoly_plus(ca, cb, -1))
+    check_upoly(-a, [-v for v in ca])
+    check_upoly(a * b, ref_upoly_mul(ca, cb))
+    check_upoly(a.scale(c), [v * c for v in ca])
+    check_upoly(a * c, [v * c for v in ca])
+    check_upoly(a.diff(), [v * i for i, v in enumerate(ca)][1:])
+    check_upoly(a.integrate(), [Q(0)] + [v / (i + 1) for i, v in enumerate(ca)])
+    check_upoly(a.monic(), [v / ca[-1] for v in ca] if ca else [])
+    acc = Q(0)
+    for v in reversed(ca):
+        acc = acc * x + v
+    assert a.eval(x) == acc and type(a.eval(x)) is Q
+
+
+@settings(max_examples=60)
+@given(upolys(), upolys(), nonzero)
+def test_upoly_equal_values_compare_and_hash_equal(a, b, c):
+    routes = [(a + b) - b, -(-a), a.scale(c).scale(1 / c), a * UPoly([1]),
+              UPoly(a.coeffs), UPoly.from_json(a.to_json()),
+              UPoly.from_ints([v * 6 for v in a.num] + [0, 0], -6 * a.den).scale(Q(-1))]
+    for p in routes:
+        assert_upoly_canonical(p)
+        assert p == a and hash(p) == hash(a)
+    assert_upoly_canonical(a - a)
+    assert ((a + b) == a) == b.is_zero()
+    # the view is a copy: writing to it leaves the polynomial as it was
+    view = a.coeffs
+    view.append(Q(1))
+    assert a.coeffs == view[:-1]
+
+
+@settings(max_examples=60)
+@given(upolys(max_len=6), st.sampled_from([0.5, -1.25, 0.3, 3.0, -0.7, 1e-3, 17.0]))
+def test_upoly_float_eval_matches_fraction_horner(p, x):
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    assert float.hex(p.eval_float(x)) == float.hex(acc)
 
 
 # -- RatFunc ------------------------------------------------------------------
@@ -416,6 +515,17 @@ def test_laurent_relabelling_matches_fraction_loops(fi, data):
     check(f.relabel(n + 1, lambda k: k + (k[i],)), ref_relabel(f.terms, lambda k: k + (k[i],)))
     assert f.is_symmetric() == all(
         f.permuted(p) == f for p in itertools.permutations(range(n)))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(laurent_polys(n), st.permutations(range(n)))))
+def test_laurent_permuted_matches_plain_loop(fp):
+    f, perm = fp
+    want = {}
+    for k, c in f.terms.items():
+        want[tuple(k[perm[j]] for j in range(f.arity))] = c
+    check(f.permuted(perm), want)
 
 
 @settings(max_examples=60)
