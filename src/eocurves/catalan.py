@@ -29,6 +29,7 @@ from .shared import (
     is_stable,
     sorted_key as _sorted_key,
     stable_splits,
+    submultisets,
 )
 from .shared import principal_ratfunc, stable_levels  # public in both models
 
@@ -44,7 +45,9 @@ _count_memo: dict[tuple[int, tuple[int, ...]], int] = {}
 def _count(g: int, mu: tuple[int, ...]) -> int:
     """Arrowed cellular-graph count for sorted mu; pure recursion, memoized."""
     key = (g, mu)
-    cached = _count_memo.get(key)
+    # memo hits are read inline; a miss (or a stored zero) makes the call
+    get = _count_memo.get
+    cached = get(key)
     if cached is not None:
         return cached
     if g < 0:
@@ -59,27 +62,28 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
     # shrink the arrowed edge joining vertex 1 to another vertex
     for j, mj in enumerate(rest):
         merged = _sorted_key(rest[:j] + rest[j + 1:] + (mu1 + mj - 2,))
-        total += mj * _count(g, merged)
-    # shrink an arrowed loop at vertex 1, splitting it in two; the labeled
-    # splits of the other vertices, with the parity of the left degree sum
-    nrest = len(rest)
-    splits = []
-    for mask in range(1 << nrest):
-        left = tuple(rest[i] for i in range(nrest) if mask >> i & 1)
-        right = tuple(rest[i] for i in range(nrest) if not mask >> i & 1)
-        splits.append((left, right, sum(left) % 2))
-    for a in range(mu1 - 1):
+        total += mj * (get((g, merged)) or _count(g, merged))
+    # shrink an arrowed loop at vertex 1 into loops of degrees a and
+    # b = mu1 - 2 - a, splitting the other vertices between them.  Swapping
+    # a with b, each split with its complement and g1 with g - g1 gives the
+    # same term (the parity test agrees as |mu| is even), so a stops at b
+    # and a term with a < b counts twice.
+    splits = [(left, right, ways, sum(left) % 2)
+              for left, right, ways in submultisets(rest)]
+    for a in range(mu1 // 2):
         b = mu1 - 2 - a
-        total += _count(g - 1, _sorted_key((a, b) + rest))
-        for left, right, parity in splits:
+        drop = (g - 1, _sorted_key((a, b) + rest))
+        term = get(drop) or _count(*drop)
+        for left, right, ways, parity in splits:
             if (a + parity) % 2:
                 continue  # both sides have an odd degree sum
             ka = _sorted_key((a,) + left)
             kb = _sorted_key((b,) + right)
             for g1 in range(g + 1):
-                ca = _count(g1, ka)
+                ca = get((g1, ka)) or _count(g1, ka)
                 if ca:
-                    total += ca * _count(g - g1, kb)
+                    term += ways * ca * (get((g - g1, kb)) or _count(g - g1, kb))
+        total += term if a == b else 2 * term
 
     _count_memo[key] = total
     return total

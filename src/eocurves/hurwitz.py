@@ -37,6 +37,7 @@ from .shared import (
     diagonal_mixed,
     sorted_key as _sorted_key,
     stable_splits,
+    submultisets,
 )
 from .shared import principal_ratfunc, stable_levels  # public in both models
 
@@ -58,28 +59,12 @@ def _scale(g: int, mu: Sequence[int]) -> int:
     return factorial(2 * g - 2 + len(mu) + d) * factorial(d)
 
 
-def _submultisets(rest: tuple[int, ...]):
-    """(sub, complement, labeled ways) over sub-multisets of a sorted tuple."""
-    groups: list[tuple[int, int]] = []
-    for v in sorted(set(rest), reverse=True):
-        groups.append((v, rest.count(v)))
-
-    def rec(i: int, taken: tuple[int, ...], left: tuple[int, ...], ways: int):
-        if i == len(groups):
-            yield taken, left, ways
-            return
-        v, m = groups[i]
-        for k in range(m + 1):
-            yield from rec(i + 1, taken + (v,) * k, left + (v,) * (m - k),
-                           ways * comb(m, k))
-
-    yield from rec(0, (), (), 1)
-
-
 def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
     """N_g(mu) for sorted mu: cut-and-join r H = join + cut, times (r-1)! d!."""
     key = (g, mu)
-    cached = _h_memo.get(key)
+    # memo hits are read inline; a miss (or a stored zero) makes the call
+    get = _h_memo.get
+    cached = get(key)
     if cached is not None:
         return cached
     if g < 0:
@@ -103,30 +88,35 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
             merged.remove(a)
             merged.remove(b)
             merged.append(a + b)
-            twice += twice_pairs * (a + b) * _hurwitz(g, _sorted_key(merged))
+            joined = _sorted_key(merged)
+            twice += twice_pairs * (a + b) * (get((g, joined)) or _hurwitz(g, joined))
     # cut one pole in two: a genus drop carries N over; a split into
-    # (g1, d1) and (g - g1, d - d1) shares out r - 1 branch points and d sheets
+    # (g1, d1) and (g - g1, d - d1) shares out r - 1 branch points and d sheets.
+    # Swapping alpha with beta = v - alpha, each split with its complement and
+    # g1 with g - g1 gives the same term (r1 + r2 = r - 1, d1 + d2 = d), so
+    # alpha stops at beta and a term with alpha < beta counts twice.
     for v in values:
         rest = list(mu)
         rest.remove(v)
         rest_t = tuple(rest)
-        splits = list(_submultisets(rest_t))
+        splits = submultisets(rest_t)
         cut = 0
-        for alpha in range(1, v):
+        for alpha in range(1, v // 2 + 1):
             beta = v - alpha
-            term = _hurwitz(g - 1, _sorted_key(rest_t + (alpha, beta)))
+            drop = (g - 1, _sorted_key(rest_t + (alpha, beta)))
+            term = get(drop) or _hurwitz(*drop)
             for sub, left, ways in splits:
                 ka = _sorted_key(sub + (alpha,))
                 kb = _sorted_key(left + (beta,))
                 d1 = sum(ka)
                 for g1 in range(g + 1):
-                    na = _hurwitz(g1, ka)
+                    na = get((g1, ka)) or _hurwitz(g1, ka)
                     if na:
-                        nb = _hurwitz(g - g1, kb)
+                        nb = get((g - g1, kb)) or _hurwitz(g - g1, kb)
                         if nb:
                             r1 = 2 * g1 - 2 + len(ka) + d1
                             term += ways * comb(r - 1, r1) * comb(d, d1) * na * nb
-            cut += alpha * beta * term
+            cut += alpha * beta * (term if alpha == beta else 2 * term)
         twice += mult[v] * cut
 
     result, odd = divmod(twice, 2)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from operator import neg
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -41,6 +41,17 @@ class CurveSymbol(NamedTuple):
 def sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
     """A profile as the memo keys it: sorted, largest part first."""
     return tuple(sorted(entries, reverse=True))
+
+
+def submultisets(rest: tuple[int, ...]
+                 ) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(sub, complement, labeled ways) over sub-multisets of a sorted tuple."""
+    splits = [((), (), 1)]
+    for v in sorted(set(rest), reverse=True):
+        m = rest.count(v)
+        splits = [(sub + (v,) * k, left + (v,) * (m - k), ways * comb(m, k))
+                  for sub, left, ways in splits for k in range(m + 1)]
+    return splits
 
 
 def is_stable(g: int, n: int) -> bool:

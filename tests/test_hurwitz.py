@@ -34,9 +34,12 @@ def test_base_values():
 
 def test_against_monodromy_oracle():
     # (2, 2) and (2, 1, 1) repeat a part, so the split term's labeled ways
-    # and binomial weights are checked against the permutation count too
+    # and binomial weights are checked against the permutation count too;
+    # the genus-1 cuts of 3 and 4 take both a doubled alpha < beta term and
+    # the alpha = beta one
     for g, mu in [(0, (3,)), (0, (1, 1)), (0, (2,)), (1, (2,)), (0, (1, 1, 1)),
-                  (0, (2, 1)), (1, (1, 1)), (0, (4,)), (0, (2, 2)), (0, (2, 1, 1))]:
+                  (0, (2, 1)), (1, (1, 1)), (0, (4,)), (0, (2, 2)), (0, (2, 1, 1)),
+                  (1, (3,)), (1, (2, 1)), (1, (4,))]:
         got = hur.hurwitz_number(g, len(mu), list(mu))
         assert got == oracles.hurwitz_by_factorizations(g, mu), (g, mu)
 
