@@ -1,5 +1,6 @@
 """Counts against the benchmark's whole pinned count table."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,15 +12,18 @@ from eocurves import hurwitz as hur
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "count-table.json"
 
 # model -> (count function, memo, entries the box's recursion leaves in the
-# memo); g <= 2, n <= 3 and |mu| <= 20 (Catalan) or 14 (Hurwitz) throughout,
-# as pinned.  The memo closure does not depend on the query order.
-BOX = {"catalan": (cat.catalan_count, cat._count_memo, 929),
-       "hurwitz": (hur.hurwitz_number, hur._h_memo, 708)}
+# memo, SHA-256 of their sorted items); g <= 2, n <= 3 and |mu| <= 20
+# (Catalan) or 14 (Hurwitz) throughout, as pinned.  The memo closure does
+# not depend on the query order.
+BOX = {"catalan": (cat.catalan_count, cat._count_memo, 929,
+                   "49d28260f6292864b42cc2e1b01faa6574d295b888b128a84c506c586fc59fd3"),
+       "hurwitz": (hur.hurwitz_number, hur._h_memo, 708,
+                   "f52a9a39b65d948054449892267c4524cf9ff8d6302079050fd63b2b15a46e5c")}
 
 
 @pytest.mark.parametrize("model", sorted(BOX))
 def test_counts_match_pinned_table(model):
-    count, memo, closure = BOX[model]
+    count, memo, closure, digest = BOX[model]
     pinned = {}
     for key, value in json.loads(GOLDEN.read_text()).items():
         name, g, mu = key.split(":")
@@ -32,3 +36,5 @@ def test_counts_match_pinned_table(model):
     for g, mu in sorted(pinned, key=lambda k: (sum(k[1]), k)):
         assert str(count(g, len(mu), mu)) == pinned[g, mu], (model, g, mu)
     assert len(memo) == closure
+    # every by-product key and value, not only the queried ones
+    assert hashlib.sha256(repr(sorted(memo.items())).encode()).hexdigest() == digest
