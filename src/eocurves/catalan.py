@@ -45,7 +45,9 @@ _count_memo: dict[tuple[int, tuple[int, ...]], int] = {}
 def _count(g: int, mu: tuple[int, ...]) -> int:
     """Arrowed cellular-graph count for sorted mu; pure recursion, memoized."""
     key = (g, mu)
-    # memo hits are read inline; a miss (or a stored zero) makes the call
+    # sub-memo hits, stored zeros included, are read inline; the loops below
+    # ask only for profiles with even |mu|, no zero part and g >= 0, so the
+    # only calls are for entries the memo does not hold yet
     get = _count_memo.get
     cached = get(key)
     if cached is not None:
@@ -58,31 +60,59 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
         return 0
 
     mu1, rest = mu[0], mu[1:]
+    if mu1 == 1:
+        # every degree is 1: one edge joins two vertices, or nothing does
+        _count_memo[key] = total = int(key == (0, (1, 1)))
+        return total
     total = 0
     # shrink the arrowed edge joining vertex 1 to another vertex
     for j, mj in enumerate(rest):
-        merged = _sorted_key(rest[:j] + rest[j + 1:] + (mu1 + mj - 2,))
-        total += mj * (get((g, merged)) or _count(g, merged))
+        merged = (g, _sorted_key(rest[:j] + rest[j + 1:] + (mu1 + mj - 2,)))
+        c = get(merged)
+        if c is None:
+            c = _count(*merged)
+        total += mj * c
     # shrink an arrowed loop at vertex 1 into loops of degrees a and
     # b = mu1 - 2 - a, splitting the other vertices between them.  Swapping
     # a with b, each split with its complement and g1 with g - g1 gives the
     # same term (the parity test agrees as |mu| is even), so a stops at b
     # and a term with a < b counts twice.
-    splits = [(left, right, ways, sum(left) % 2)
-              for left, right, ways in submultisets(rest)]
-    for a in range(mu1 // 2):
+    # At a = 0 the genus drop has a zero part, and C_g1((0) + L) is 1 only
+    # for g1 = 0, L = (), so the term is C_g((mu1 - 2) + rest); for mu1 = 2
+    # (a = b = 0) that is C_g((0) + rest), which is 1 only for C_0((2)).
+    if mu1 == 2:
+        total += int(key == (0, (2,)))
+    else:
+        k0 = (g, _sorted_key((mu1 - 2,) + rest))
+        c = get(k0)
+        if c is None:
+            c = _count(*k0)
+        total += 2 * c
+    if mu1 >= 4:
+        # the splits of the other vertices, by the parity of the left sum
+        by_parity = ([], [])
+        for split in submultisets(rest):
+            by_parity[sum(split[0]) % 2].append(split)
+    for a in range(1, mu1 // 2):
         b = mu1 - 2 - a
-        drop = (g - 1, _sorted_key((a, b) + rest))
-        term = get(drop) or _count(*drop)
-        for left, right, ways, parity in splits:
-            if (a + parity) % 2:
-                continue  # both sides have an odd degree sum
+        term = 0
+        if g:
+            drop = (g - 1, _sorted_key((a, b) + rest))
+            term = get(drop)
+            if term is None:
+                term = _count(*drop)
+        for left, right, ways in by_parity[a % 2]:  # both sides' sums even
             ka = _sorted_key((a,) + left)
             kb = _sorted_key((b,) + right)
             for g1 in range(g + 1):
-                ca = get((g1, ka)) or _count(g1, ka)
+                ca = get((g1, ka))
+                if ca is None:
+                    ca = _count(g1, ka)
                 if ca:
-                    term += ways * ca * (get((g - g1, kb)) or _count(g - g1, kb))
+                    cb = get((g - g1, kb))
+                    if cb is None:
+                        cb = _count(g - g1, kb)
+                    term += ways * ca * cb
         total += term if a == b else 2 * term
 
     _count_memo[key] = total

@@ -19,6 +19,7 @@ from . import hurwitz as hur
 from . import schur
 from . import wkb
 from .cache import cache_dir, export_caches, import_caches, memo_sizes
+from .errors import InvalidProfile
 from .rationals import qstr
 from .report import Report, RunConfig, run_checks, run_suite, SUITES, CheckRecord
 
@@ -162,7 +163,15 @@ def main(argv: list[str] | None = None) -> int:
         stale = import_caches(cache_file)["rejected"] > 0
     sizes = memo_sizes()
 
-    code = _dispatch(args, cfg)
+    try:
+        code = _dispatch(args, cfg)
+    except (InvalidProfile, RecursionError) as exc:
+        # a bad or too large profile is a usage error, reported on one line
+        reason = "too large for the recursion" if isinstance(exc, RecursionError) else exc
+        profile = ", ".join(f"{k}={v}" for k, v in cfg.params.items())
+        print(f"eo: error: {cfg.command} {cfg.subcommand} ({profile}): {reason}",
+              file=sys.stderr)
+        return 2
 
     if cache_file and code == 0 and (stale or memo_sizes() != sizes):
         export_caches(cache_file)

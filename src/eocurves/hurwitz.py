@@ -62,7 +62,9 @@ def _scale(g: int, mu: Sequence[int]) -> int:
 def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
     """N_g(mu) for sorted mu: cut-and-join r H = join + cut, times (r-1)! d!."""
     key = (g, mu)
-    # memo hits are read inline; a miss (or a stored zero) makes the call
+    # sub-memo hits, stored zeros included, are read inline; the loops below
+    # ask only for g >= 0 and r >= 1, apart from N_0((1)) = 1, so the only
+    # calls are for entries the memo does not hold yet
     get = _h_memo.get
     cached = get(key)
     if cached is not None:
@@ -88,34 +90,48 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
             merged.remove(a)
             merged.remove(b)
             merged.append(a + b)
-            joined = _sorted_key(merged)
-            twice += twice_pairs * (a + b) * (get((g, joined)) or _hurwitz(g, joined))
+            joined = (g, _sorted_key(merged))
+            nj = get(joined)
+            if nj is None:
+                nj = _hurwitz(*joined)
+            twice += twice_pairs * (a + b) * nj
     # cut one pole in two: a genus drop carries N over; a split into
     # (g1, d1) and (g - g1, d - d1) shares out r - 1 branch points and d sheets.
     # Swapping alpha with beta = v - alpha, each split with its complement and
     # g1 with g - g1 gives the same term (r1 + r2 = r - 1, d1 + d2 = d), so
     # alpha stops at beta and a term with alpha < beta counts twice.
+    shares = [comb(r - 1, r1) for r1 in range(r)]
     for v in values:
-        rest = list(mu)
-        rest.remove(v)
-        rest_t = tuple(rest)
-        splits = submultisets(rest_t)
+        if v == 1:
+            break  # a pole of order 1 is not cut
+        i = mu.index(v)
+        rest = mu[:i] + mu[i + 1:]
+        splits = submultisets(rest)
         cut = 0
         for alpha in range(1, v // 2 + 1):
             beta = v - alpha
-            drop = (g - 1, _sorted_key(rest_t + (alpha, beta)))
-            term = get(drop) or _hurwitz(*drop)
+            term = 0
+            if g:
+                drop = (g - 1, _sorted_key(rest + (alpha, beta)))
+                term = get(drop)
+                if term is None:
+                    term = _hurwitz(*drop)
             for sub, left, ways in splits:
                 ka = _sorted_key(sub + (alpha,))
                 kb = _sorted_key(left + (beta,))
                 d1 = sum(ka)
+                weight = ways * comb(d, d1)
+                r1 = len(ka) + d1 - 2  # at g1 = 0; each genus adds 2
                 for g1 in range(g + 1):
-                    na = get((g1, ka)) or _hurwitz(g1, ka)
+                    na = get((g1, ka))
+                    if na is None:
+                        na = 1 if (g1, ka) == (0, (1,)) else _hurwitz(g1, ka)
                     if na:
-                        nb = get((g - g1, kb)) or _hurwitz(g - g1, kb)
+                        nb = get((g - g1, kb))
+                        if nb is None:
+                            nb = 1 if (g - g1, kb) == (0, (1,)) else _hurwitz(g - g1, kb)
                         if nb:
-                            r1 = 2 * g1 - 2 + len(ka) + d1
-                            term += ways * comb(r - 1, r1) * comb(d, d1) * na * nb
+                            term += weight * shares[r1 + 2 * g1] * na * nb
             cut += alpha * beta * (term if alpha == beta else 2 * term)
         twice += mult[v] * cut
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from operator import neg
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -43,15 +44,20 @@ def sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(entries, reverse=True))
 
 
+@cache
 def submultisets(rest: tuple[int, ...]
-                 ) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """(sub, complement, labeled ways) over sub-multisets of a sorted tuple."""
+                 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """(sub, complement, labeled ways) over sub-multisets of a sorted tuple.
+
+    Memoized: both count recursions ask it again and again for the same
+    profile, and every caller shares the one immutable result.
+    """
     splits = [((), (), 1)]
     for v in sorted(set(rest), reverse=True):
         m = rest.count(v)
         splits = [(sub + (v,) * k, left + (v,) * (m - k), ways * comb(m, k))
                   for sub, left, ways in splits for k in range(m + 1)]
-    return splits
+    return tuple(splits)
 
 
 def is_stable(g: int, n: int) -> bool:

@@ -76,6 +76,18 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("n, mu, reason", [
+    ("2", "3", "need n >= 1 vertices, got n=2, mu=(3,)"),
+    ("1", "2400", "too large for the recursion"),
+])
+def test_count_errors_are_one_usage_line(capsys, n, mu, reason):
+    code = main(["catalan", "count", "--g", "0", "--n", n, "--mu", mu])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"eo: error: catalan count (g=0, mu=[{mu}], n={n}): {reason}"]
+
+
 def _strip_times(report_dict):
     for c in report_dict["checks"]:
         c.pop("wall_time")

@@ -1,13 +1,18 @@
-"""Counts against the benchmark's whole pinned count table."""
+"""Counts against the benchmark's whole pinned count table, and their splits."""
 
 import hashlib
 import json
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eocurves import catalan as cat
 from eocurves import hurwitz as hur
+from eocurves.shared import submultisets
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "count-table.json"
 
@@ -38,3 +43,18 @@ def test_counts_match_pinned_table(model):
     assert len(memo) == closure
     # every by-product key and value, not only the queried ones
     assert hashlib.sha256(repr(sorted(memo.items())).encode()).hexdigest() == digest
+
+
+@given(st.lists(st.integers(1, 4), max_size=6).map(lambda v: tuple(sorted(v, reverse=True))))
+def test_submultisets_group_the_index_subsets(rest):
+    splits = submultisets(rest)
+    assert isinstance(splits, tuple)
+    assert all(isinstance(part, tuple) for split in splits for part in split[:2])
+    # each sub-multiset once, weighted by the index subsets that give it
+    subsets = Counter()
+    for size in range(len(rest) + 1):
+        for picked in combinations(range(len(rest)), size):
+            sub = tuple(rest[i] for i in picked)
+            subsets[sub, tuple(v for i, v in enumerate(rest) if i not in picked)] += 1
+    assert len(splits) == len(subsets)
+    assert {(sub, left): ways for sub, left, ways in splits} == dict(subsets)
