@@ -153,3 +153,29 @@ def test_cutjoin_is_linear_and_weight_preserving():
         out = schur.cutjoin_apply(f)
         for lam in out.terms:
             assert any(sum(lam) == sum(src) for src in f.terms)
+
+
+def test_tau_and_heat_see_one_wrong_hurwitz_number(monkeypatch):
+    from eocurves import report
+    true_number = schur.hurwitz_number
+
+    def wrong(g, n, mu):
+        h = true_number(g, n, mu)
+        return h + Q(1, 7) if (g, tuple(mu)) == (1, (2, 1)) else h
+
+    monkeypatch.setattr(schur, "hurwitz_number", wrong)
+    assert not schur.tau_expansion_residual(6, 6).is_zero()
+    assert not schur.heat_consistency_residual(6, 6).is_zero()
+    assert report.check_schur_tau(report.RunConfig())[0] is False
+
+
+def test_cauchy_sees_one_wrong_character(monkeypatch):
+    true_character = schur.character
+
+    def wrong(mu, lam):
+        chi = true_character(mu, lam)
+        return chi + 1 if (tuple(mu), tuple(lam)) == ((2, 1), (2, 1)) else chi
+
+    monkeypatch.setattr(schur, "_char_memo", {})
+    monkeypatch.setattr(schur, "character", wrong)
+    assert not schur.cauchy_residual(5).is_zero()
