@@ -18,8 +18,8 @@ from . import catalan as cat
 from . import hurwitz as hur
 from . import schur
 from . import wkb
-from .cache import cache_dir, export_caches, import_caches, memo_sizes
-from .errors import InvalidProfile
+from .cache import MAX_BRANCH_POINTS, cache_dir, export_caches, import_caches, memo_sizes
+from .errors import InvalidProfile, SizeMismatch
 from .rationals import qstr
 from .report import Report, RunConfig, run_checks, run_suite, SUITES, CheckRecord
 
@@ -31,6 +31,13 @@ def _mu_list(text: str) -> list[int]:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad profile {text!r}") from exc
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -102,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_schur = sub.add_parser("schur", help="symmetric-function identities", parents=[common])
     schur_sub = p_schur.add_subparsers(dest="subcommand", required=True)
     p = schur_sub.add_parser("verify", help="graded identity checks", parents=[common])
-    p.add_argument("--max-weight", type=int, default=6)
-    p.add_argument("--s-order", type=int, default=6)
+    p.add_argument("--max-weight", type=_nonnegative, default=6)
+    p.add_argument("--s-order", type=_nonnegative, default=6)
     p = schur_sub.add_parser("character", help="irreducible character value", parents=[common])
     p.add_argument("--mu", type=_mu_list, required=True)
     p.add_argument("--lambda", dest="lam", type=_mu_list, required=True)
@@ -165,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         code = _dispatch(args, cfg)
-    except (InvalidProfile, RecursionError) as exc:
+    except (InvalidProfile, SizeMismatch, RecursionError) as exc:
         # a bad or too large profile is a usage error, reported on one line
         reason = "too large for the recursion" if isinstance(exc, RecursionError) else exc
         profile = ", ".join(f"{k}={v}" for k, v in cfg.params.items())
@@ -215,6 +222,9 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     if args.command == "hurwitz":
         if args.subcommand == "number":
+            r = 2 * args.g - 2 + args.n + sum(args.mu)
+            if r > MAX_BRANCH_POINTS:
+                raise InvalidProfile(f"r = {r} > {MAX_BRANCH_POINTS} branch points")
             print(qstr(hur.hurwitz_number(args.g, args.n, args.mu)))
             return 0
         if args.subcommand == "s-coeff":
@@ -246,8 +256,8 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     if args.command == "schur":
         if args.subcommand == "character":
-            dim, chi = schur.dim_and_character(args.mu, args.lam)
-            _emit({"dim": dim, "character": chi})
+            _emit({"dim": schur.dimension(args.mu),
+                   "character": schur.character(args.mu, args.lam)})
             return 0
         if args.subcommand == "verify":
             w, r = args.max_weight, args.s_order

@@ -6,19 +6,27 @@ cut-and-join operator acts on this ring; its eigenvalue on s_mu is half
 the shifted power sum p_2[mu].  The generating function of Hurwitz
 numbers in these variables is rebuilt from the counting module and
 compared, graded piece by graded piece, against its character expansion.
+
+Every polynomial is a ``SparseLaurent`` in ``width + 1`` slots: slot 0
+holds the power of s and slot i >= 1 the multiplicity of p_i, so
+s^r p_lam with |lam| <= width is the exponent vector
+(r, m_1(lam), ..., m_width(lam)).  d/ds is ``diff(0)`` and d/dp_i is
+``diff(i)``.  Products are the ordinary ``*`` followed by ``truncate`` to
+a weight and an s-order.  The Cauchy identity's doubled ring has
+2 width + 1 slots, with p^y_i in slot width + i.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import SizeMismatch
+from .errors import InvalidProfile, SizeMismatch
 from .hurwitz import hurwitz_number
 from .laurent import SparseLaurent
 from .qhbar import qh_monomial, zhou_term
-from .rationals import QONE, QZERO
+from .rationals import QZERO
 
 Q = Fraction
 
@@ -28,7 +36,7 @@ Part = tuple[int, ...]
 def normalize_partition(parts: Iterable[int]) -> Part:
     out = tuple(sorted((p for p in parts if p != 0), reverse=True))
     if any(p < 0 for p in out):
-        raise ValueError("negative part")
+        raise InvalidProfile(f"negative part in {out}")
     return out
 
 
@@ -109,15 +117,6 @@ def _char(mu: Part, lam: Part) -> int:
     return total
 
 
-def dim_and_character(mu: Sequence[int],
-                      lam: Sequence[int] | None = None) -> tuple[int, int | None]:
-    """Dimension of mu and, when lam is given, the character value at lam."""
-    mu_n = normalize_partition(mu)
-    if lam is None:
-        return dimension(mu_n), None
-    return dimension(mu_n), character(mu_n, normalize_partition(lam))
-
-
 def shifted_power_sum(r: int, mu: Sequence[int]) -> Fraction:
     """sum_i (mu_i - i + 1/2)^r - (-i + 1/2)^r over the parts of mu."""
     if r < 0:
@@ -133,124 +132,61 @@ def shifted_power_sum(r: int, mu: Sequence[int]) -> Fraction:
 # the power-sum polynomial ring
 # ---------------------------------------------------------------------------
 
-class PPolynomial:
-    """Polynomial in p_1, p_2, ... with monomials indexed by partitions."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Part, Fraction] | None = None):
-        self.terms: dict[Part, Fraction] = {
-            k: Fraction(c) for k, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "PPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PPolynomial":
-        return cls({(): QONE})
-
-    @classmethod
-    def monomial(cls, lam: Iterable[int], c: Fraction | int = 1) -> "PPolynomial":
-        return cls({normalize_partition(lam): Fraction(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        bits = [f"{c}*p{list(k)}" for k, c in sorted(self.terms.items())[:6]]
-        return "PPolynomial(" + " + ".join(bits) + (
-            " ...)" if len(self.terms) > 6 else ")")
-
-    def __add__(self, other: "PPolynomial") -> "PPolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, QZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return PPolynomial(out)
-
-    def __sub__(self, other: "PPolynomial") -> "PPolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, QZERO) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return PPolynomial(out)
-
-    def __neg__(self) -> "PPolynomial":
-        return PPolynomial({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other: "PPolynomial | Fraction | int") -> "PPolynomial":
-        if isinstance(other, (Fraction, int)):
-            return PPolynomial({k: c * other for k, c in self.terms.items()})
-        out: dict[Part, Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = normalize_partition(k1 + k2)
-                s = out.get(key, QZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return PPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def weight_truncate(self, d_max: int) -> "PPolynomial":
-        return PPolynomial({k: c for k, c in self.terms.items()
-                            if sum(k) <= d_max})
+def _key(lam: Iterable[int], width: int, s_power: int = 0) -> tuple[int, ...]:
+    key = [0] * (width + 1)
+    key[0] = s_power
+    for part in lam:
+        key[part] += 1
+    return tuple(key)
 
 
-def schur_in_p(mu: Sequence[int]) -> PPolynomial:
-    """s_mu = sum over |lam| = |mu| of chi_mu(lam)/z_lam p_lam."""
+def p_monomial(lam: Iterable[int], width: int, c: Fraction | int = 1,
+               s_power: int = 0) -> SparseLaurent:
+    """c s^s_power p_lam in width + 1 slots, for positive parts <= width."""
+    return SparseLaurent(width + 1, {_key(lam, width, s_power): c})
+
+
+def weight(key: Sequence[int], width: int) -> int:
+    """The p-weight sum_i i m_i of an exponent vector, over slots 1..width."""
+    return sum(i * key[i] for i in range(1, width + 1))
+
+
+def truncate(f: SparseLaurent, width: int, s_order: int) -> SparseLaurent:
+    """The terms of f of weight <= width and s-order <= s_order."""
+    return SparseLaurent.from_ints(
+        f.arity, {k: c for k, c in f.num.items()
+                  if k[0] <= s_order and weight(k, width) <= width}, f.den)
+
+
+def schur_in_p(mu: Sequence[int], width: int | None = None) -> SparseLaurent:
+    """s_mu = sum over |lam| = |mu| of chi_mu(lam)/z_lam p_lam.
+
+    In width + 1 slots; width defaults to |mu|.
+    """
     mu_n = normalize_partition(mu)
     n = sum(mu_n)
-    out: dict[Part, Fraction] = {}
-    for lam in partitions_of(n):
-        chi = character(mu_n, lam)
-        if chi:
-            out[lam] = Q(chi, z_order(lam))
-    return PPolynomial(out)
+    width = n if width is None else width
+    return SparseLaurent(width + 1, {_key(lam, width): Q(character(mu_n, lam), z_order(lam))
+                                     for lam in partitions_of(n)})
 
 
-def cutjoin_apply(f: PPolynomial) -> PPolynomial:
-    """The cut-and-join operator, exact and weight-preserving."""
-    out = PPolynomial.zero()
-    half = Q(1, 2)
-    for lam, c in f.terms.items():
-        # split one part v into an ordered composition (i, v-i)
-        for v in set(lam):
-            mult = lam.count(v)
-            base = list(lam)
-            base.remove(v)
-            for i in range(1, v):
-                out = out + PPolynomial.monomial(
-                    base + [i, v - i], c * half * v * mult)
-        # join an ordered pair of parts (i, j) into i+j
-        values = sorted(set(lam))
-        for ai, i in enumerate(values):
-            for j in values[ai:]:
-                if i == j:
-                    pairs = lam.count(i) * (lam.count(i) - 1)
-                else:
-                    pairs = 2 * lam.count(i) * lam.count(j)
-                if not pairs:
-                    continue
-                base = list(lam)
-                base.remove(i)
-                base.remove(j)
-                out = out + PPolynomial.monomial(
-                    base + [i + j], c * half * i * j * pairs)
+def cutjoin_apply(f: SparseLaurent) -> SparseLaurent:
+    """The cut-and-join operator, exact and weight-preserving.
+
+    (1/2) sum_{i,j >= 1} ((i+j) p_i p_j d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j),
+    on terms of weight <= width = f.arity - 1.
+    """
+    width = f.arity - 1
+    grad = [f.diff(i) for i in range(width + 1)]
+    out = SparseLaurent.zero(f.arity)
+    for v in range(2, width + 1):
+        # cut a part v into an ordered pair (i, v-i); join one into v
+        cut = SparseLaurent.zero(f.arity)
+        join = SparseLaurent.zero(f.arity)
+        for i in range(1, v):
+            cut = cut + p_monomial((i, v - i), width, Q(v, 2))
+            join = join + grad[i].diff(v - i) * Q(i * (v - i), 2)
+        out = out + grad[v] * cut + join * p_monomial((v,), width)
     return out
 
 
@@ -258,208 +194,95 @@ def cutjoin_apply(f: PPolynomial) -> PPolynomial:
 # the two-variable generating function and its expansions
 # ---------------------------------------------------------------------------
 
-class SPSeries:
-    """Truncated series in s with weight-capped PPolynomial coefficients."""
-
-    __slots__ = ("coeffs", "weight_cap")
-
-    def __init__(self, coeffs: Sequence[PPolynomial], weight_cap: int):
-        self.coeffs = list(coeffs)
-        self.weight_cap = weight_cap
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "SPSeries") -> "SPSeries":
-        n = min(self.order, other.order)
-        return SPSeries([self.coeffs[r] + other.coeffs[r] for r in range(n + 1)],
-                        min(self.weight_cap, other.weight_cap))
-
-    def __sub__(self, other: "SPSeries") -> "SPSeries":
-        n = min(self.order, other.order)
-        return SPSeries([self.coeffs[r] - other.coeffs[r] for r in range(n + 1)],
-                        min(self.weight_cap, other.weight_cap))
-
-    def __mul__(self, other: "SPSeries") -> "SPSeries":
-        n = min(self.order, other.order)
-        cap = min(self.weight_cap, other.weight_cap)
-        out = [PPolynomial.zero() for _ in range(n + 1)]
-        for r1, c1 in enumerate(self.coeffs[:n + 1]):
-            if c1.is_zero():
-                continue
-            for r2 in range(n + 1 - r1):
-                c2 = other.coeffs[r2]
-                if not c2.is_zero():
-                    out[r1 + r2] = out[r1 + r2] + (c1 * c2).weight_truncate(cap)
-        return SPSeries(out, cap)
-
-    def scale(self, c: Fraction) -> "SPSeries":
-        return SPSeries([p * c for p in self.coeffs], self.weight_cap)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.coeffs)
-
-    def exp(self) -> "SPSeries":
-        """exp of a series whose every monomial has positive p-weight."""
-        if any(sum(k) == 0 for k in self.coeffs[0].terms):
-            raise ValueError("exp needs positive minimum weight")
-        result = SPSeries([PPolynomial.one()] + [PPolynomial.zero()] * self.order,
-                          self.weight_cap)
-        power = result
-        for k in range(1, self.weight_cap + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            result = result + power.scale(Q(1, factorial(k)))
-        return result
+def exp(f: SparseLaurent, width: int, s_order: int) -> SparseLaurent:
+    """exp(f) to weight width and s-order s_order, for f with no term of weight 0."""
+    if any(weight(k, width) == 0 for k in f.num):
+        raise ValueError("exp needs positive minimum weight")
+    result = power = SparseLaurent.const(f.arity, 1)
+    for k in range(1, width + 1):
+        power = truncate(power * f, width, s_order)
+        if power.is_zero():
+            break
+        result = result + power * Q(1, factorial(k))
+    return result
 
 
-def h_series(d_max: int, r_max: int) -> SPSeries:
+def h_series(d_max: int, r_max: int) -> SparseLaurent:
     """Hurwitz generating function H(s, p), weight <= d_max, s-order <= r_max.
 
     The coefficient of p_mu s^r collects H_{g,l(mu)}(mu)/|Aut mu| over the
     genera with 2g - 2 + l(mu) + |mu| = r.
     """
-    coeffs = [PPolynomial.zero() for _ in range(r_max + 1)]
+    terms: dict[tuple[int, ...], Fraction] = {}
     for d in range(1, d_max + 1):
         for mu in partitions_of(d):
             ell = len(mu)
             aut = 1
             for v in set(mu):
                 aut *= factorial(mu.count(v))
-            g = 0
-            while True:
+            for g in range((r_max + 2 - ell - d) // 2 + 1):
                 r = 2 * g - 2 + ell + d
-                if r > r_max:
-                    break
-                if r >= 0:
-                    h = hurwitz_number(g, ell, mu)
-                    if h:
-                        coeffs[r] = coeffs[r] + PPolynomial.monomial(mu, h / aut)
-                g += 1
-    return SPSeries(coeffs, d_max)
+                terms[_key(mu, d_max, r)] = hurwitz_number(g, ell, mu) / aut
+    return SparseLaurent(d_max + 1, terms)
 
 
-def tau_expansion(d_max: int, r_max: int) -> SPSeries:
+def tau_expansion(d_max: int, r_max: int) -> SparseLaurent:
     """sum_mu (dim mu/|mu|!) e^{p_2[mu] s / 2} s_mu(p), truncated."""
-    coeffs = [PPolynomial.zero() for _ in range(r_max + 1)]
+    out = SparseLaurent.zero(d_max + 1)
     for d in range(d_max + 1):
         for mu in partitions_of(d):
-            weight = Q(dimension(mu), factorial(d))
             eigen = shifted_power_sum(2, mu) / 2
-            smu = schur_in_p(mu)
-            for r in range(r_max + 1):
-                c = weight * eigen ** r / factorial(r)
-                coeffs[r] = coeffs[r] + smu * c
-    return SPSeries(coeffs, d_max)
+            flow = SparseLaurent.in_slot(d_max + 1, 0, {
+                r: eigen ** r / factorial(r) for r in range(r_max + 1)})
+            out = out + schur_in_p(mu, d_max) * flow * Q(dimension(mu), factorial(d))
+    return out
 
 
-def tau_expansion_residual(d_max: int, r_max: int) -> SPSeries:
+def tau_expansion_residual(d_max: int, r_max: int) -> SparseLaurent:
     """exp(H) minus the character expansion; identically zero on success."""
-    return h_series(d_max, r_max).exp() - tau_expansion(d_max, r_max)
+    return exp(h_series(d_max, r_max), d_max, r_max) - tau_expansion(d_max, r_max)
 
 
-def heat_consistency_residual(d_max: int, r_max: int) -> SPSeries:
-    """d/ds exp(H) minus the cut-and-join action on exp(H)."""
-    e = h_series(d_max, r_max).exp()
-    ds = [e.coeffs[r + 1] * Q(r + 1) for r in range(r_max)]
-    cj = [cutjoin_apply(e.coeffs[r]) for r in range(r_max)]
-    return SPSeries([a - b for a, b in zip(ds, cj)], d_max)
+def heat_consistency_residual(d_max: int, r_max: int) -> SparseLaurent:
+    """d/ds exp(H) minus the cut-and-join action on exp(H), s-order < r_max."""
+    e = exp(h_series(d_max, r_max), d_max, r_max)
+    return truncate(e.diff(0) - cutjoin_apply(e), d_max, r_max - 1)
 
 
 # ---------------------------------------------------------------------------
 # Cauchy identity in a doubled ring
 # ---------------------------------------------------------------------------
 
-class PairPolynomial:
-    """Polynomial in two independent families of power sums."""
+def cauchy_residual(d_max: int) -> SparseLaurent:
+    """sum_mu s_mu(p) s_mu(p^y) - exp(sum_m p_m p^y_m / m), weight <= d_max.
 
-    __slots__ = ("terms",)
+    p_i sits in slot i and p^y_i in slot d_max + i of 2 d_max + 1 slots.
+    """
+    arity = 2 * d_max + 1
+    y_slots = [0, *range(d_max + 1, arity)]
 
-    def __init__(self, terms: Mapping[tuple[Part, Part], Fraction] | None = None):
-        self.terms: dict[tuple[Part, Part], Fraction] = {
-            k: Fraction(c) for k, c in (terms or {}).items() if c != 0}
+    def pair(f: SparseLaurent, g: SparseLaurent) -> SparseLaurent:
+        return f.embed(arity, range(d_max + 1)) * g.embed(arity, y_slots)
 
-    @classmethod
-    def one(cls) -> "PairPolynomial":
-        return cls({((), ()): QONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PairPolynomial") -> "PairPolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, QZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return PairPolynomial(out)
-
-    def __sub__(self, other: "PairPolynomial") -> "PairPolynomial":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, QZERO) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return PairPolynomial(out)
-
-    def mul_truncated(self, other: "PairPolynomial", cap: int) -> "PairPolynomial":
-        out: dict[tuple[Part, Part], Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                ka = normalize_partition(a1 + a2)
-                kb = normalize_partition(b1 + b2)
-                if sum(ka) > cap or sum(kb) > cap:
-                    continue
-                key = (ka, kb)
-                s = out.get(key, QZERO) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return PairPolynomial(out)
-
-
-def pair_from(f: PPolynomial, side: int) -> PairPolynomial:
-    if side == 0:
-        return PairPolynomial({(k, ()): c for k, c in f.terms.items()})
-    return PairPolynomial({((), k): c for k, c in f.terms.items()})
-
-
-def cauchy_residual(d_max: int) -> PairPolynomial:
-    """sum_mu s_mu(p) s_mu(p^y) - exp(sum_m p_m p^y_m / m), weight <= d_max."""
-    schur_side = PairPolynomial()
+    schur_side = SparseLaurent.zero(arity)
     for d in range(d_max + 1):
         for mu in partitions_of(d):
-            left = pair_from(schur_in_p(mu), 0)
-            right = pair_from(schur_in_p(mu), 1)
-            schur_side = schur_side + left.mul_truncated(right, d_max)
-    kernel = PairPolynomial({((m,), (m,)): Q(1, m) for m in range(1, d_max + 1)})
-    exp_side = PairPolynomial.one()
-    power = PairPolynomial.one()
-    for k in range(1, d_max + 1):
-        power = power.mul_truncated(kernel, d_max)
-        if power.is_zero():
-            break
-        exp_side = exp_side + PairPolynomial(
-            {key: c * Q(1, factorial(k)) for key, c in power.terms.items()})
-    return schur_side - exp_side
+            smu = schur_in_p(mu, d_max)
+            schur_side = schur_side + pair(smu, smu)
+    kernel = SparseLaurent.zero(arity)
+    for m in range(1, d_max + 1):
+        kernel = kernel + pair(p_monomial((m,), d_max, Q(1, m)), p_monomial((m,), d_max))
+    return schur_side - exp(kernel, d_max, 0)
 
 
-def cauchy_restriction_residual(d_max: int) -> PPolynomial:
+def cauchy_restriction_residual(d_max: int) -> SparseLaurent:
     """Restricting the dual side to p^y = (1, 0, 0, ...) must give exp(p_1)."""
-    total = PPolynomial.zero()
+    total = SparseLaurent.zero(d_max + 1)
     for d in range(d_max + 1):
         for mu in partitions_of(d):
-            total = total + schur_in_p(mu) * Q(dimension(mu), factorial(d))
-    expo = PPolynomial.zero()
-    for k in range(d_max + 1):
-        expo = expo + PPolynomial.monomial((1,) * k, Q(1, factorial(k)))
+            total = total + schur_in_p(mu, d_max) * Q(dimension(mu), factorial(d))
+    expo = SparseLaurent(d_max + 1, {_key((1,) * k, d_max): Q(1, factorial(k))
+                                     for k in range(d_max + 1)})
     return total - expo
 
 

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import brute_force
 from eocurves import catalan as cat
 from eocurves import oracles, report, shared
 from eocurves.errors import ExactDivisionError, InvalidProfile
@@ -36,55 +37,8 @@ def test_invalid_profile():
 def test_one_vertex_counts_match_pairing_oracle():
     for g in (0, 1, 2):
         for m in (1, 2, 3, 4):
-            expected = oracles.one_vertex_map_count(g, 2 * m)
+            expected = brute_force.one_vertex_map_count(g, 2 * m)
             assert cat.catalan_count(g, 1, [2 * m]) == expected
-
-
-def _involutions(points):
-    """Every fixed-point-free involution of ``points``, as a dict."""
-    if not points:
-        yield {}
-        return
-    first = points[0]
-    for i in range(1, len(points)):
-        for rest in _involutions(points[1:i] + points[i + 1:]):
-            rest[first], rest[points[i]] = points[i], first
-            yield rest
-
-
-def _arrowed_graphs_by_genus(mu):
-    """Brute-force arrowed cellular graph counts with degrees mu, by genus.
-
-    sigma has one cycle per labeled vertex on that vertex's half-edges,
-    started at the arrowed one; a graph is an edge pairing alpha with
-    <sigma, alpha> transitive, and its faces are the cycles of sigma alpha.
-    """
-    sigma, start = {}, 0
-    for m in mu:
-        sigma.update({start + i: start + (i + 1) % m for i in range(m)})
-        start += m
-    half_edges = list(range(start))
-    counts = {}
-    for alpha in _involutions(half_edges):
-        seen, stack = {0}, [0]
-        while stack:
-            h = stack.pop()
-            for k in (sigma[h], alpha[h]):
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        if len(seen) < start:
-            continue
-        faces, unseen = 0, set(half_edges)
-        while unseen:
-            faces += 1
-            h = unseen.pop()
-            while (h := sigma[alpha[h]]) in unseen:
-                unseen.remove(h)
-        genus, odd = divmod(2 - len(mu) + start // 2 - faces, 2)
-        assert not odd
-        counts[genus] = counts.get(genus, 0) + 1
-    return counts
 
 
 def test_several_vertex_counts_match_brute_force():
@@ -95,7 +49,7 @@ def test_several_vertex_counts_match_brute_force():
                 if sum(mu) % 2 == 0 and sum(mu) <= 10]
     assert len(profiles) == 32
     for mu in profiles:
-        counts = _arrowed_graphs_by_genus(mu)
+        counts = brute_force.arrowed_graphs_by_genus(mu)
         assert max(counts) <= 2
         for g in (0, 1, 2):
             assert cat.catalan_count(g, len(mu), mu) == counts.get(g, 0), (g, mu)

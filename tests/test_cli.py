@@ -88,6 +88,50 @@ def test_count_errors_are_one_usage_line(capsys, n, mu, reason):
         f"eo: error: catalan count (g=0, mu=[{mu}], n={n}): {reason}"]
 
 
+@pytest.mark.parametrize("mu, lam, reason", [
+    ("2,1", "2", "|mu|=3 but |lambda|=2"),
+    ("2,-1", "1", "negative part in (2, -1)"),
+])
+def test_character_errors_are_one_usage_line(capsys, mu, lam, reason):
+    code = main(["schur", "character", "--mu", mu, "--lambda", lam])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"eo: error: schur character (lam=[{lam.replace(',', ', ')}], "
+        f"mu=[{mu.replace(',', ', ')}]): {reason}"]
+
+
+@pytest.mark.parametrize("option, value", [("--max-weight", "-1"), ("--s-order", "-2")])
+def test_schur_verify_rejects_negative_bounds(capsys, option, value):
+    with pytest.raises(SystemExit) as err:
+        main(["schur", "verify", option, value])
+    assert err.value.code == 2
+    assert f"argument {option}: must be >= 0, got {value}" in capsys.readouterr().err
+
+
+def test_schur_verify_command(capsys):
+    code, out = run_cli(capsys, "schur", "verify", "--max-weight", "6",
+                        "--s-order", "6", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["overall"] == "pass"
+    assert [(c["check_id"], c["status"]) for c in data["checks"]] == [
+        ("tau-expansion", "pass"), ("heat-flow", "pass"), ("cauchy", "pass")]
+
+
+def test_hurwitz_number_bounds_the_branch_points(capsys, monkeypatch):
+    # r = |mu| - 1 for g = 0, n = 1: 401 is the largest part the cache accepts
+    asked = []
+    monkeypatch.setattr(hur, "hurwitz_number", lambda g, n, mu: asked.append(mu) or Q(0))
+    big = cache.MAX_BRANCH_POINTS + 1
+    assert main(["hurwitz", "number", "--g", "0", "--n", "1", "--mu", str(big)]) == 0
+    assert main(["hurwitz", "number", "--g", "0", "--n", "1", "--mu", str(big + 1)]) == 2
+    assert asked == [[big]]
+    assert capsys.readouterr().err.splitlines() == [
+        f"eo: error: hurwitz number (g=0, mu=[{big + 1}], n=1): "
+        f"r = {big} > {cache.MAX_BRANCH_POINTS} branch points"]
+
+
 def _strip_times(report_dict):
     for c in report_dict["checks"]:
         c.pop("wall_time")
