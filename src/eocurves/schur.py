@@ -177,7 +177,7 @@ def cutjoin_apply(f: SparseLaurent) -> SparseLaurent:
     on terms of weight <= width = f.arity - 1.
     """
     width = f.arity - 1
-    grad = [f.diff(i) for i in range(width + 1)]
+    grad = {i: f.diff(i) for i in range(1, width + 1)}
     out = SparseLaurent.zero(f.arity)
     for v in range(2, width + 1):
         # cut a part v into an ordered pair (i, v-i); join one into v
@@ -220,7 +220,7 @@ def h_series(d_max: int, r_max: int) -> SparseLaurent:
             aut = 1
             for v in set(mu):
                 aut *= factorial(mu.count(v))
-            for g in range((r_max + 2 - ell - d) // 2 + 1):
+            for g in range((r_max + 2 - ell - d) // 2 + 1):  # r <= r_max
                 r = 2 * g - 2 + ell + d
                 terms[_key(mu, d_max, r)] = hurwitz_number(g, ell, mu) / aut
     return SparseLaurent(d_max + 1, terms)
