@@ -425,8 +425,11 @@ def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
 
 
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
-    """Truncated Laplace transform: dessin numbers against prod x_i^-mu_i."""
-    return shared.laplace_sum_float(_laplace_weight, -1, g, n, xs, cap)
+    """Truncated Laplace transform: dessin numbers against prod x_i^-mu_i.
+
+    Only even |mu| are summed: the counts vanish at odd |mu| = 2E.
+    """
+    return shared.laplace_sum_float(_laplace_weight, -1, g, n, xs, cap, even_only=True)
 
 
 def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:

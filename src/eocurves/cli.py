@@ -12,6 +12,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from . import catalan as cat
@@ -33,11 +34,15 @@ def _mu_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad profile {text!r}") from exc
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """An int option bounded below, so an out-of-range value is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -71,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p = cat_sub.add_parser("s-coeff", help="WKB coefficient S_m in t", parents=[common])
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_at_least(2), required=True)
     p.add_argument("--path", choices=("assembled", "recursive", "both"),
                    default="both")
     p.add_argument("--extended", action="store_true",
@@ -90,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p = hur_sub.add_parser("s-coeff", help="WKB coefficient S_m (polynomial)", parents=[common])
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_at_least(2), required=True)
     p = hur_sub.add_parser("verify", help="verification sub-suites", parents=[common])
     p.add_argument("--suite",
                    choices=("recursion", "heat", "zhou", "commutator",
@@ -101,16 +106,16 @@ def build_parser() -> argparse.ArgumentParser:
     wkb_sub = p_wkb.add_subparsers(dest="subcommand", required=True)
     p = wkb_sub.add_parser("corrections", help="quantization corrections A_k", parents=[common])
     p.add_argument("--model", choices=sorted(wkb.MODELS), required=True)
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=_at_least(1), default=4)
     p = wkb_sub.add_parser("s-prime", help="solve the hierarchy for S_n'", parents=[common])
     p.add_argument("--model", choices=sorted(wkb.MODELS), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
 
     p_schur = sub.add_parser("schur", help="symmetric-function identities", parents=[common])
     schur_sub = p_schur.add_subparsers(dest="subcommand", required=True)
     p = schur_sub.add_parser("verify", help="graded identity checks", parents=[common])
-    p.add_argument("--max-weight", type=_nonnegative, default=6)
-    p.add_argument("--s-order", type=_nonnegative, default=6)
+    p.add_argument("--max-weight", type=_at_least(0), default=6)
+    p.add_argument("--s-order", type=_at_least(0), default=6)
     p = schur_sub.add_parser("character", help="irreducible character value", parents=[common])
     p.add_argument("--mu", type=_mu_list, required=True)
     p.add_argument("--lambda", dest="lam", type=_mu_list, required=True)

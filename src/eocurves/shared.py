@@ -107,37 +107,61 @@ def s_coefficient_assembled(free_energy: FreeEnergy, m: int) -> RatFunc:
 
 
 def laplace_sum_float(weight: Callable[[int, tuple[int, ...]], float], sign: int,
-                      g: int, n: int, xs: Sequence[float], cap: int) -> float:
+                      g: int, n: int, xs: Sequence[float], cap: int,
+                      even_only: bool = False) -> float:
     """Sum of weight(g, key) prod x_i^(sign mu_i) over ordered mu, |mu| <= cap.
 
     ``key`` is mu sorted as the count memos key it, largest part first, so
-    a weight can read its memo directly.  The recursion carries the sorted
-    prefix down and each leaf only inserts its last part.  The ordered
-    profiles are summed in lexicographic order with the same float
-    operations every time, so the sum is reproducible to the last bit.
+    a weight can read its memo directly; each key is asked for once per
+    call.  The recursion carries the sorted prefix down.  The last slot's
+    nonzero (weight, x_last power) pairs depend only on that sorted prefix,
+    so they form one row, built at the first ordering of the prefix and
+    dropped at its last (the non-increasing one).  ``even_only`` skips odd
+    |mu|, for a model whose counts vanish there.  The ordered profiles are
+    summed in lexicographic order, each term as ``w * scale * x_last**e``,
+    so the sum is reproducible to the last bit.
     """
+    powers = [[x ** (sign * m) for m in range(cap + 1)] for x in xs]
+    weights: dict[tuple[int, ...], float] = {}
+    rows: dict[tuple[int, ...], list[tuple[float, float]]] = {}
     total = 0.0
     last = n - 1
-    x_last = xs[last]
 
-    def rec(key: tuple[int, ...], remaining: int, scale: float) -> None:
+    def build_row(key: tuple[int, ...], remaining: int) -> list[tuple[float, float]]:
+        row = []
+        # head keeps the parts >= m; it shrinks from the right as m grows
+        head, tail = key, ()
+        start, step = (2 - (cap - remaining) % 2, 2) if even_only else (1, 1)
+        for m in range(start, remaining + 1, step):
+            while head and head[-1] < m:
+                head, tail = head[:-1], head[-1:] + tail
+            full = head + (m,) + tail
+            w = weights.get(full)
+            if w is None:
+                w = weights[full] = weight(g, full)
+            if w:
+                row.append((w, powers[last][m]))
+        return row
+
+    def rec(key: tuple[int, ...], remaining: int, scale: float, final: bool) -> None:
+        # final: the ordered prefix is non-increasing, the last ordering of key
         nonlocal total
         slot = len(key)
         if slot == last:
-            # head keeps the parts >= m; it shrinks from the right as m grows
-            head, tail = key, ()
-            for m in range(1, remaining + 1):
-                while head and head[-1] < m:
-                    head, tail = head[:-1], head[-1:] + tail
-                w = weight(g, head + (m,) + tail)
-                if w:
-                    total += w * scale * x_last ** (sign * m)
+            row = rows.pop(key, None) if final else rows.get(key)
+            if row is None:
+                row = build_row(key, remaining)
+                if not final:
+                    rows[key] = row
+            for w, p in row:
+                total += w * scale * p
             return
         for m in range(1, remaining - (last - slot) + 1):
             at = bisect(key, -m, key=neg)
-            rec(key[:at] + (m,) + key[at:], remaining - m, scale * xs[slot] ** (sign * m))
+            rec(key[:at] + (m,) + key[at:], remaining - m, scale * powers[slot][m],
+                final and at == slot)
 
-    rec((), cap, 1.0)
+    rec((), cap, 1.0, True)
     return total
 
 

@@ -109,6 +109,21 @@ def test_schur_verify_rejects_negative_bounds(capsys, option, value):
     assert f"argument {option}: must be >= 0, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option, low, value", [
+    (["catalan", "s-coeff", "--m", "1"], "--m", 2, "1"),
+    (["hurwitz", "s-coeff", "--m", "-1"], "--m", 2, "-1"),
+    (["wkb", "s-prime", "--model", "catalan", "--n", "0"], "--n", 1, "0"),
+    # an order below 1 would be a report of zero checks, passing vacuously
+    (["wkb", "corrections", "--model", "catalan", "--order", "0"], "--order", 1, "0"),
+    (["wkb", "corrections", "--model", "catalan", "--order", "-1"], "--order", 1, "-1"),
+])
+def test_out_of_range_orders_are_usage_errors(capsys, argv, option, low, value):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"argument {option}: must be >= {low}, got {value}" in capsys.readouterr().err
+
+
 def test_schur_verify_command(capsys):
     code, out = run_cli(capsys, "schur", "verify", "--max-weight", "6",
                         "--s-order", "6", "--format", "json")
