@@ -23,6 +23,16 @@ CATALAN_TERM_ORDER = {
     (2, 1): "617447d0423011c4539ec6d4307104983f009ccaead3e3b34c8c301e65cde5f4",
 }
 
+HURWITZ_TERM_ORDER = {
+    (0, 3): "50323a5d36feeb21a0298b3db7b7cd6e0ee07cf1b8d39421707e521cae683049",
+    (1, 1): "57f2e2398ddc0504adb1653268ca44d1311efe02cd31135274c14f97c59c7068",
+    (0, 4): "2ffa7cdcfdf86b645d471af5aa698781971e8cd7912a43d5704b5b5c50d010f4",
+    (1, 2): "8c3c5ed86808d9a1d3257a66df0c9d8c56182186c0763add4f7b977fb5aca2d9",
+    (0, 5): "ad32e7dc18e32908bb2276ca36a3bcd9a2c2f2a906cff6a429449846b8dd559c",
+    (1, 3): "1bc203d1396b617216de147db3bd0ff9c5572c1ec4c5ae615c29cac8a3a026a4",
+    (2, 1): "839c0c70f89513d4e6258f6b9fd5c51737b8b8060de69cd8a6a530b33926166b",
+}
+
 # float.hex() of free_energy_float at each Laplace probe point
 PROBE_HEX = {
     ("catalan", 1, 1): "0x1.c0ef2ccfba000p-16",
@@ -31,10 +41,18 @@ PROBE_HEX = {
 }
 
 
+def term_order_digest(f) -> str:
+    return hashlib.sha256(repr(list(f.num.items())).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("g,n", sorted(CATALAN_TERM_ORDER))
 def test_catalan_free_energy_term_order(g, n):
-    items = repr(list(cat.free_energy(g, n).num.items()))
-    assert hashlib.sha256(items.encode()).hexdigest() == CATALAN_TERM_ORDER[g, n]
+    assert term_order_digest(cat.free_energy(g, n)) == CATALAN_TERM_ORDER[g, n]
+
+
+@pytest.mark.parametrize("g,n", sorted(HURWITZ_TERM_ORDER))
+def test_hurwitz_free_energy_term_order(g, n):
+    assert term_order_digest(hur.free_energy(g, n)) == HURWITZ_TERM_ORDER[g, n]
 
 
 def test_every_probe_is_pinned():
