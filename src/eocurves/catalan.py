@@ -128,13 +128,6 @@ def catalan_count(g: int, n: int, mu: Sequence[int]) -> int:
     return _count(g, _sorted_key(mu))
 
 
-def dessin_number(g: int, n: int, mu: Sequence[int]) -> Fraction:
-    """Automorphism-weighted graph count: catalan_count / prod(mu)."""
-    if n < 1 or len(mu) != n or any(m < 1 for m in mu):
-        raise InvalidProfile(f"dessin profile needs positive degrees, got {tuple(mu)}")
-    return Fraction(catalan_count(g, n, mu), prod(mu))
-
-
 # ---------------------------------------------------------------------------
 # spectral curve data in the t coordinate, z = (t+1)/(t-1), x = z + 1/z
 # ---------------------------------------------------------------------------
@@ -420,7 +413,11 @@ LAPLACE_PROBES = [(1, 1, [10.0], 60), (0, 3, [10.0, 11.0, 12.0], 60)]
 
 
 def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
-    """float(dessin_number) of a sorted profile, from the memo: int / int rounds the same."""
+    """C_{g,n}(mu) / prod(mu) of a sorted profile, from the memo.
+
+    int / int rounds like float(Fraction), so this is the float of the exact
+    automorphism-weighted count.
+    """
     return _count(g, key) / prod(key)
 
 

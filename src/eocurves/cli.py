@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow m >= 5 (pulls in the larger free energies)")
     p = cat_sub.add_parser("verify-schrodinger",
                            help="order-by-order quantum-curve residuals")
-    p.add_argument("--max-order", type=int, default=4)
+    p.add_argument("--max-order", type=_at_least(1), default=4)
 
     p_hur = sub.add_parser("hurwitz", help="single Hurwitz model", parents=[common])
     hur_sub = p_hur.add_subparsers(dest="subcommand", required=True)
@@ -216,7 +216,7 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             _emit(out)
             return 0 if out.get("equal", True) else 1
         if args.subcommand == "verify-schrodinger":
-            residuals = cat.schrodinger_residuals(max(args.max_order - 1, 0))
+            residuals = cat.schrodinger_residuals(args.max_order - 1)
             records = [
                 CheckRecord(f"order-{k}", "quantum-curve residual",
                             "pass" if r.is_zero() else "fail",

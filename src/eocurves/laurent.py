@@ -8,6 +8,25 @@ reduced term denominators, and two values are equal iff their arity,
 denominator and numerator maps are.  Every kernel works in integers;
 ``terms`` is a ``Fraction`` view built on demand.
 
+Exponent vectors are stored packed, one ``int`` per term (after Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Each slot owns a ``FIELD_BITS``-wide field
+holding ``e + BIAS``, slot 0 in the most significant field, so sorting the
+ints sorts the vectors lexicographically.  Exponents must lie in
+``[EXP_MIN, EXP_MAX]``: the constructors raise OverflowError naming one
+outside, and so does every kernel whose result would hold one, before any
+field can wrap.  The kernels decide this from a bound on |exponent| carried
+with each value (``_reach``) and fall back to each slot's exact range only
+near the edge, so no check runs per term pair.  Products add keys and
+subtract the bias vector; derivatives, integrals, substitutions and
+embeddings shift or mask fields; ``principal`` sums the fields by casting
+out: a key is congruent to its field sum mod ``2**FIELD_BITS - 1``.
+
+The packing stays inside this module.  ``num`` and ``terms`` are read-only
+views keyed by exponent tuples, in term order; ``from_ints``, the
+constructor, ``from_json``, ``relabel`` and ``select`` take or hand out
+tuples, and ``to_json`` writes them in sorted order.
+
 The kernels keep the term order a Fraction-by-Fraction accumulation gives:
 a key whose partial sum reaches zero is dropped and re-enters at the end.
 ``eval_float`` sums the terms in that order, so float probes depend on it.
@@ -22,65 +41,131 @@ only in the sum; every stable term divides on its own by
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ExactDivisionError, NonzeroResidue
-from .rationals import QZERO, qstr, parse_q
+from .rationals import qstr, parse_q
 
 ExpVec = tuple[int, ...]
 # (a, b, s): v_a - s*v_b, or v_a - s when b is None
 Divisor = tuple[int, int | None, Fraction | int]
 
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+BIAS = 1 << (FIELD_BITS - 1)
+EXP_MIN, EXP_MAX = -BIAS, BIAS - 1
+# a key minus the bias vector is sum e_i 2^(FIELD_BITS j_i), congruent to
+# sum e_i mod FIELD_MASK; _HALF centres the residue on zero
+_HALF = FIELD_MASK // 2
+
+
+class _Layout:
+    """The packed keys of one arity."""
+
+    __slots__ = ("bias", "shifts", "pack", "unpack")
+
+    def __init__(self, arity: int):
+        # a field holding e + BIAS is the 16-bit two's complement of e with
+        # its top bit flipped: struct does the conversion and the range check
+        assert FIELD_BITS == 16
+        fmt = struct.Struct(f">{arity}h")
+        size, pack, unpack = fmt.size, fmt.pack, fmt.unpack
+        bias = int.from_bytes(b"\x80\x00" * arity, "big")
+        self.bias = bias  # the key of the zero vector: BIAS in every field
+        self.shifts = tuple(FIELD_BITS * (arity - 1 - i) for i in range(arity))
+        self.pack: Callable[[ExpVec], int] = lambda k: int.from_bytes(pack(*k), "big") ^ bias
+        self.unpack: Callable[[int], ExpVec] = lambda k: unpack((k ^ bias).to_bytes(size, "big"))
+
+
+_layout = cache(_Layout)
+
+
+def _fit(lo: int, hi: int, slot: int) -> int:
+    """The reach of exponents ``lo..hi`` of a slot; OverflowError if they leave the field."""
+    for e in (lo, hi):
+        if not EXP_MIN <= e <= EXP_MAX:
+            raise OverflowError(f"exponent {e} of variable {slot} is outside the "
+                                f"{FIELD_BITS}-bit field [{EXP_MIN}, {EXP_MAX}]")
+    return max(-lo, hi)
+
+
+def _packed(arity: int, num: Mapping[ExpVec, int]) -> tuple[dict[int, int], int]:
+    """Tuple-keyed numerators as packed ones, with their largest |exponent|."""
+    if not num:
+        return {}, 0
+    for k in num:
+        if len(k) != arity:
+            raise ValueError("exponent vector of wrong length")
+    reach = 0
+    if arity:
+        lo, hi = min(map(min, num)), max(map(max, num))
+        for e in (lo, hi):
+            if not EXP_MIN <= e <= EXP_MAX:
+                _fit(e, e, next(k.index(e) for k in num if e in k))
+        reach = max(-lo, hi)
+    pack = _layout(arity).pack
+    return {pack(k): c for k, c in num.items()}, reach
+
 
 class SparseLaurent:
-    """A Laurent polynomial in ``arity`` variables: ``num[k] / den`` per term."""
+    """A Laurent polynomial in ``arity`` variables: numerator / ``den`` per term."""
 
-    __slots__ = ("arity", "num", "den")
+    # _num maps packed exponent keys to numerators; _reach bounds |exponent|
+    __slots__ = ("arity", "_num", "den", "_reach")
 
     def __init__(self, arity: int, terms: Mapping[ExpVec, Fraction | int] | None = None):
-        self.arity = arity
         coeffs = [(k, Fraction(c)) for k, c in (terms or {}).items() if c]
         # over the lcm of the reduced denominators the numerators are coprime to it
-        self.den = lcm(*(c.denominator for _, c in coeffs))
-        self.num = {k: c.numerator * (self.den // c.denominator) for k, c in coeffs}
+        den = lcm(*(c.denominator for _, c in coeffs))
+        num, reach = _packed(arity, {k: c.numerator * (den // c.denominator)
+                                     for k, c in coeffs})
+        self.arity, self._num, self.den, self._reach = arity, num, den, reach
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _new(cls, arity: int, num: dict[ExpVec, int], den: int = 1) -> "SparseLaurent":
-        """Wrap numerators that are already canonical (no copy, no check)."""
+    def _new(cls, arity: int, num: dict[int, int], den: int, reach: int) -> "SparseLaurent":
+        """Wrap packed numerators that are already canonical (no copy, no check)."""
         f = object.__new__(cls)
-        f.arity, f.num, f.den = arity, num, den
+        f.arity, f._num, f.den, f._reach = arity, num, den, reach
         return f
 
     @classmethod
-    def from_ints(cls, arity: int, num: dict[ExpVec, int], den: int = 1) -> "SparseLaurent":
-        """``num[k] / den`` per term, for zero-free ``num`` and ``den > 0``.
-
-        The dict is taken over, not copied; a factor common to ``den`` and
-        every numerator is divided out.
-        """
+    def _reduced(cls, arity: int, num: dict[int, int], den: int,
+                 reach: int) -> "SparseLaurent":
+        """``num[k] / den`` per packed term, a factor common to all divided out."""
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
-                return cls._new(arity, {k: v // g for k, v in num.items()}, den // g)
-        return cls._new(arity, num, den)
+                return cls._new(arity, {k: v // g for k, v in num.items()}, den // g, reach)
+        return cls._new(arity, num, den, reach)
+
+    @classmethod
+    def from_ints(cls, arity: int, num: Mapping[ExpVec, int], den: int = 1) -> "SparseLaurent":
+        """``num[k] / den`` per term, for zero-free ``num`` and ``den > 0``.
+
+        A factor common to ``den`` and every numerator is divided out.
+        """
+        packed, reach = _packed(arity, num)
+        return cls._reduced(arity, packed, den, reach)
 
     @classmethod
     def zero(cls, arity: int) -> "SparseLaurent":
-        return cls._new(arity, {})
+        return cls._new(arity, {}, 1, 0)
 
     @classmethod
     def const(cls, arity: int, c: Fraction | int) -> "SparseLaurent":
         c = Fraction(c)
         if c == 0:
             return cls.zero(arity)
-        return cls._new(arity, {(0,) * arity: c.numerator}, c.denominator)
+        return cls._new(arity, {_layout(arity).bias: c.numerator}, c.denominator, 0)
 
     @classmethod
     def var(cls, arity: int, i: int, power: int = 1,
@@ -91,47 +176,72 @@ class SparseLaurent:
     def in_slot(cls, arity: int, slot: int,
                 coeffs: Mapping[int, Fraction | int]) -> "SparseLaurent":
         """A Laurent polynomial in variable ``slot`` alone, exponent -> coefficient."""
-        terms = {}
-        for e, c in coeffs.items():
-            key = [0] * arity
-            key[slot] = e
-            terms[tuple(key)] = c
-        return cls(arity, terms)
+        layout = _layout(arity)
+        bias, s = layout.bias, layout.shifts[slot]
+        fracs = [(e, Fraction(c)) for e, c in coeffs.items() if c]
+        den = lcm(*(c.denominator for _, c in fracs))
+        reach = max((_fit(e, e, slot) for e, _ in fracs), default=0)
+        return cls._new(arity, {bias + (e << s): c.numerator * (den // c.denominator)
+                                for e, c in fracs}, den, reach)
 
     # -- basics ----------------------------------------------------------
 
     @property
+    def num(self) -> Mapping[ExpVec, int]:
+        """Read-only view of the numerators by exponent vector, in term order."""
+        return MappingProxyType(dict(zip(map(_layout(self.arity).unpack, self._num),
+                                         self._num.values())))
+
+    @property
     def terms(self) -> Mapping[ExpVec, Fraction]:
         """Read-only ``Fraction`` view of the coefficients, in term order."""
-        den = self.den
-        return MappingProxyType({k: Fraction(n, den) for k, n in self.num.items()})
+        den, unpack = self.den, _layout(self.arity).unpack
+        return MappingProxyType({unpack(k): Fraction(n, den) for k, n in self._num.items()})
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._num)
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseLaurent):
             return NotImplemented
         return (self.arity == other.arity and self.den == other.den
-                and self.num == other.num)
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.arity, self.den, frozenset(self.num.items())))
+        return hash((self.arity, self.den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        if not self.num:
+        if not self._num:
             return f"SparseLaurent({self.arity}, 0)"
+        unpack = _layout(self.arity).unpack
         bits = []
-        for key in sorted(self.num)[:8]:
-            bits.append(f"{qstr(Fraction(self.num[key], self.den))}*t^{key}")
-        more = "..." if len(self.num) > 8 else ""
+        for key in sorted(self._num)[:8]:
+            bits.append(f"{qstr(Fraction(self._num[key], self.den))}*t^{unpack(key)}")
+        more = "..." if len(self._num) > 8 else ""
         return f"SparseLaurent({self.arity}, {' + '.join(bits)}{more})"
 
     def __len__(self) -> int:
-        return len(self.num)
+        return len(self._num)
+
+    def _spans(self) -> list[tuple[int, int]]:
+        """The exact (lowest, highest) exponent of each slot; (0, 0) when zero."""
+        if not self._num:
+            return [(0, 0)] * self.arity
+        return [(min(col), max(col))
+                for col in zip(*map(_layout(self.arity).unpack, self._num))]
+
+    def _stepped_reach(self, slot: int, step: int) -> int:
+        """The reach once ``step`` (+-1) is added to exponents of ``slot``.
+
+        Raises OverflowError if one would leave the field.
+        """
+        if self._reach >= EXP_MAX:
+            lo, hi = self._spans()[slot]
+            _fit(lo + step, hi + step, slot)
+        return min(self._reach + 1, BIAS)
 
     # -- ring operations --------------------------------------------------
 
@@ -141,15 +251,15 @@ class SparseLaurent:
             raise ValueError("arity mismatch")
         d = lcm(self.den, other.den)
         up = d // self.den
-        res = dict(self.num) if up == 1 else {k: c * up for k, c in self.num.items()}
+        res = dict(self._num) if up == 1 else {k: c * up for k, c in self._num.items()}
         up = sign * (d // other.den)
-        for k, c in other.num.items():
+        for k, c in other._num.items():
             s = res.get(k, 0) + c * up
             if s:
                 res[k] = s
             else:
                 res.pop(k, None)
-        return SparseLaurent.from_ints(self.arity, res, d)
+        return SparseLaurent._reduced(self.arity, res, d, max(self._reach, other._reach))
 
     def __add__(self, other: "SparseLaurent") -> "SparseLaurent":
         return self._plus(other, 1)
@@ -158,27 +268,40 @@ class SparseLaurent:
         return self._plus(other, -1)
 
     def __neg__(self) -> "SparseLaurent":
-        return SparseLaurent._new(self.arity, {k: -c for k, c in self.num.items()},
-                                  self.den)
+        return SparseLaurent._new(self.arity, {k: -c for k, c in self._num.items()},
+                                  self.den, self._reach)
 
     def __mul__(self, other: "SparseLaurent | Fraction | int") -> "SparseLaurent":
         if isinstance(other, (Fraction, int)):
             return self.scale(Fraction(other))
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        a, b = self.num, other.num
+        reach = self._reach + other._reach
+        if reach > EXP_MAX:
+            reach = max((_fit(lo1 + lo2, hi1 + hi2, i) for i, ((lo1, hi1), (lo2, hi2))
+                         in enumerate(zip(self._spans(), other._spans()))), default=0)
+        a, b = self._num, other._num
         if len(a) > len(b):
             a, b = b, a
-        res: dict[ExpVec, int] = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = tuple(map(add, k1, k2))
-                s = res.get(k, 0) + c1 * c2
-                if s:
-                    res[k] = s
-                else:
-                    res.pop(k, None)
-        return SparseLaurent.from_ints(self.arity, res, self.den * other.den)
+        # k1 + k2 carries BIAS twice in every field
+        bias = _layout(self.arity).bias
+        if len(a) == 1:
+            (k1, c1), = a.items()
+            shift = k1 - bias
+            res = {k2 + shift: c1 * c2 for k2, c2 in b.items()}
+        else:
+            res: dict[int, int] = {}
+            get, pop = res.get, res.pop
+            for k1, c1 in a.items():
+                shift = k1 - bias
+                for k2, c2 in b.items():
+                    k = k2 + shift
+                    s = get(k, 0) + c1 * c2
+                    if s:
+                        res[k] = s
+                    else:
+                        pop(k, None)
+        return SparseLaurent._reduced(self.arity, res, self.den * other.den, reach)
 
     __rmul__ = __mul__
 
@@ -187,13 +310,13 @@ class SparseLaurent:
             return SparseLaurent.zero(self.arity)
         p, q = c.numerator, c.denominator
         # what p shares with den cancels at once; what q shares with the
-        # numerators is left to from_ints
+        # numerators is left to _reduced
         g = gcd(p, self.den)
         up = p // g
-        num = {k: v * up for k, v in self.num.items()}
+        num = {k: v * up for k, v in self._num.items()}
         if q == 1:
-            return SparseLaurent._new(self.arity, num, self.den // g)
-        return SparseLaurent.from_ints(self.arity, num, self.den // g * q)
+            return SparseLaurent._new(self.arity, num, self.den // g, self._reach)
+        return SparseLaurent._reduced(self.arity, num, self.den // g * q, self._reach)
 
     def pow(self, n: int) -> "SparseLaurent":
         if n < 0:
@@ -211,12 +334,15 @@ class SparseLaurent:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, i: int) -> "SparseLaurent":
-        res: dict[ExpVec, int] = {}
-        for k, c in self.num.items():
-            e = k[i]
+        reach = self._stepped_reach(i, -1)
+        s = _layout(self.arity).shifts[i]
+        one = 1 << s
+        res: dict[int, int] = {}
+        for k, c in self._num.items():
+            e = (k >> s & FIELD_MASK) - BIAS
             if e:
-                res[k[:i] + (e - 1,) + k[i + 1:]] = c * e
-        return SparseLaurent.from_ints(self.arity, res, self.den)
+                res[k - one] = c * e
+        return SparseLaurent._reduced(self.arity, res, self.den, reach)
 
     def integrate(self, i: int, base: Fraction | None = None) -> "SparseLaurent":
         """Termwise antiderivative in variable ``i``.
@@ -225,15 +351,20 @@ class SparseLaurent:
         appear).  With ``base`` given, normalizes so the result vanishes at
         ``v_i = base``.
         """
-        for k, c in self.num.items():
-            if k[i] == -1:
+        s = _layout(self.arity).shifts[i]
+        # the field of v_i^-1
+        residue = BIAS - 1
+        for k, c in self._num.items():
+            if k >> s & FIELD_MASK == residue:
                 raise NonzeroResidue(f"residue {qstr(Fraction(c, self.den))} "
                                      f"at exponent -1 of variable {i}")
+        reach = self._stepped_reach(i, 1)
         # every new exponent e + 1 divides m, so c / (e + 1) = c (m / (e + 1)) / m
-        m = lcm(*{k[i] + 1 for k in self.num})
-        res = {k[:i] + (k[i] + 1,) + k[i + 1:]: c * (m // (k[i] + 1))
-               for k, c in self.num.items()}
-        anti = SparseLaurent.from_ints(self.arity, res, self.den * m)
+        m = lcm(*{(k >> s & FIELD_MASK) - residue for k in self._num})
+        one = 1 << s
+        res = {k + one: c * (m // ((k >> s & FIELD_MASK) - residue))
+               for k, c in self._num.items()}
+        anti = SparseLaurent._reduced(self.arity, res, self.den * m, reach)
         if base is None:
             return anti
         at_base = anti.eval_partial(i, base)
@@ -243,11 +374,12 @@ class SparseLaurent:
 
     def eval_partial(self, i: int, value: Fraction | int) -> "SparseLaurent":
         """Substitute ``v_i = value`` (exponent of slot i becomes 0)."""
-        if not self.num:
+        if not self._num:
             return self
         value = Fraction(value)
         p, q = value.numerator, value.denominator
-        exps = {k[i] for k in self.num}
+        s = _layout(self.arity).shifts[i]
+        exps = {(k >> s & FIELD_MASK) - BIAS for k in self._num}
         if p == 0:
             if min(exps) < 0:
                 raise ZeroDivisionError("negative power at 0")
@@ -261,113 +393,123 @@ class SparseLaurent:
             if scale < 0:
                 factor = {e: -f for e, f in factor.items()}
                 scale = -scale
-        res: dict[ExpVec, int] = {}
-        for k, c in self.num.items():
-            f = factor.get(k[i])
+        res: dict[int, int] = {}
+        for k, c in self._num.items():
+            e = (k >> s & FIELD_MASK) - BIAS
+            f = factor.get(e)
             if f is None:
                 continue
-            nk = k[:i] + (0,) + k[i + 1:]
-            s = res.get(nk, 0) + c * f
-            if s:
-                res[nk] = s
+            nk = k - (e << s)
+            t = res.get(nk, 0) + c * f
+            if t:
+                res[nk] = t
             else:
                 res.pop(nk, None)
-        return SparseLaurent.from_ints(self.arity, res, self.den * scale)
-
-    def eval_all(self, values: Sequence[Fraction]) -> Fraction:
-        total = QZERO
-        for k, c in self.num.items():
-            term = Fraction(c)
-            for e, v in zip(k, values):
-                if e:
-                    term *= Fraction(v) ** e
-            total += term
-        return total / self.den
+        return SparseLaurent._reduced(self.arity, res, self.den * scale, self._reach)
 
     def eval_float(self, values: Sequence[float]) -> float:
         # int / int rounds correctly, exactly as float(Fraction) does
-        den = self.den
+        den, unpack = self.den, _layout(self.arity).unpack
         total = 0.0
-        for k, c in self.num.items():
+        for k, c in self._num.items():
             term = c / den
-            for e, v in zip(k, values):
+            for e, v in zip(unpack(k), values):
                 if e:
                     term *= v ** e
             total += term
         return total
-
-    def permuted(self, perm: Sequence[int]) -> "SparseLaurent":
-        """Relabel variables: new slot j carries old slot perm[j]."""
-        if self.arity < 2:
-            # the one relabelling there is; itemgetter of one index gives no tuple
-            return SparseLaurent._new(self.arity, dict(self.num), self.den)
-        key = itemgetter(*perm)
-        return SparseLaurent._new(self.arity, {key(k): c for k, c in self.num.items()},
-                                  self.den)
 
     def relabel(self, arity: int, key: Callable[[ExpVec], ExpVec]) -> "SparseLaurent":
         """Move each term to exponent ``key(k)`` in ``arity`` variables.
 
         ``key`` must be one-to-one on the exponents present.
         """
-        return SparseLaurent._new(arity, {key(k): c for k, c in self.num.items()}, self.den)
+        unpack = _layout(self.arity).unpack
+        num, reach = _packed(arity, {key(unpack(k)): c for k, c in self._num.items()})
+        return SparseLaurent._new(arity, num, self.den, reach)
+
+    def permuted(self, perm: Sequence[int]) -> "SparseLaurent":
+        """Relabel variables: new slot j carries old slot perm[j]."""
+        if self.arity < 2:
+            # the one relabelling there is; itemgetter of one index gives no tuple
+            return SparseLaurent._new(self.arity, dict(self._num), self.den, self._reach)
+        return self.relabel(self.arity, itemgetter(*perm))
+
+    def select(self, keep: Callable[[ExpVec], bool]) -> "SparseLaurent":
+        """The terms whose exponent vector satisfies ``keep``, in term order."""
+        unpack = _layout(self.arity).unpack
+        return SparseLaurent._reduced(
+            self.arity, {k: c for k, c in self._num.items() if keep(unpack(k))},
+            self.den, self._reach)
 
     def is_symmetric(self) -> bool:
         """Invariance under all variable permutations (checked on generators)."""
         n = self.arity
         if n <= 1:
             return True
-        swap = list(range(n))
-        swap[0], swap[1] = 1, 0
-        if self.permuted(swap) != self:
-            return False
-        cyc = [(j + 1) % n for j in range(n)]
-        return self.permuted(cyc) == self
+        items, get = self._num.items(), self._num.get
+        top, second = FIELD_BITS * (n - 1), FIELD_BITS * (n - 2)
+        low, rest = (1 << top) - 1, (1 << second) - 1
+        # swap the fields of slots 0 and 1; then new slot j carries old slot
+        # j + 1: rotate the key left by one field
+        return (all(get((k >> second & FIELD_MASK) << top | (k >> top) << second | k & rest) == c
+                    for k, c in items)
+                and all(get((k & low) << FIELD_BITS | k >> top) == c for k, c in items))
 
     def embed(self, arity: int, slots: Sequence[int]) -> "SparseLaurent":
-        """Embed into ``arity`` variables, old variable i going to slots[i]."""
-        res: dict[ExpVec, int] = {}
-        for k, c in self.num.items():
-            nk = [0] * arity
-            for i, e in enumerate(k):
-                nk[slots[i]] += e
-            key = tuple(nk)
-            s = res.get(key, 0) + c
-            if s:
-                res[key] = s
+        """Embed into ``arity`` variables, old variable i going to slots[i].
+
+        Old variables sent to one slot multiply there: their exponents add.
+        """
+        slots = tuple(slots)
+        up, down, base, most = _mover(self.arity, arity, slots)
+        reach = self._reach * most
+        if reach > EXP_MAX:
+            spans = self._spans()
+            reach = max((_fit(sum(spans[i][0] for i, t in enumerate(slots) if t == slot),
+                              sum(spans[i][1] for i, t in enumerate(slots) if t == slot),
+                              slot) for slot in set(slots)), default=0)
+        res: dict[int, int] = {}
+        for k, c in self._num.items():
+            nk = base
+            for mask, s in up:
+                nk += (k & mask) << s
+            for mask, s in down:
+                nk += (k & mask) >> s
+            t = res.get(nk, 0) + c
+            if t:
+                res[nk] = t
             else:
-                res.pop(key, None)
-        return SparseLaurent.from_ints(arity, res, self.den)
+                res.pop(nk, None)
+        return SparseLaurent._reduced(arity, res, self.den, reach)
 
     def merge_vars(self, keep: int, absorb: int) -> "SparseLaurent":
         """Set ``v_absorb = v_keep``; slot ``absorb`` becomes unused."""
-        res: dict[ExpVec, int] = {}
-        for k, c in self.num.items():
-            nk = list(k)
-            nk[keep] += nk[absorb]
-            nk[absorb] = 0
-            key = tuple(nk)
-            s = res.get(key, 0) + c
-            if s:
-                res[key] = s
-            else:
-                res.pop(key, None)
-        return SparseLaurent.from_ints(self.arity, res, self.den)
+        return self.embed(self.arity, [keep if i == absorb else i for i in range(self.arity)])
+
+    def _exponent_sums(self) -> list[int]:
+        """The sum of each term's exponents, in term order."""
+        if self.arity * self._reach <= _HALF:
+            # casting out: the key less the bias vector is congruent to the
+            # sum mod FIELD_MASK, and |sum| <= _HALF picks the residue
+            off = _HALF - _layout(self.arity).bias
+            return [(k + off) % FIELD_MASK - _HALF for k in self._num]
+        return list(map(sum, map(_layout(self.arity).unpack, self._num)))
 
     def principal(self) -> dict[int, Fraction]:
         """Set all variables equal; returns univariate exponent -> coefficient."""
         res: dict[int, int] = {}
-        for k, c in self.num.items():
-            e = sum(k)
-            s = res.get(e, 0) + c
+        get, pop = res.get, res.pop
+        for e, c in zip(self._exponent_sums(), self._num.values()):
+            s = get(e, 0) + c
             if s:
                 res[e] = s
             else:
-                res.pop(e, None)
+                pop(e, None)
         return {e: Fraction(c, self.den) for e, c in res.items()}
 
     def total_degree(self) -> int:
-        return max((sum(k) for k in self.num), default=0)
+        return max(self._exponent_sums(), default=0)
 
     # -- exact division -----------------------------------------------------
 
@@ -381,9 +523,10 @@ class SparseLaurent:
         """Exact division by ``v_a - c0`` for a rational constant c0."""
         if c0 == 0:
             # v_a is a unit here: just shift the exponent down
-            return SparseLaurent._new(self.arity, {
-                k[:a] + (k[a] - 1,) + k[a + 1:]: c
-                for k, c in self.num.items()}, self.den)
+            reach = self._stepped_reach(a, -1)
+            one = 1 << _layout(self.arity).shifts[a]
+            return SparseLaurent._new(self.arity, {k - one: c for k, c in self._num.items()},
+                                      self.den, reach)
         c0 = Fraction(c0)
         return self._divide(a, None, c0.numerator, c0.denominator, f"v{a} - {qstr(c0)}")
 
@@ -391,42 +534,60 @@ class SparseLaurent:
                 divisor: str) -> "SparseLaurent":
         """Exact division by ``v_a - (p/q) v_b``, or by ``v_a - p/q`` when b is None.
 
-        Synthetic division from the highest power of ``v_a`` down.
+        Synthetic division from the highest power of ``v_a`` down.  An exact
+        quotient has no exponent outside the dividend's range, so it keeps
+        the dividend's reach.
         """
-        layers: dict[int, dict[ExpVec, int]] = {}
-        for k, c in self.num.items():
-            layers.setdefault(k[a], {})[k[:a] + (0,) + k[a + 1:]] = c
+        shifts = _layout(self.arity).shifts
+        sa = shifts[a]
+        layers: dict[int, dict[int, int]] = {}
+        for k, c in self._num.items():
+            e = (k >> sa & FIELD_MASK) - BIAS
+            layers.setdefault(e, {})[k - (e << sa)] = c
         if not layers:
             return SparseLaurent.zero(self.arity)
         hi, lo = max(layers), min(layers)
-        quot: dict[ExpVec, int] = {}
-        carry: dict[ExpVec, int] = {}
+        # each layer passed raises the v_b exponent of a carried term by one;
+        # an exact quotient never carries v_b^EXP_MAX, as the dividend has a
+        # v_b exponent above every quotient's
+        sb = shifts[b] if b is not None else 0
+        guard = b is not None and self._reach + hi - lo > EXP_MAX
+        one_b = 1 << sb if b is not None else 0
+        quot: dict[int, int] = {}
+        carry: dict[int, int] = {}
         for e in range(hi, lo - 1, -1):
             # step holds q^(hi-e) times the quotient's v_a^(e-1) layer: this
             # layer plus (p/q) v_b times the layer above
             lift = q ** (hi - e)
-            step = {k: c * lift for k, c in layers.get(e, {}).items()}
+            layer = layers.get(e, {})
+            step = dict(layer) if lift == 1 else {k: c * lift for k, c in layer.items()}
+            if guard and any(k >> sb & FIELD_MASK == FIELD_MASK for k in carry):
+                raise ExactDivisionError(f"remainder dividing by {divisor}")
+            get, pop = step.get, step.pop
             for k, c in carry.items():
-                if b is not None:
-                    k = k[:b] + (k[b] + 1,) + k[b + 1:]
-                s = step.get(k, 0) + c * p
+                k += one_b
+                s = get(k, 0) + c * p
                 if s:
                     step[k] = s
                 else:
-                    step.pop(k, None)
+                    pop(k, None)
             if e > lo:
                 down = q ** (e - lo - 1)
-                for k, c in step.items():
-                    quot[k[:a] + (e - 1,) + k[a + 1:]] = c * down
+                at = (e - 1) << sa
+                quot.update({k + at: c for k, c in step.items()} if down == 1
+                            else {k + at: c * down for k, c in step.items()})
                 carry = step
             elif step:
                 raise ExactDivisionError(f"remainder dividing by {divisor}")
-        return SparseLaurent.from_ints(self.arity, quot, self.den * q ** (hi - lo - 1))
+        return SparseLaurent._reduced(self.arity, quot, self.den * q ** (hi - lo - 1),
+                                      self._reach)
 
     # -- JSON wire format -----------------------------------------------------
 
     def to_json(self) -> list:
-        return [[list(k), qstr(Fraction(self.num[k], self.den))] for k in sorted(self.num)]
+        unpack = _layout(self.arity).unpack
+        return [[list(unpack(k)), qstr(Fraction(c, self.den))]
+                for k, c in sorted(self._num.items())]
 
     @classmethod
     def from_json(cls, arity: int, data: Iterable) -> "SparseLaurent":
@@ -434,6 +595,31 @@ class SparseLaurent:
         if any(len(k) != arity for k in terms):
             raise ValueError("exponent vector of wrong length")
         return cls(arity, terms)
+
+
+@cache
+def _mover(src: int, dst: int, slots: tuple[int, ...]
+           ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int, int]:
+    """How ``embed`` builds a key, and how many source slots share a target.
+
+    A key is the sum of a constant, which holds each target's bias once, and
+    of (mask, left shift) and (mask, right shift) blocks of source fields.
+    Runs of source slots that land on consecutive target slots in order move
+    as one block.
+    """
+    src_shifts, dst_shifts = _layout(src).shifts, _layout(dst).shifts
+    blocks: list[list[int]] = []  # [mask, shift change]
+    for i, t in enumerate(slots):
+        field = FIELD_MASK << src_shifts[i]
+        change = dst_shifts[t] - src_shifts[i]
+        if blocks and i and t == slots[i - 1] + 1 and blocks[-1][1] == change:
+            blocks[-1][0] |= field
+        else:
+            blocks.append([field, change])
+    hits = Counter(slots)
+    base = sum((1 - hits[t]) * BIAS << dst_shifts[t] for t in range(dst))
+    return (tuple((m, s) for m, s in blocks if s >= 0),
+            tuple((m, -s) for m, s in blocks if s < 0), base, max(hits.values(), default=1))
 
 
 def sum_over_divisors(arity: int,

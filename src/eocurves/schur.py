@@ -153,9 +153,7 @@ def weight(key: Sequence[int], width: int) -> int:
 
 def truncate(f: SparseLaurent, width: int, s_order: int) -> SparseLaurent:
     """The terms of f of weight <= width and s-order <= s_order."""
-    return SparseLaurent.from_ints(
-        f.arity, {k: c for k, c in f.num.items()
-                  if k[0] <= s_order and weight(k, width) <= width}, f.den)
+    return f.select(lambda k: k[0] <= s_order and weight(k, width) <= width)
 
 
 def schur_in_p(mu: Sequence[int], width: int | None = None) -> SparseLaurent:
@@ -196,7 +194,7 @@ def cutjoin_apply(f: SparseLaurent) -> SparseLaurent:
 
 def exp(f: SparseLaurent, width: int, s_order: int) -> SparseLaurent:
     """exp(f) to weight width and s-order s_order, for f with no term of weight 0."""
-    if any(weight(k, width) == 0 for k in f.num):
+    if f.select(lambda k: weight(k, width) == 0):
         raise ValueError("exp needs positive minimum weight")
     result = power = SparseLaurent.const(f.arity, 1)
     for k in range(1, width + 1):

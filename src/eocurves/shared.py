@@ -88,7 +88,7 @@ def stable_splits(g: int, rest: Sequence[int]
 
 def diagonal_mixed(f: SparseLaurent) -> SparseLaurent:
     """d^2 f/dt_1 dt_2 on the diagonal t_1 = t_2, with one variable fewer."""
-    return f.diff(0).diff(1).merge_vars(0, 1).relabel(f.arity - 1, lambda k: k[:1] + k[2:])
+    return f.diff(0).diff(1).embed(f.arity - 1, [0, 0, *range(1, f.arity - 1)])
 
 
 def principal_ratfunc(f: SparseLaurent, var: str = "t") -> RatFunc:

@@ -2,14 +2,16 @@
 
 They deliberately avoid the package's code paths: one-vertex maps and
 cellular graphs are enumerated as raw pairings, and Hurwitz numbers are counted from
-transposition factorizations in the symmetric group.
+transposition factorizations in the symmetric group.  Two plain ``Fraction``
+references close the module: the exact value of a ``SparseLaurent`` at a
+point, and the dessin numbers from the Catalan counts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -189,3 +191,23 @@ def labeled_hurwitz_by_factorizations(g: int, mu: Sequence[int]) -> Fraction:
     for v in set(mu):
         aut *= factorial(mu.count(v))
     return hurwitz_by_factorizations(g, mu) * Q(factorial(r), aut)
+
+
+# ---------------------------------------------------------------------------
+# plain Fraction references
+# ---------------------------------------------------------------------------
+
+def eval_all(f, values: Sequence[Fraction]) -> Fraction:
+    """A ``SparseLaurent`` at a rational point, summed term by term."""
+    total = Q(0)
+    for key, c in f.terms.items():
+        for e, v in zip(key, values):
+            c *= Q(v) ** e
+        total += c
+    return total
+
+
+def dessin_number(g: int, n: int, mu: Sequence[int]) -> Fraction:
+    """Automorphism-weighted graph count: catalan_count / prod(mu)."""
+    from eocurves.catalan import catalan_count
+    return Q(catalan_count(g, n, mu), prod(mu))

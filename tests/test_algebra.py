@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import eval_all
 from eocurves.errors import (
     DegenerateMap,
     ExactDivisionError,
@@ -73,15 +74,15 @@ def test_laurent_ring_laws(f, g, h):
 @settings(max_examples=40)
 def test_laurent_eval_homomorphism(f, g):
     pt = [Q(3, 2), Q(-5, 3)]
-    assert (f * g).eval_all(pt) == f.eval_all(pt) * g.eval_all(pt)
-    assert (f + g).eval_all(pt) == f.eval_all(pt) + g.eval_all(pt)
+    assert eval_all(f * g, pt) == eval_all(f, pt) * eval_all(g, pt)
+    assert eval_all(f + g, pt) == eval_all(f, pt) + eval_all(g, pt)
 
 
 def test_laurent_diff_integrate_inverse():
     f = SparseLaurent(1, {(3,): Q(2), (-2,): Q(5), (0,): Q(7)})
     g = f.integrate(0, base=Q(-1))
     assert g.diff(0) == f
-    assert g.eval_all([Q(-1)]) == 0
+    assert eval_all(g, [Q(-1)]) == 0
 
 
 def test_laurent_integrate_log_case():

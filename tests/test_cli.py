@@ -116,6 +116,8 @@ def test_schur_verify_rejects_negative_bounds(capsys, option, value):
     # an order below 1 would be a report of zero checks, passing vacuously
     (["wkb", "corrections", "--model", "catalan", "--order", "0"], "--order", 1, "0"),
     (["wkb", "corrections", "--model", "catalan", "--order", "-1"], "--order", 1, "-1"),
+    (["catalan", "verify-schrodinger", "--max-order", "0"], "--max-order", 1, "0"),
+    (["catalan", "verify-schrodinger", "--max-order", "-5"], "--max-order", 1, "-5"),
 ])
 def test_out_of_range_orders_are_usage_errors(capsys, argv, option, low, value):
     with pytest.raises(SystemExit) as err:

@@ -127,7 +127,7 @@ def test_free_energy_one_one():
     fe = hur.free_energy(1, 1)
     assert fe.terms == {(3,): Q(1, 24), (2,): Q(-1, 24), (1,): Q(-1, 24),
                         (0,): Q(1, 24)}
-    assert fe.eval_all([Q(1)]) == 0
+    assert brute_force.eval_all(fe, [Q(1)]) == 0
 
 
 LEVELS = [(1, 1), (0, 3), (0, 4), (1, 2), (0, 5), (1, 3), (2, 1)]
