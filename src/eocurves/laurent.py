@@ -290,7 +290,7 @@ class SparseLaurent:
             shift = k1 - bias
             res = {k2 + shift: c1 * c2 for k2, c2 in b.items()}
         else:
-            res: dict[int, int] = {}
+            res = {}
             get, pop = res.get, res.pop
             for k1, c1 in a.items():
                 shift = k1 - bias
