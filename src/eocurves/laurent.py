@@ -10,12 +10,12 @@ denominator and numerator maps are.  Every kernel works in integers;
 
 Exponent vectors are stored packed, one ``int`` per term (after Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007).  Each slot owns a ``FIELD_BITS``-wide field
-holding ``e + BIAS``, slot 0 in the most significant field, so sorting the
-ints sorts the vectors lexicographically.  Exponents must lie in
-``[EXP_MIN, EXP_MAX]``: the constructors raise OverflowError naming one
-outside, and so does every kernel whose result would hold one, before any
-field can wrap.  The kernels decide this from a bound on |exponent| carried
+exponent vectors", CASC 2007).  Each slot owns a 16-bit field
+(``FIELD_BITS``) holding ``e + 2**15`` (``BIAS``), slot 0 in the most
+significant field, so sorting the ints sorts the vectors lexicographically.
+Exponents must lie in ``[-32768, 32767]`` (``EXP_MIN``, ``EXP_MAX``): the
+constructors raise OverflowError naming one outside, and so does every
+kernel whose result would hold one, before any field can wrap.  The kernels decide this from a bound on |exponent| carried
 with each value (``_reach``) and fall back to each slot's exact range only
 near the edge, so no check runs per term pair.  Products add keys and
 subtract the bias vector; derivatives, integrals, substitutions and
@@ -612,7 +612,7 @@ def _mover(src: int, dst: int, slots: tuple[int, ...]
     for i, t in enumerate(slots):
         field = FIELD_MASK << src_shifts[i]
         change = dst_shifts[t] - src_shifts[i]
-        if blocks and i and t == slots[i - 1] + 1 and blocks[-1][1] == change:
+        if i and t == slots[i - 1] + 1:  # the field just below the last block's
             blocks[-1][0] |= field
         else:
             blocks.append([field, change])
