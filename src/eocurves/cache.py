@@ -6,7 +6,8 @@ Hurwitz memo holds the integers r! d! H, which import computes as
 p (r! d! / q) in integers; a q that does not divide r! d! marks a corrupt
 entry.  Corrupt entries are rejected with a warning and recomputed
 rather than trusted; an oversized Hurwitz key is rejected before r! d!
-is computed.
+is computed.  A file that is not JSON, or whose top level or tables are
+not objects, is rejected whole.
 """
 
 from __future__ import annotations
@@ -27,23 +28,15 @@ from .rationals import qstr
 MAX_BRANCH_POINTS = 400
 
 
-def cache_dir(default: str | None = None) -> Path:
-    env = os.environ.get("EO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(default) if default else Path(".eo-cache")
-
-
 def _flatten(g: int, mu: tuple[int, ...]) -> str:
     return ",".join(str(v) for v in (g, len(mu), *mu))
 
 
 def _unflatten(key: str) -> tuple[int, tuple[int, ...]]:
     parts = [int(v) for v in key.split(",")]
-    g, n, mu = parts[0], parts[1], tuple(parts[2:])
-    if len(mu) != n or g < 0:
+    if len(parts) < 2 or len(parts) != parts[1] + 2 or parts[0] < 0:
         raise CorruptCache(f"malformed key {key!r}")
-    return g, mu
+    return parts[0], tuple(parts[2:])
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -85,7 +78,10 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
         return {"catalan": 0, "hurwitz": 0, "rejected": 0}
     try:
         payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(payload, dict) or not all(
+                isinstance(payload.get(model, {}), dict) for model in ("catalan", "hurwitz")):
+            raise ValueError("not an object of count tables")
+    except (OSError, ValueError) as exc:
         warn(f"cache: unreadable file {path}: {exc}")
         return {"catalan": 0, "hurwitz": 0, "rejected": 1}
     rejected = 0

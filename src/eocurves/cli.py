@@ -19,7 +19,7 @@ from . import catalan as cat
 from . import hurwitz as hur
 from . import schur
 from . import wkb
-from .cache import MAX_BRANCH_POINTS, cache_dir, export_caches, import_caches, memo_sizes
+from .cache import MAX_BRANCH_POINTS, export_caches, import_caches, memo_sizes
 from .errors import InvalidProfile, SizeMismatch
 from .rationals import qstr
 from .report import Report, RunConfig, run_checks, run_suite, SUITES, CheckRecord
@@ -49,8 +49,6 @@ def _common_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     default = (lambda v: argparse.SUPPRESS if suppress else v)
     parser.add_argument("--format", choices=("json", "csv", "pretty"),
                         default=default("pretty"), help="report output format")
-    parser.add_argument("--tolerance", type=float, default=default(1e-8),
-                        help="relative tolerance for floating probes")
     parser.add_argument("--cache", type=str, default=default(""),
                         help="JSON cache file to load before and save after")
 
@@ -79,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_at_least(2), required=True)
     p.add_argument("--path", choices=("assembled", "recursive", "both"),
                    default="both")
-    p.add_argument("--extended", action="store_true",
-                   help="allow m >= 5 (pulls in the larger free energies)")
     p = cat_sub.add_parser("verify-schrodinger",
                            help="order-by-order quantum-curve residuals")
     p.add_argument("--max-order", type=_at_least(1), default=4)
@@ -125,13 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("catalan", "hurwitz", "wkb", "schur", "all"),
                           default="all")
 
-    p_cache = sub.add_parser("cache", help="persistent memo tables", parents=[common])
-    cache_sub = p_cache.add_subparsers(dest="subcommand", required=True)
-    p = cache_sub.add_parser("export", parents=[common])
-    p.add_argument("--path", type=str, default="")
-    p = cache_sub.add_parser("import", parents=[common])
-    p.add_argument("--path", type=str, default="")
-
     return top
 
 
@@ -159,12 +148,10 @@ def main(argv: list[str] | None = None) -> int:
                     subcommand=getattr(args, "subcommand", "") or "",
                     suite=getattr(args, "suite", "") or "",
                     params={k: v for k, v in sorted(vars(args).items())
-                            if k not in {"command", "subcommand", "format",
-                                         "tolerance", "cache"}
+                            if k not in {"command", "subcommand", "format", "cache"}
                             and not callable(v)},
                     output_format=args.format,
-                    cache_path=args.cache,
-                    tolerance=args.tolerance)
+                    cache_path=args.cache)
 
     # the file is rewritten only after a run that passed, and only if it is
     # missing, lost an entry on import or would gain one: a failed run may
@@ -202,10 +189,6 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             print(cat.catalan_count(args.g, args.n, args.mu))
             return 0
         if args.subcommand == "s-coeff":
-            if args.m >= 5 and not args.extended:
-                print("m >= 5 needs --extended (large free energies)",
-                      file=sys.stderr)
-                return 2
             out = {}
             if args.path in ("assembled", "both"):
                 out["assembled"] = cat.s_coefficient_assembled(args.m).to_json()
@@ -280,17 +263,6 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     if args.command == "verify":
         return _report_and_exit(run_suite(args.suite, cfg), fmt)
-
-    if args.command == "cache":
-        path = Path(args.path) if args.path else cache_dir() / "cache.json"
-        if args.subcommand == "export":
-            stats = export_caches(path)
-            _emit({"path": str(path), **stats})
-            return 0
-        if args.subcommand == "import":
-            stats = import_caches(path)
-            _emit({"path": str(path), **stats})
-            return 0
 
     return 2
 

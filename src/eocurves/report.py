@@ -39,7 +39,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     output_format: str = "pretty"
     cache_path: str = ""
-    tolerance: float = 1e-8
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -137,6 +136,10 @@ def free_energies_check(model: str) -> CheckFn:
     return check
 
 
+# the probes' true relative errors are about 1e-13
+LAPLACE_TOLERANCE = 1e-8
+
+
 def laplace_check(model: str) -> CheckFn:
     """Exact free energies against truncated Laplace sums at the model's probes."""
     module = wkb.MODELS[model]
@@ -149,7 +152,7 @@ def laplace_check(model: str) -> CheckFn:
             error = abs(exact - direct) / abs(direct)
             if error > worst:
                 worst, where = error, f" at ({g},{n})"
-        ok = worst <= cfg.tolerance
+        ok = worst <= LAPLACE_TOLERANCE
         return ok, f"max relative error {worst:.2e}" + ("" if ok else where)
 
     return check
@@ -261,21 +264,31 @@ def check_hurwitz_lambert(cfg: RunConfig) -> tuple[bool, str]:
     return False, "; ".join(fails) + f" (order {rep['order']})"
 
 
+def _listed_failures(rep: dict, passed: str) -> tuple[bool, str]:
+    """A helper report's pass flag, with its failure count and first failure."""
+    if rep["pass"]:
+        return True, passed
+    failures = rep["failures"]
+    plural = "" if len(failures) == 1 else "s"
+    return False, f"{len(failures)} failure{plural}, first: {failures[0]}"
+
+
 def check_zhou_series(cfg: RunConfig) -> tuple[bool, str]:
-    rep = qhbar.zhou_series_checks(20)
-    return rep["pass"], "termwise recursion/difference/heat checks to m=20"
+    return _listed_failures(qhbar.zhou_series_checks(20),
+                            "termwise recursion/difference/heat checks to m=20")
 
 
 def check_pq_commutator(cfg: RunConfig) -> tuple[bool, str]:
-    rep = qhbar.pq_commutator_check(10, 3)
-    return rep["pass"], "commutator bracket annihilates the basis grid"
+    return _listed_failures(qhbar.pq_commutator_check(10, 3),
+                            "commutator bracket annihilates the basis grid")
 
 
 def check_wkb_corrections(cfg: RunConfig) -> tuple[bool, str]:
     for model in wkb.MODELS:
         corr = wkb.recover_corrections(model, 4)
-        if not all(c.is_zero() for c in corr):
-            return False, f"nonzero correction for {model}"
+        for k, c in enumerate(corr, 1):
+            if not c.is_zero():
+                return False, f"nonzero A_{k} for {model}"
     return True, "A_1..A_4 vanish for both models"
 
 
@@ -315,8 +328,8 @@ def check_schur_cauchy(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def check_schur_collapse(cfg: RunConfig) -> tuple[bool, str]:
-    rep = schur.principal_collapse_check(8)
-    return rep["pass"], "one-row collapse matches explicit series to m=8"
+    return _listed_failures(schur.principal_collapse_check(8),
+                            "one-row collapse matches explicit series to m=8")
 
 
 def check_schur_orthogonality(cfg: RunConfig) -> tuple[bool, str]:

@@ -11,7 +11,10 @@ from eocurves import cache
 from eocurves import catalan as cat
 from eocurves import cli
 from eocurves import hurwitz as hur
+from eocurves import qhbar
 from eocurves import report
+from eocurves import schur
+from eocurves import wkb
 from eocurves.cache import export_caches, import_caches
 from eocurves.cli import HURWITZ_SUBSUITES, main
 from eocurves.laurent import SparseLaurent
@@ -365,6 +368,52 @@ def test_recursion_check_names_failing_term(monkeypatch):
                         "5 terms, first term -4/7 t^(3, 1, 1, 1)")
 
 
+def test_zhou_check_counts_its_failures(monkeypatch):
+    ok, residual = report.check_zhou_series(RunConfig())
+    assert ok and residual == "termwise recursion/difference/heat checks to m=20"
+    true_term = qhbar.zhou_term
+    monkeypatch.setattr(qhbar, "zhou_term",
+                        lambda m: true_term(m) * 2 if m == 3 else true_term(m))
+    assert report.check_zhou_series(RunConfig()) == (
+        False, "4 failures, first: term recursion at order 3")
+
+
+def test_commutator_check_counts_its_failures(monkeypatch):
+    ok, residual = report.check_pq_commutator(RunConfig())
+    assert ok and residual == "commutator bracket annihilates the basis grid"
+    true_q = qhbar.op_q
+    monkeypatch.setattr(qhbar, "op_q", lambda f: true_q(f) * 2)
+    # [P, 2Q] - P = P, nonzero on all 11 x 7 basis elements
+    assert report.check_pq_commutator(RunConfig()) == (
+        False, "77 failures, first: m=0, k=-3")
+
+
+def test_collapse_check_names_its_failure(monkeypatch):
+    ok, residual = report.check_schur_collapse(RunConfig())
+    assert ok and residual == "one-row collapse matches explicit series to m=8"
+    true_term = qhbar.zhou_term
+    monkeypatch.setattr(schur, "zhou_term",
+                        lambda m: true_term(m) * 2 if m == 3 else true_term(m))
+    assert report.check_schur_collapse(RunConfig()) == (
+        False, "1 failure, first: collapse total at m=3")
+
+
+def test_corrections_check_names_the_nonzero_order(monkeypatch):
+    ok, residual = report.check_wkb_corrections(RunConfig())
+    assert ok and residual == "A_1..A_4 vanish for both models"
+    true_primes = wkb.model_s_primes
+
+    def doubled_s2(model, m_max):
+        primes = true_primes(model, m_max)
+        if model == "catalan":
+            primes[2] = primes[2] * 2
+        return primes
+
+    monkeypatch.setattr(wkb, "model_s_primes", doubled_s2)
+    assert report.check_wkb_corrections(RunConfig()) == (
+        False, "nonzero A_2 for catalan")
+
+
 def test_hurwitz_subsuite_runs_only_its_checks(capsys, monkeypatch):
     called = []
 
@@ -488,3 +537,56 @@ def test_interrupted_export_keeps_the_old_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_text() == '{"catalan": {}, "hurwitz": {}}'
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("payload", [
+    {"catalan": {"6": "1"}},
+    {"hurwitz": {"0": "1"}},
+    [1, 2],
+    None,
+    {"catalan": [1]},
+], ids=["short-catalan-key", "short-hurwitz-key", "list", "null", "list-table"])
+def test_malformed_cache_is_rejected_and_rewritten(tmp_path, capsys, monkeypatch, payload):
+    monkeypatch.setattr(cat, "_count_memo", {})
+    monkeypatch.setattr(hur, "_h_memo", {})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    code = main(["--cache", str(path), "catalan", "count", "--g", "0", "--n", "1",
+                 "--mu", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == "1"
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("cache: ")
+    assert json.loads(path.read_text()) == {"catalan": {"0,1,2": "1"}, "hurwitz": {}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tolerance", "1", "verify", "--suite", "wkb"],
+    ["catalan", "s-coeff", "--m", "5", "--extended"],
+    ["cache", "export", "--path", "{p}"],
+    ["cache", "import", "--path", "{p}"],
+], ids=["tolerance", "extended", "cache-export", "cache-import"])
+def test_retired_options_are_usage_errors(tmp_path, capsys, argv):
+    path = tmp_path / "p.json"
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(p=path) for arg in argv])
+    assert err.value.code == 2
+    assert not path.exists()
+
+
+def test_no_option_loosens_the_laplace_probe(tmp_path, capsys):
+    # the forged count fails catalan-laplace (see above); no tolerance
+    # option can turn that into a pass that writes the forgery back
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"catalan": {"1,1,4": "2"}}))
+    forged = path.read_bytes()
+    with pytest.raises(SystemExit) as err:
+        main(["--tolerance", "1", "--cache", str(path), "verify", "--suite", "catalan"])
+    assert err.value.code == 2
+    assert path.read_bytes() == forged
+
+
+def test_s_coeff_m5_needs_no_flag(capsys):
+    code, out = run_cli(capsys, "catalan", "s-coeff", "--m", "5")
+    assert code == 0
+    assert json.loads(out)["equal"] is True
