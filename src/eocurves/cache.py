@@ -7,7 +7,8 @@ p (r! d! / q) in integers; a q that does not divide r! d! marks a corrupt
 entry.  Corrupt entries are rejected with a warning and recomputed
 rather than trusted; an oversized Hurwitz key is rejected before r! d!
 is computed.  A file that is not JSON, or whose top level or tables are
-not objects, is rejected whole.
+not objects, is rejected whole.  A file that cannot be written is
+reported with a warning, and the run keeps its exit code.
 """
 
 from __future__ import annotations
@@ -54,21 +55,30 @@ def memo_sizes() -> tuple[int, int]:
 
 
 def export_caches(path: Path) -> dict:
+    """Write both memo tables to ``path``; the entries written per model.
+
+    A file that cannot be written gets one line on stderr and counts zero
+    entries: the run's own answer and exit code stand.
+    """
     payload = {
         "catalan": {_flatten(g, mu): str(v)
                     for (g, mu), v in sorted(cat._count_memo.items())},
         "hurwitz": {_flatten(g, mu): qstr(Fraction(v, hur._scale(g, mu)))
                     for (g, mu), v in sorted(hur._h_memo.items())},
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     # write beside the file and rename over it, so an interrupted write
     # leaves the old file whole
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        print(f"cache: could not write {path}: {exc}", file=sys.stderr)
+        return {"catalan": 0, "hurwitz": 0}
     return {"catalan": len(payload["catalan"]), "hurwitz": len(payload["hurwitz"])}
 
 

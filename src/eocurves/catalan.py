@@ -230,6 +230,16 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
     the sum.  Every stable pairing term is divided where it is made: one
     that does not divide raises ExactDivisionError naming the factor, so a
     wrong lower free energy cannot be absorbed into the sum.
+
+    The pairing terms for j = 2..n-1 (the quotient over
+    (t_1 - t_j)(t_1 + t_j) and the kernel-2 line) are relabellings of the
+    j = 1 terms, so only those are divided.  The slot map [0, j, *others]
+    sends slot 1 to j and keeps the other slots in order, which is exactly
+    how the direct computation embeds F_{g,n-1}: each relabelled term is
+    the direct one, term for term and in term order.  This is sound because
+    every memoized F is asserted symmetric by ``free_energy``, so the n - 1
+    terms are one orbit of t_2 <-> t_j.  The Hurwitz recursion residual is a
+    check and keeps its literal per-pair sums.
     """
     if (g, n) == (0, 3):
         # both pairing factors are the unstable two-point function; its
@@ -269,17 +279,20 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
     cleared = SparseLaurent.zero(n)
     k3 = _kernel3(n, 0)
     if n >= 2:
+        # the j = 1 terms, t_2 standing for t_j and F_{g,n-1} on the rest
         fm = free_energy(g, n - 1)
-        for j in range(1, n):
-            others = [s for s in range(1, n) if s != j]
-            f_at_1 = fm.embed(n, [0, *others])
-            f_at_j = fm.embed(n, [j, *others])
-            phi_1 = _kernel3(n, 0) * f_at_1.diff(0)
-            phi_j = _kernel3(n, j) * f_at_j.diff(j)
-            tj = SparseLaurent.var(n, j)
-            cleared = cleared + (((phi_1 - phi_j) * tj).scale(Q(-1, 16))
-                                 .divide_var_binomial(0, j, +1).divide_var_binomial(0, j, -1))
-            cleared = cleared + (_kernel2(n, 0) * f_at_1.diff(0)).scale(Q(-1, 16))
+        d_at_1 = fm.embed(n, [0, *range(2, n)]).diff(0)
+        d_at_2 = fm.embed(n, [1, *range(2, n)]).diff(1)
+        phi_1, phi_2 = k3 * d_at_1, _kernel3(n, 1) * d_at_2
+        pairing = (((phi_1 - phi_2) * SparseLaurent.var(n, 1)).scale(Q(-1, 16))
+                   .divide_var_binomial(0, 1, +1).divide_var_binomial(0, 1, -1))
+        line2 = (_kernel2(n, 0) * d_at_1).scale(Q(-1, 16))
+        cleared = cleared + pairing + line2
+        for j in range(2, n):
+            # slot 1 to j, the others kept in order: the direct j terms
+            slots = [0, j, *(s for s in range(1, n) if s != j)]
+            cleared = cleared + pairing.embed(n, slots)
+            cleared = cleared + line2.embed(n, slots)
 
     if g >= 1:
         if (g - 1, n + 1) == (0, 2):

@@ -8,7 +8,7 @@ import pytest
 import brute_force
 from eocurves import catalan as cat
 from eocurves import oracles, report, shared
-from eocurves.errors import ExactDivisionError, InvalidProfile
+from eocurves.errors import AsymmetricResult, ExactDivisionError, InvalidProfile
 from eocurves.laurent import SparseLaurent
 from eocurves.report import RunConfig
 from eocurves.ratfunc import RatFunc, UPoly
@@ -148,18 +148,30 @@ def test_free_energy_matches_laplace_sum(g, n, xs, cap):
     assert abs(exact - direct) <= 1e-8 * abs(direct)
 
 
-def test_recursion_stable_term_must_divide(monkeypatch):
-    # F(0,3) + t_1^2 t_2 is not symmetric; building F(0,4) on it, the j = 1
-    # pairing term does not clear v0 + v1 and must raise there, not be
-    # carried along to a final division that names another factor
-    true_f03 = cat.free_energy(0, 3)
-    bad_f03 = true_f03 + SparseLaurent(3, {(2, 1, 0): Q(1)})
-    real = cat.free_energy
-    monkeypatch.setattr(cat, "_fe_memo", {(0, 3): true_f03})
-    monkeypatch.setattr(cat, "free_energy",
-                        lambda g, n: bad_f03 if (g, n) == (0, 3) else real(g, n))
-    with pytest.raises(ExactDivisionError, match=r"v0 \+ v1"):
-        real(0, 4)
+# F(0,3) plus one monomial, set in the memo, where free_energy never asserts
+# its symmetry.  F(0,4) reads F(0,3) only through d/dt_1 in its pairing
+# terms, and the one asymmetric term that does not clear v0 + v1 must raise
+# at its own division, not be carried along to one naming another factor.
+@pytest.mark.parametrize("exps,error,message", [
+    ((1, 2, 0), AsymmetricResult, r"\(0,4\) failed symmetry"),
+    ((2, 1, 0), ExactDivisionError, r"v0 \+ v1"),
+    ((1, 0, 0), AsymmetricResult, r"\(0,4\) failed symmetry"),
+    # blind spot: a term free of t_1 has zero d/dt_1, so it never reaches the
+    # pairing terms, and F(0,4) is built right on the forged F(0,3)
+    ((0, 1, 2), None, None),
+    ((0, 0, 1), None, None),
+], ids=["120", "210", "100", "012", "001"])
+def test_forged_three_point_free_energy(monkeypatch, exps, error, message):
+    true_f04 = cat.free_energy(0, 4)
+    memo = {(0, 3): cat.free_energy(0, 3) + SparseLaurent(3, {exps: Q(1)})}
+    monkeypatch.setattr(cat, "_fe_memo", memo)
+    if error is None:
+        assert cat.free_energy(0, 4) == true_f04
+        assert set(memo) == {(0, 3), (0, 4)}
+    else:
+        with pytest.raises(error, match=message):
+            cat.free_energy(0, 4)
+        assert set(memo) == {(0, 3)}  # nothing is memoized on a failure
 
 
 # float.hex() of each probe sum, keyed by (g, n, cap): the probe adds the

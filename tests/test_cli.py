@@ -539,6 +539,31 @@ def test_interrupted_export_keeps_the_old_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
 
 
+# a directory is also unreadable on import, which warns first; under a
+# regular file only the write fails
+@pytest.mark.parametrize("target,warnings", [
+    ("d", ["cache: unreadable file {p}: ", "cache: could not write {p}: "]),
+    ("f/c.json", ["cache: could not write {p}: "]),
+], ids=["directory", "under-a-file"])
+def test_unwritable_cache_keeps_the_exit_code(tmp_path, capsys, monkeypatch,
+                                              target, warnings):
+    monkeypatch.setattr(cat, "_count_memo", {})
+    monkeypatch.setattr(hur, "_h_memo", {})
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("")
+    path = tmp_path / target
+    code = main(["--cache", str(path), "catalan", "count", "--g", "0", "--n", "1",
+                 "--mu", "2"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == "1"
+    lines = captured.err.splitlines()
+    assert len(lines) == len(warnings)
+    for line, start in zip(lines, warnings):
+        assert line.startswith(start.format(p=path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
+    assert not any((tmp_path / "d").iterdir()) and (tmp_path / "f").read_text() == ""
+
+
 @pytest.mark.parametrize("payload", [
     {"catalan": {"6": "1"}},
     {"hurwitz": {"0": "1"}},

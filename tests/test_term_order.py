@@ -21,6 +21,9 @@ CATALAN_TERM_ORDER = {
     (0, 5): "48c19d1d087c10ea19db43e97d3ba2d322b1d4de8ace79f492cad41b6f92a0ec",
     (1, 3): "d308110c2f463546402ae5e7d3ba1cf3c5ec197507d4b15bf3a8316d1f5f8675",
     (2, 1): "617447d0423011c4539ec6d4307104983f009ccaead3e3b34c8c301e65cde5f4",
+    (0, 6): "e56316bb90ae4a9d51f55b60439eadcd6055b276b49031b5119a77b81bd9144b",
+    (1, 4): "9c79e67a5a677498a5d0f7feca07433c34b4fed023b04be3b270da2a120297f8",
+    (2, 2): "c8c880355abc0f92c2fbfab414e03ed00a8844a7aed812c65df0cbe5b5c2aee9",
 }
 
 HURWITZ_TERM_ORDER = {
