@@ -34,10 +34,14 @@ def _flatten(g: int, mu: tuple[int, ...]) -> str:
 
 
 def _unflatten(key: str) -> tuple[int, tuple[int, ...]]:
-    parts = [int(v) for v in key.split(",")]
-    if len(parts) < 2 or len(parts) != parts[1] + 2 or parts[0] < 0:
+    g, n, *mu = map(int, key.split(","))  # ValueError for a malformed key too
+    if len(mu) != n or g < 0:
         raise CorruptCache(f"malformed key {key!r}")
-    return parts[0], tuple(parts[2:])
+    # the memos key sorted profiles only: an unsorted key would be loaded
+    # where no lookup reads it, and written back on export
+    if mu != sorted(mu, reverse=True):
+        raise CorruptCache(f"key {key!r} is not a profile the memo holds")
+    return g, tuple(mu)
 
 
 def _ratio(value) -> tuple[int, int]:

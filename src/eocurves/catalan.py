@@ -30,6 +30,7 @@ from .shared import (
     sorted_key as _sorted_key,
     stable_splits,
     submultisets,
+    with_part,
 )
 from .shared import principal_ratfunc, stable_levels  # public in both models
 
@@ -67,7 +68,7 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
     total = 0
     # shrink the arrowed edge joining vertex 1 to another vertex
     for j, mj in enumerate(rest):
-        merged = (g, _sorted_key(rest[:j] + rest[j + 1:] + (mu1 + mj - 2,)))
+        merged = (g, with_part(rest[:j] + rest[j + 1:], mu1 + mj - 2))
         c = get(merged)
         if c is None:
             c = _count(*merged)
@@ -83,7 +84,7 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
     if mu1 == 2:
         total += int(key == (0, (2,)))
     else:
-        k0 = (g, _sorted_key((mu1 - 2,) + rest))
+        k0 = (g, with_part(rest, mu1 - 2))
         c = get(k0)
         if c is None:
             c = _count(*k0)
@@ -97,13 +98,13 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
         b = mu1 - 2 - a
         term = 0
         if g:
-            drop = (g - 1, _sorted_key((a, b) + rest))
+            drop = (g - 1, with_part(with_part(rest, a), b))
             term = get(drop)
             if term is None:
                 term = _count(*drop)
         for left, right, ways in by_parity[a % 2]:  # both sides' sums even
-            ka = _sorted_key((a,) + left)
-            kb = _sorted_key((b,) + right)
+            ka = with_part(left, a)
+            kb = with_part(right, b)
             for g1 in range(g + 1):
                 ca = get((g1, ka))
                 if ca is None:
@@ -315,9 +316,15 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
 # WKB coefficients S_m
 # ---------------------------------------------------------------------------
 
+_s_assembled_memo: dict[int, RatFunc] = {}
+
+
 def s_coefficient_assembled(m: int) -> RatFunc:
     """S_m(t) summed from principally specialized free energies (m >= 2)."""
-    return shared.s_coefficient_assembled(free_energy, m)
+    cached = _s_assembled_memo.get(m)
+    if cached is None:
+        cached = _s_assembled_memo[m] = shared.s_coefficient_assembled(free_energy, m)
+    return cached
 
 
 def s_prime(m: int) -> RatFunc:
@@ -449,4 +456,5 @@ def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:
 def clear_caches() -> None:
     _count_memo.clear()
     _fe_memo.clear()
+    _s_assembled_memo.clear()
     _s_recursive_memo.clear()

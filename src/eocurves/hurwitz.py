@@ -38,6 +38,7 @@ from .shared import (
     sorted_key as _sorted_key,
     stable_splits,
     submultisets,
+    with_part,
 )
 from .shared import principal_ratfunc, stable_levels  # public in both models
 
@@ -80,17 +81,17 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
     twice = 0
     values = sorted(set(mu), reverse=True)
     mult = {v: mu.count(v) for v in values}
-    # join two poles: same g and d, one branch point fewer, so N carries over
+    # join two poles: same g and d, one branch point fewer, so N carries over;
+    # removing a and b by index leaves the profile sorted
     for i, a in enumerate(values):
+        at_a = mu.index(a)
+        without_a = mu[:at_a] + mu[at_a + 1:]
         for b in values[i:]:
             twice_pairs = mult[a] * (mult[a] - 1) if a == b else 2 * mult[a] * mult[b]
             if not twice_pairs:
                 continue
-            merged = list(mu)
-            merged.remove(a)
-            merged.remove(b)
-            merged.append(a + b)
-            joined = (g, _sorted_key(merged))
+            at_b = without_a.index(b)
+            joined = (g, with_part(without_a[:at_b] + without_a[at_b + 1:], a + b))
             nj = get(joined)
             if nj is None:
                 nj = _hurwitz(*joined)
@@ -112,13 +113,13 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
             beta = v - alpha
             term = 0
             if g:
-                drop = (g - 1, _sorted_key(rest + (alpha, beta)))
+                drop = (g - 1, with_part(with_part(rest, alpha), beta))
                 term = get(drop)
                 if term is None:
                     term = _hurwitz(*drop)
             for sub, left, ways in splits:
-                ka = _sorted_key(sub + (alpha,))
-                kb = _sorted_key(left + (beta,))
+                ka = with_part(sub, alpha)
+                kb = with_part(left, beta)
                 d1 = sum(ka)
                 weight = ways * comb(d, d1)
                 r1 = len(ka) + d1 - 2  # at g1 = 0; each genus adds 2
@@ -417,9 +418,15 @@ def s1_prime_w() -> RatFunc:
     return RatFunc(UPoly([-1, 1]).pow(2) * Q(-1, 2), UPoly([1]), "t")
 
 
+_s_assembled_memo: dict[int, RatFunc] = {}
+
+
 def s_coefficient_assembled(m: int) -> RatFunc:
     """S_m(t) from principally specialized free energies (m >= 2)."""
-    return shared.s_coefficient_assembled(free_energy, m)
+    cached = _s_assembled_memo.get(m)
+    if cached is None:
+        cached = _s_assembled_memo[m] = shared.s_coefficient_assembled(free_energy, m)
+    return cached
 
 
 _s_recursive_memo: dict[int, RatFunc] = {}
@@ -597,4 +604,5 @@ def clear_caches() -> None:
     _xi_memo.clear()
     _elsv_memo.clear()
     _fe_memo.clear()
+    _s_assembled_memo.clear()
     _s_recursive_memo.clear()

@@ -12,9 +12,8 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, asdict
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from . import catalan as cat
@@ -31,21 +30,19 @@ Q = Fraction
 CheckFn = Callable[["RunConfig"], tuple[bool, str]]
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str = "verify"
     subcommand: str = ""
     suite: str = "all"
-    params: dict = field(default_factory=dict)
+    params: dict = {}  # shared by every default-built config; never mutated
     output_format: str = "pretty"
     cache_path: str = ""
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     statement: str
     status: str
@@ -53,8 +50,7 @@ class CheckRecord:
     wall_time: float
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     suite: str
     checks: list[CheckRecord]
     config: RunConfig
@@ -68,7 +64,7 @@ class Report:
             "suite": self.suite,
             "version": __version__,
             "config": self.config.to_json(),
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "overall": self.overall,
         }
 

@@ -45,6 +45,18 @@ def sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
 
 
 @cache
+def with_part(key: tuple[int, ...], part: int) -> tuple[int, ...]:
+    """The sorted key with one more part, ``sorted_key(key + (part,))``.
+
+    Memoized: both count recursions build every sub-profile this way, and a
+    table hit is cheaper than inserting or re-sorting.  ``key`` must be
+    sorted, largest part first.
+    """
+    at = bisect(key, -part, key=neg)
+    return key[:at] + (part,) + key[at:]
+
+
+@cache
 def submultisets(rest: tuple[int, ...]
                  ) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
     """(sub, complement, labeled ways) over sub-multisets of a sorted tuple.

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -248,6 +249,23 @@ def test_cache_rejects_profiles_the_memo_never_holds(tmp_path):
     assert hur.hurwitz_number(0, 1, [1]) == 1
 
 
+def test_cache_rejects_unsorted_keys(tmp_path, capsys):
+    # the memos key sorted profiles; an unsorted key would sit where no lookup
+    # reads it and be written back, so it is refused like any other forgery
+    cat.clear_caches()
+    hur.clear_caches()
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"catalan": {"0,2,2,4": "999"}, "hurwitz": {"0,2,1,2": "7"}}))
+    code = main(["--cache", str(path), "catalan", "count", "--g", "0", "--n", "1", "--mu", "6"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == "5"
+    assert captured.err.splitlines() == [
+        f"cache: rejecting {key!r}: key {key!r} is not a profile the memo holds"
+        for key in ("0,2,2,4", "0,2,1,2")]
+    assert json.loads(path.read_text()) == {
+        "catalan": {"0,1,2": "1", "0,1,4": "2", "0,1,6": "5"}, "hurwitz": {}}
+
+
 def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
     # a forged key for a huge profile is refused before r! d! is computed
     cat.clear_caches()
@@ -366,6 +384,19 @@ def test_recursion_check_names_failing_term(monkeypatch):
     assert not ok
     assert residual == ("nonzero residual at (0,4), level 2: "
                         "5 terms, first term -4/7 t^(3, 1, 1, 1)")
+
+
+def test_forged_free_energy_reaches_the_memoized_s_table():
+    # S_m is memoized per model; clear_caches must empty that memo too, or a
+    # free energy forged after a passing run would never reach S_m
+    assert report.check_catalan_s_table(RunConfig()) == (True, "closed z-forms match for m=2..4")
+    cat.clear_caches()
+    try:
+        cat._fe_memo[(0, 3)] = cat.free_energy(0, 3) + SparseLaurent(
+            3, {e: Q(1, 1000) for e in product((0, 1), repeat=3)})
+        assert report.check_catalan_s_table(RunConfig()) == (False, "closed form differs at m=2")
+    finally:
+        cat.clear_caches()
 
 
 def test_zhou_check_counts_its_failures(monkeypatch):

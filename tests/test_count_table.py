@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from eocurves import catalan as cat
 from eocurves import hurwitz as hur
-from eocurves.shared import submultisets
+from eocurves.shared import sorted_key, submultisets, with_part
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "count-table.json"
 
@@ -27,8 +27,14 @@ BOX = {"catalan": (cat.catalan_count, cat._count_memo, 929,
 
 
 @pytest.mark.parametrize("model", sorted(BOX))
-def test_counts_match_pinned_table(model):
+def test_counts_match_pinned_table(model, monkeypatch):
     count, memo, closure, digest = BOX[model]
+    # the recursions build every sub-key by insertion, so a profile is sorted
+    # once per query, at the public entry point, and never inside a recursion
+    sorts = []
+    for module in (cat, hur):
+        monkeypatch.setattr(module, "_sorted_key",
+                            lambda mu, sort=module._sorted_key: sorts.append(mu) or sort(mu))
     pinned = {}
     for key, value in json.loads(GOLDEN.read_text()).items():
         name, g, mu = key.split(":")
@@ -40,6 +46,7 @@ def test_counts_match_pinned_table(model):
     # by ascending |mu|, starting from cold memos
     for g, mu in sorted(pinned, key=lambda k: (sum(k[1]), k)):
         assert str(count(g, len(mu), mu)) == pinned[g, mu], (model, g, mu)
+    assert len(sorts) == len(pinned)
     assert len(memo) == closure
     # every by-product key and value, not only the queried ones
     assert hashlib.sha256(repr(sorted(memo.items())).encode()).hexdigest() == digest
@@ -58,3 +65,10 @@ def test_submultisets_group_the_index_subsets(rest):
             subsets[sub, tuple(v for i, v in enumerate(rest) if i not in picked)] += 1
     assert len(splits) == len(subsets)
     assert {(sub, left): ways for sub, left, ways in splits} == dict(subsets)
+
+
+@given(st.lists(st.integers(0, 6), max_size=6).map(sorted_key), st.integers(0, 8))
+def test_with_part_inserts_into_the_sorted_key(key, part):
+    grown = with_part(key, part)
+    assert isinstance(grown, tuple)
+    assert grown == sorted_key(key + (part,))
