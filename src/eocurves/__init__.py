@@ -8,34 +8,3 @@ identities, all in exact rational arithmetic.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    AsymmetricResult,
-    CorruptCache,
-    DegenerateMap,
-    DivisionBySingularSymbol,
-    InsufficientData,
-    InvalidProfile,
-    NonzeroResidue,
-    OverdeterminedMismatch,
-    PathMismatch,
-    SeriesOrderError,
-    SingularMatrix,
-    UnfactoredDenominator,
-)
-
-__all__ = [
-    "AsymmetricResult",
-    "CorruptCache",
-    "DegenerateMap",
-    "DivisionBySingularSymbol",
-    "InsufficientData",
-    "InvalidProfile",
-    "NonzeroResidue",
-    "OverdeterminedMismatch",
-    "PathMismatch",
-    "SeriesOrderError",
-    "SingularMatrix",
-    "UnfactoredDenominator",
-    "__version__",
-]

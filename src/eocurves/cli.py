@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", choices=("assembled", "recursive", "both"),
                    default="both")
     p = cat_sub.add_parser("verify-schrodinger",
-                           help="order-by-order quantum-curve residuals")
+                           help="order-by-order quantum-curve residuals", parents=[common])
     p.add_argument("--max-order", type=_at_least(1), default=4)
 
     p_hur = sub.add_parser("hurwitz", help="single Hurwitz model", parents=[common])
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     schur_sub = p_schur.add_subparsers(dest="subcommand", required=True)
     p = schur_sub.add_parser("verify", help="graded identity checks", parents=[common])
     p.add_argument("--max-weight", type=_at_least(0), default=6)
-    p.add_argument("--s-order", type=_at_least(0), default=6)
+    p.add_argument("--s-order", type=_at_least(1), default=6)
     p = schur_sub.add_parser("character", help="irreducible character value", parents=[common])
     p.add_argument("--mu", type=_mu_list, required=True)
     p.add_argument("--lambda", dest="lam", type=_mu_list, required=True)

@@ -606,3 +606,5 @@ def clear_caches() -> None:
     _fe_memo.clear()
     _s_assembled_memo.clear()
     _s_recursive_memo.clear()
+    shared.with_part.cache_clear()
+    shared.submultisets.cache_clear()

@@ -23,9 +23,9 @@ embeddings shift or mask fields; ``principal`` sums the fields by casting
 out: a key is congruent to its field sum mod ``2**FIELD_BITS - 1``.
 
 The packing stays inside this module.  ``num`` and ``terms`` are read-only
-views keyed by exponent tuples, in term order; ``from_ints``, the
-constructor, ``from_json``, ``relabel`` and ``select`` take or hand out
-tuples, and ``to_json`` writes them in sorted order.
+views keyed by exponent tuples, in term order; the constructor,
+``relabel`` and ``select`` take or hand out tuples, and ``to_json`` writes
+them in sorted order.
 
 The kernels keep the term order a Fraction-by-Fraction accumulation gives:
 a key whose partial sum reaches zero is dropped and re-enters at the end.
@@ -46,12 +46,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ExactDivisionError, NonzeroResidue
-from .rationals import qstr, parse_q
+from .rationals import qstr
 
 ExpVec = tuple[int, ...]
 # (a, b, s): v_a - s*v_b, or v_a - s when b is None
@@ -146,15 +145,6 @@ class SparseLaurent:
             if g != 1:
                 return cls._new(arity, {k: v // g for k, v in num.items()}, den // g, reach)
         return cls._new(arity, num, den, reach)
-
-    @classmethod
-    def from_ints(cls, arity: int, num: Mapping[ExpVec, int], den: int = 1) -> "SparseLaurent":
-        """``num[k] / den`` per term, for zero-free ``num`` and ``den > 0``.
-
-        A factor common to ``den`` and every numerator is divided out.
-        """
-        packed, reach = _packed(arity, num)
-        return cls._reduced(arity, packed, den, reach)
 
     @classmethod
     def zero(cls, arity: int) -> "SparseLaurent":
@@ -428,13 +418,6 @@ class SparseLaurent:
         num, reach = _packed(arity, {key(unpack(k)): c for k, c in self._num.items()})
         return SparseLaurent._new(arity, num, self.den, reach)
 
-    def permuted(self, perm: Sequence[int]) -> "SparseLaurent":
-        """Relabel variables: new slot j carries old slot perm[j]."""
-        if self.arity < 2:
-            # the one relabelling there is; itemgetter of one index gives no tuple
-            return SparseLaurent._new(self.arity, dict(self._num), self.den, self._reach)
-        return self.relabel(self.arity, itemgetter(*perm))
-
     def select(self, keep: Callable[[ExpVec], bool]) -> "SparseLaurent":
         """The terms whose exponent vector satisfies ``keep``, in term order."""
         unpack = _layout(self.arity).unpack
@@ -482,10 +465,6 @@ class SparseLaurent:
             else:
                 res.pop(nk, None)
         return SparseLaurent._reduced(arity, res, self.den, reach)
-
-    def merge_vars(self, keep: int, absorb: int) -> "SparseLaurent":
-        """Set ``v_absorb = v_keep``; slot ``absorb`` becomes unused."""
-        return self.embed(self.arity, [keep if i == absorb else i for i in range(self.arity)])
 
     def _exponent_sums(self) -> list[int]:
         """The sum of each term's exponents, in term order."""
@@ -588,13 +567,6 @@ class SparseLaurent:
         unpack = _layout(self.arity).unpack
         return [[list(unpack(k)), qstr(Fraction(c, self.den))]
                 for k, c in sorted(self._num.items())]
-
-    @classmethod
-    def from_json(cls, arity: int, data: Iterable) -> "SparseLaurent":
-        terms = {tuple(int(e) for e in key): parse_q(c) for key, c in data}
-        if any(len(k) != arity for k in terms):
-            raise ValueError("exponent vector of wrong length")
-        return cls(arity, terms)
 
 
 @cache

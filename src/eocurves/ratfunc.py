@@ -19,7 +19,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DegenerateMap, NonzeroResidue, UnfactoredDenominator
-from .rationals import QZERO, over_common_denominator, qstr, parse_q
+from .rationals import QZERO, over_common_denominator, qstr
 
 
 class UPoly:
@@ -223,10 +223,6 @@ class UPoly:
     def to_json(self) -> list[str]:
         return [qstr(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: Iterable[str]) -> "UPoly":
-        return cls([parse_q(c) for c in data])
-
 
 class RatFunc:
     """Reduced ratio of two univariate polynomials with a variable tag."""
@@ -359,11 +355,6 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"var": self.var, "num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RatFunc":
-        return cls(UPoly.from_json(data["num"]), UPoly.from_json(data["den"]),
-                   data.get("var", "t"))
 
 
 def substitute_mobius(f: RatFunc, coeffs: tuple[Fraction, Fraction, Fraction, Fraction],

@@ -1,9 +1,10 @@
-"""Exact rational scalars and their string/JSON encoding.
+"""Exact rational scalars and their string encoding.
 
 ``fractions.Fraction`` already maintains the invariants required of the
 scalar type (reduced, positive denominator, zero is 0/1), so it is used
-directly; this module only adds the wire format used everywhere else:
-``"p/q"``, or ``"p"`` when the denominator is 1.
+directly.  ``qstr`` writes the wire format used everywhere else:
+``"p/q"``, or ``"p"`` when the denominator is 1.  ``Fraction`` parses it
+back; the one reader in the program is ``cache._ratio``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,6 @@ def qstr(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_q(s: str) -> Fraction:
-    """Parse the ``"p/q"`` encoding back into a Fraction."""
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
 
 
 def over_common_denominator(values: Collection[Fraction]) -> tuple[int, list[int]]:

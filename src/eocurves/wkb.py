@@ -172,7 +172,7 @@ def s_prime_from_hierarchy(model: str, n: int) -> RatFunc:
     if n < 1:
         raise ValueError("n must be >= 1")
     curve = curve_symbol(model)
-    lower = model_s_primes(model, n - 1)
+    lower = model_s_primes(model, n - 1)[:n]
     padded = list(lower) + [RatFunc.zero("z")]
     ops = build_d_operators(n, padded, curve.dz_factor)
     known = apply_to_symbol(ops[n], curve)

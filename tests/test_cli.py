@@ -105,7 +105,7 @@ def test_character_errors_are_one_usage_line(capsys, mu, lam, reason):
         f"mu=[{mu.replace(',', ', ')}]): {reason}"]
 
 
-@pytest.mark.parametrize("option, value", [("--max-weight", "-1"), ("--s-order", "-2")])
+@pytest.mark.parametrize("option, value", [("--max-weight", "-1")])
 def test_schur_verify_rejects_negative_bounds(capsys, option, value):
     with pytest.raises(SystemExit) as err:
         main(["schur", "verify", option, value])
@@ -122,12 +122,24 @@ def test_schur_verify_rejects_negative_bounds(capsys, option, value):
     (["wkb", "corrections", "--model", "catalan", "--order", "-1"], "--order", 1, "-1"),
     (["catalan", "verify-schrodinger", "--max-order", "0"], "--max-order", 1, "0"),
     (["catalan", "verify-schrodinger", "--max-order", "-5"], "--max-order", 1, "-5"),
+    # s-order 0 would check the heat flow over no orders at all
+    (["schur", "verify", "--s-order", "0"], "--s-order", 1, "0"),
+    (["schur", "verify", "--s-order", "-2"], "--s-order", 1, "-2"),
 ])
 def test_out_of_range_orders_are_usage_errors(capsys, argv, option, low, value):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     assert f"argument {option}: must be >= {low}, got {value}" in capsys.readouterr().err
+
+
+def test_verify_schrodinger_takes_common_options_after_the_subcommand(capsys):
+    code, out = run_cli(capsys, "catalan", "verify-schrodinger", "--max-order", "2",
+                        "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["overall"] == "pass"
+    assert [c["check_id"] for c in data["checks"]] == ["order-0", "order-1", "order-2"]
 
 
 def test_schur_verify_command(capsys):

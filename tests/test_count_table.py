@@ -72,3 +72,12 @@ def test_with_part_inserts_into_the_sorted_key(key, part):
     grown = with_part(key, part)
     assert isinstance(grown, tuple)
     assert grown == sorted_key(key + (part,))
+
+
+@pytest.mark.parametrize("model", [cat, hur])
+def test_clear_caches_empties_the_shared_count_tables(model):
+    with_part((2, 1), 1)
+    submultisets((2, 1))
+    model.clear_caches()
+    assert with_part.cache_info().currsize == 0
+    assert submultisets.cache_info().currsize == 0

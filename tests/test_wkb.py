@@ -116,6 +116,8 @@ def test_insufficient_data():
 
 
 def test_catalan_s_prime_closed_forms():
+    s1 = wkb.s_prime_from_hierarchy("catalan", 1)
+    assert s1 == RatFunc(UPoly([0, 0, 0, -1]), UPoly([-1, 0, 1]).pow(2), "z")
     s2 = wkb.s_prime_from_hierarchy("catalan", 2)
     assert s2 == RatFunc(UPoly([0] * 5 + [3, 0, 2]),
                          UPoly([-1, 0, 1]).pow(5), "z")
@@ -129,6 +131,14 @@ def test_hurwitz_s_prime_closed_form():
     s2 = wkb.s_prime_from_hierarchy("hurwitz", 2)
     assert s2 == RatFunc(UPoly([0, 0, 4, 11]),
                          UPoly([1, -1]).pow(5) * 24, "z")
+
+
+@pytest.mark.parametrize("model", ["catalan", "hurwitz"])
+def test_first_s_prime_from_hierarchy(model):
+    # the order-1 transport equation alone gives S_1', not 0
+    s1 = wkb.s_prime_from_hierarchy(model, 1)
+    assert s1 == wkb.model_s_primes(model, 1)[1]
+    assert not s1.is_zero()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
