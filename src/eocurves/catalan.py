@@ -368,8 +368,7 @@ def s_coefficient_recursive(m: int) -> RatFunc:
     for k in range(2, m + 1):
         if k not in _s_recursive_memo:
             dsdt = primes[k] / c
-            _s_recursive_memo[k] = integrate_no_log(
-                dsdt, BASE_POINT, [QZERO, QONE, -QONE])
+            _s_recursive_memo[k] = integrate_no_log(dsdt, BASE_POINT)
     return _s_recursive_memo[m]
 
 

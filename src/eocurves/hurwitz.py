@@ -451,7 +451,7 @@ def s_coefficient_recursive(m: int) -> RatFunc:
         z = RatFunc(UPoly([-1, 1]), UPoly([0, 1]), "t")
         half_density = RatFunc(UPoly([1]), UPoly([0, -2, 2]), "t")  # 1/(2t(t-1))
         integrand = z.pow(k) * acc * half_density
-        anti = integrate_no_log(integrand, BASE_POINT, [QZERO, QONE])
+        anti = integrate_no_log(integrand, BASE_POINT)
         s_next = z.pow(-k) * anti
         if not s_next.is_polynomial():
             raise PathMismatch(f"S_{target} failed to come out polynomial")

@@ -1,14 +1,17 @@
 """Univariate polynomials and reduced rational functions over the rationals.
 
 ``UPoly`` is a dense list of ``int`` numerators (low to high) over one
-``int`` denominator; every kernel works in integers, and the gcd runs the
-primitive remainder sequence (Brown 1971; Knuth, TAOCP vol. 2, 4.6.1).
+``int`` denominator, so every kernel works in integers.
 ``RatFunc`` keeps a coprime numerator/denominator pair with monic
 denominator, so equality is literal comparison of the variable name and
-the two polynomials.
-Antiderivatives are computed by partial fractions over a declared set of
-linear factors only; a nonzero residue at a simple pole (which would
-produce a logarithm) is an error.
+the two polynomials.  Both curves are written in coordinates where every
+pole sits at one of ``POLES`` = 0, 1, -1, so a denominator is a constant
+times powers of v, v - 1 and v + 1: reduction is synthetic division by
+those three factors, and a denominator with any other factor raises
+``UnfactoredDenominator`` rather than being reduced some other way.
+Antiderivatives are computed by partial fractions over the same factors;
+a nonzero residue at a simple pole (which would produce a logarithm) is
+an error.
 """
 
 from __future__ import annotations
@@ -16,10 +19,23 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DegenerateMap, NonzeroResidue, UnfactoredDenominator
 from .rationals import QZERO, over_common_denominator, qstr
+
+POLES = (0, 1, -1)
+
+
+def _divide_linear(num: list[int], r: int) -> list[int] | None:
+    """Quotient of sum num[i] v^i by v - r, or None when it leaves a remainder."""
+    out = num[1:]
+    acc = 0
+    for i in range(len(out) - 1, -1, -1):
+        acc = out[i] = out[i] + acc * r
+    if num and num[0] + acc * r:
+        return None
+    return out
 
 
 class UPoly:
@@ -122,78 +138,10 @@ class UPoly:
                 base = base * base
         return res
 
-    def valuation(self) -> int:
-        """Exponent of the lowest nonzero term; -1 for the zero polynomial."""
-        return next((i for i, c in enumerate(self.num) if c), -1)
-
-    def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        """Quotient and remainder, by pseudo-division of the numerators."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        a, b = self.num, other.num
-        dd = len(b) - 1
-        lead = b[-1]
-        if len(a) - 1 < dd:
-            return UPoly(), self
-        if other.valuation() == dd:
-            # a monomial lead/db * t^dd: the quotient is a shifted scale
-            return (UPoly.from_ints([c * other.den for c in a[dd:]], self.den * lead),
-                    UPoly.from_ints(a[:dd], self.den))
-        # self = a/da, other = b/db and s a = quot b + rem: self = (quot db other + rem)/(s da)
-        rem = list(a)
-        quot = [0] * (len(a) - dd)
-        s = 1
-        for i in range(len(a) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            # scale by as little of lead as makes c divisible by it
-            up = abs(lead) // gcd(c, lead)
-            if up != 1:
-                s *= up
-                rem = [v * up for v in rem[:i]]
-                quot = [v * up for v in quot]
-                c *= up
-            quot[i - dd] = q = c // lead
-            for j in range(dd):
-                rem[i - dd + j] -= q * b[j]
-        d = self.den * s
-        return (UPoly.from_ints([v * other.den for v in quot], d),
-                UPoly.from_ints(rem[:dd], d))
-
-    def __floordiv__(self, other: "UPoly") -> "UPoly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "UPoly") -> "UPoly":
-        return self.divmod(other)[1]
-
     def monic(self) -> "UPoly":
         if not self.num or self.num[-1] == self.den:
             return self
         return UPoly.from_ints(list(self.num), self.num[-1])
-
-    def gcd(self, other: "UPoly") -> "UPoly":
-        """Monic gcd (zero when both are zero).
-
-        The power of t is split off first: with a = t^va a' and b = t^vb b'
-        where t divides neither a' nor b', gcd(a, b) = t^min(va, vb)
-        gcd(a', b'), and the remainder sequence runs only when neither a'
-        nor b' is a constant.  It is the primitive one: each remainder is
-        divided by its content (num over gcd(num)), and only the last is
-        made monic.
-        """
-        if self.is_zero() or other.is_zero():
-            return (other if self.is_zero() else self).monic()
-        va, vb = self.valuation(), other.valuation()
-        a = UPoly.from_ints(self.num[va:], gcd(*self.num))
-        b = UPoly.from_ints(other.num[vb:], gcd(*other.num))
-        if a.degree() == 0 or b.degree() == 0:
-            return UPoly.monomial(min(va, vb))
-        while not b.is_zero():
-            r = (a % b).num
-            a, b = b, UPoly.from_ints(r, gcd(*r) or 1)
-        g = a.monic()
-        return UPoly.from_ints([0] * min(va, vb) + g.num, g.den)
 
     def diff(self) -> "UPoly":
         return UPoly.from_ints([c * i for i, c in enumerate(self.num)][1:], self.den)
@@ -212,20 +160,35 @@ class UPoly:
             acc = acc * p + c * q ** i
         return Fraction(acc, self.den * q ** max(len(self.num) - 1, 0))
 
-    def eval_float(self, x: float) -> float:
-        # int / int rounds correctly, exactly as float(Fraction) does
-        den = self.den
-        acc = 0.0
-        for c in reversed(self.num):
-            acc = acc * x + c / den
-        return acc
-
     def to_json(self) -> list[str]:
         return [qstr(c) for c in self.coeffs]
 
 
+def _cancel_poles(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
+    """num/den in lowest terms, for den a constant times powers of v - r, r in POLES."""
+    n, d, rest = num.num, den.num, den.num
+    for r in POLES:
+        k = 0  # multiplicity of r as a root of den
+        q = _divide_linear(rest, r)
+        while q is not None:
+            rest, k = q, k + 1
+            q = _divide_linear(rest, r)
+        while k:
+            q = _divide_linear(n, r)
+            if q is None:
+                break
+            n, d, k = q, _divide_linear(d, r), k - 1
+    if len(rest) > 1:
+        raise UnfactoredDenominator(
+            f"denominator factor of degree {len(rest) - 1} outside the poles {POLES}")
+    return UPoly.from_ints(n, num.den), UPoly.from_ints(d, den.den)
+
+
 class RatFunc:
-    """Reduced ratio of two univariate polynomials with a variable tag."""
+    """Reduced ratio of two univariate polynomials with a variable tag.
+
+    The denominator is monic and a product of powers of v - r, r in ``POLES``.
+    """
 
     __slots__ = ("num", "den", "var")
 
@@ -239,10 +202,7 @@ class RatFunc:
             if num.is_zero():
                 den = UPoly([1])
             else:
-                g = num.gcd(den)
-                if g.degree() > 0:
-                    num = num // g
-                    den = den // g
+                num, den = _cancel_poles(num, den)
                 if den.num[-1] != den.den:
                     num = num.scale(Fraction(den.den, den.num[-1]))
                     den = den.monic()
@@ -350,9 +310,6 @@ class RatFunc:
             raise ZeroDivisionError(f"pole at {qstr(x)}")
         return self.num.eval(x) / d
 
-    def eval_float(self, x: float) -> float:
-        return self.num.eval_float(x) / self.den.eval_float(x)
-
     def to_json(self) -> dict:
         return {"var": self.var, "num": self.num.to_json(), "den": self.den.to_json()}
 
@@ -387,55 +344,36 @@ def substitute_mobius(f: RatFunc, coeffs: tuple[Fraction, Fraction, Fraction, Fr
     return RatFunc(num, den, new_var or f.var)
 
 
-def partial_fractions(f: RatFunc, roots: Sequence[Fraction]
-                      ) -> tuple[UPoly, dict[Fraction, dict[int, Fraction]]]:
-    """Decompose f as poly + sum of a_{r,k}/(x-r)^k over the declared roots.
-
-    The denominator must factor completely into powers of (x - r) for the
-    given roots, otherwise UnfactoredDenominator is raised.
-    """
-    num, den = f.num, f.den
-    mults: dict[Fraction, int] = {}
-    rest = den
-    for r in roots:
-        fac = UPoly([-r, 1])
-        while True:
-            q, rem = rest.divmod(fac)
-            if rem.is_zero():
-                mults[r] = mults.get(r, 0) + 1
-                rest = q
-            else:
-                break
-    if rest.degree() != 0:
-        raise UnfactoredDenominator(
-            f"denominator factor of degree {rest.degree()} outside declared roots")
-    num = num.scale(Fraction(rest.den, rest.num[0]))
-
-    parts: dict[Fraction, dict[int, Fraction]] = {}
-    den_left = UPoly([1])
-    for r, e in mults.items():
-        den_left = den_left * UPoly([-r, 1]).pow(e)
-    for r, e in mults.items():
-        fac = UPoly([-r, 1])
+def partial_fractions(f: RatFunc) -> tuple[UPoly, dict[int, dict[int, Fraction]]]:
+    """Decompose f as poly + sum of a_{r,k}/(x-r)^k over r in POLES."""
+    num, den_left = f.num, f.den.num
+    parts: dict[int, dict[int, Fraction]] = {}
+    for r in POLES:
+        e = 0  # multiplicity of the pole at r
+        q = _divide_linear(den_left, r)
+        while q is not None:
+            den_left, e = q, e + 1
+            q = _divide_linear(den_left, r)
+        # num / (other (x-r)^k) = a/(x-r)^k + (num - a other)/(other (x-r)^k),
+        # and the second numerator vanishes at r for a = num(r)/other(r)
+        other = UPoly.from_ints(den_left, f.den.den)
         for k in range(e, 0, -1):
-            dtilde = den_left // fac.pow(k)
-            a = num.eval(r) / dtilde.eval(r)
+            a = num.eval(r) / other.eval(r)
             if a != 0:
                 parts.setdefault(r, {})[k] = a
-            num = (num - dtilde.scale(a)) // fac
-            den_left = den_left // fac
-    # what is left of the denominator is 1, so num is the polynomial part
+            num = num - other.scale(a)
+            num = UPoly.from_ints(_divide_linear(num.num, r), num.den)
+    # what is left of the monic denominator is 1, so num is the polynomial part
     return num, parts
 
 
-def integrate_no_log(f: RatFunc, base_point: Fraction,
-                     roots: Sequence[Fraction]) -> RatFunc:
+def integrate_no_log(f: RatFunc, base_point: Fraction) -> RatFunc:
     """The unique antiderivative of f vanishing at base_point.
 
-    Partial fractions over the declared linear factors; a nonzero residue
-    at a simple pole raises NonzeroResidue.
+    Partial fractions over the poles; a nonzero residue at a simple pole
+    raises NonzeroResidue.
     """
-    poly, parts = partial_fractions(f, roots)
+    poly, parts = partial_fractions(f)
     anti = RatFunc(poly.integrate(), UPoly([1]), f.var)
     for r, table in parts.items():
         for k, a in table.items():

@@ -77,11 +77,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise SeriesOrderError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[:order + 1], self.var)
-
     def reciprocal(self) -> "TruncatedSeries":
         """1/self, requiring a nonzero constant term."""
         a0 = self.coeffs[0]

@@ -52,9 +52,6 @@ class YPolyOperator:
     def zero(cls) -> "YPolyOperator":
         return cls({})
 
-    def order(self) -> int:
-        return max(self.coeffs, default=0)
-
     def __add__(self, other: "YPolyOperator") -> "YPolyOperator":
         out = dict(self.coeffs)
         for r, c in other.coeffs.items():

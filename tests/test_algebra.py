@@ -40,14 +40,21 @@ def laurent_polys(arity: int, max_terms: int = 5):
         lambda d: SparseLaurent(arity, d))
 
 
-mobius = st.tuples(rationals, rationals, rationals, rationals).filter(
-    lambda m: m[0] * m[3] - m[1] * m[2] != 0)
+# the eight maps t -> (at + b)/(ct + d) that permute {0, 1, -1, oo}, each
+# scaled by a nonzero rational (the same map)
+mobius = st.tuples(
+    st.sampled_from([(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 1, 0), (0, -1, 1, 0),
+                     (1, 1, 1, -1), (1, -1, 1, 1), (1, 1, -1, 1), (-1, 1, 1, 1)]),
+    rationals.filter(bool)).map(lambda p: tuple(v * p[1] for v in p[0]))
 
 
 def ratfuncs():
+    """A polynomial over a nonzero constant times powers of t, t - 1 and t + 1."""
     coeffs = st.lists(rationals, min_size=1, max_size=4)
-    return st.tuples(coeffs, coeffs).filter(lambda p: any(c != 0 for c in p[1])).map(
-        lambda p: RatFunc(UPoly(p[0]), UPoly(p[1])))
+    mults = st.tuples(*[st.integers(0, 2)] * 3)
+    return st.tuples(coeffs, mults, rationals.filter(bool)).map(
+        lambda p: RatFunc(UPoly(p[0]), UPoly([p[2]]) * UPoly([0, 1]).pow(p[1][0])
+                          * UPoly([-1, 1]).pow(p[1][1]) * UPoly([1, 1]).pow(p[1][2])))
 
 
 # -- rationals --------------------------------------------------------------
@@ -197,41 +204,33 @@ def test_differentiate_matches_finite_difference():
     z, h = Q(1, 3), Q(1, 10 ** 5)
     fd = (-f.eval(z + 2 * h) + 8 * f.eval(z + h)
           - 8 * f.eval(z - h) + f.eval(z - 2 * h)) / (12 * h)
-    assert abs(float(fd) - df.eval_float(1 / 3)) < 1e-12 * max(1.0, abs(float(fd)))
+    assert abs(float(fd) - float(df.eval(Q(1, 3)))) < 1e-12 * max(1.0, abs(float(fd)))
 
 
 def test_integrate_no_log_basic():
     f = RatFunc(UPoly([0, 0, 3]))  # 3t^2
-    g = integrate_no_log(f, Q(-1), [Q(0), Q(1), Q(-1)])
+    g = integrate_no_log(f, Q(-1))
     assert g == RatFunc(UPoly([1, 0, 0, 1]))
 
 
 def test_integrate_no_log_rejects_log():
     f = RatFunc(UPoly([1]), UPoly([0, 1]))  # 1/t
     with pytest.raises(NonzeroResidue):
-        integrate_no_log(f, Q(1), [Q(0)])
+        integrate_no_log(f, Q(1))
 
 
 def test_integrate_no_log_unfactored():
-    f = RatFunc(UPoly([1]), UPoly([2, 0, 1]))  # 1/(t^2+2)
+    # 1/(t^2 + 2) has no pole among 0, 1, -1: the integrand cannot be built
     with pytest.raises(UnfactoredDenominator):
-        integrate_no_log(f, Q(1), [Q(0), Q(1)])
+        integrate_no_log(RatFunc(UPoly([1]), UPoly([2, 0, 1])), Q(1))
 
 
 @given(ratfuncs())
 @settings(max_examples=40)
 def test_diff_then_integrate_identity(f):
-    # force a denominator supported on the allowed factors
-    den = UPoly([0, 1]).pow(2) * UPoly([-1, 1]) * UPoly([1, 1])
-    g = RatFunc(f.num, den)
+    # a derivative has no residues, so its antiderivative is f up to a constant
     base = Q(2)
-    df = g.diff()
-    try:
-        h = integrate_no_log(df, base, [Q(0), Q(1), Q(-1)])
-    except NonzeroResidue:
-        return  # g itself had a log-free derivative only up to residues
-    diff = h - (g - RatFunc.const(g.eval(base)))
-    assert diff.is_zero()
+    assert integrate_no_log(f.diff(), base) == f - RatFunc.const(f.eval(base))
 
 
 def test_substitute_mobius_examples():
@@ -263,23 +262,6 @@ def test_mobius_composition(f, m1, m2):
     lhs = substitute_mobius(substitute_mobius(f, m1), m2)
     rhs = substitute_mobius(f, comp)
     assert lhs == rhs
-
-
-@given(ratfuncs())
-@settings(max_examples=40)
-def test_float_vs_exact_eval(f):
-    pts = [Q(1, 3), Q(7, 2), Q(-9, 4), Q(11, 5), Q(13, 7),
-           Q(-2, 9), Q(5), Q(-8, 3), Q(17, 6), Q(3, 11)]
-    for pt in pts:
-        try:
-            exact = f.eval(pt)
-        except ZeroDivisionError:
-            continue
-        approx = f.eval_float(float(pt))
-        scale = max(1.0, abs(float(exact)))
-        if abs(float(exact)) > 1e12:
-            continue
-        assert abs(approx - float(exact)) <= 1e-10 * scale
 
 
 def test_even_part():
