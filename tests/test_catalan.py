@@ -248,6 +248,20 @@ def test_s_polynomiality_in_s(m):
     assert p.degree() <= 3 * m - 3
 
 
+# S_m as a polynomial in s = z^2/(z^2-1), coefficients low to high
+S_IN_S = {
+    2: ["0", "0", "3/4", "-5/6"],
+    3: ["0", "0", "0", "-5/2", "10", "-25/2", "5"],
+    4: ["0", "0", "0", "0", "105/8", "-507/5", "3443/12", "-767/2", "985/4", "-1105/18"],
+}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_s_polynomial_coefficients(m):
+    p = cat.s_polynomial(cat.s_coefficient_assembled(m))
+    assert p.coeffs == [Q(c) for c in S_IN_S[m]]
+
+
 def test_schrodinger_residuals_vanish():
     res = cat.schrodinger_residuals(3)
     assert len(res) == 5

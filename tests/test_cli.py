@@ -57,6 +57,89 @@ def test_s_coeff_cross_path_command(capsys):
     assert data["equal"] is True
 
 
+# the exact output text: its layout is the wire format scripts read
+HURWITZ_S4_TEXT = """{
+  "m": 4,
+  "coeffs": [
+    "0",
+    "0",
+    "0",
+    "127/2880",
+    "-3443/5760",
+    "1781/640",
+    "-3547/576",
+    "511/72",
+    "-1585/384",
+    "1105/1152"
+  ]
+}
+"""
+
+CATALAN_S3_TEXT = """{
+  "assembled": {
+    "var": "t",
+    "num": [
+      "5/4096",
+      "5/2048",
+      "-5/2048",
+      "-15/2048",
+      "-5/4096",
+      "5/1024",
+      "5/1024",
+      "5/1024",
+      "-5/4096",
+      "-15/2048",
+      "-5/2048",
+      "5/2048",
+      "5/4096"
+    ],
+    "den": [
+      "0",
+      "0",
+      "0",
+      "0",
+      "0",
+      "0",
+      "1"
+    ]
+  },
+  "recursive": {
+    "var": "t",
+    "num": [
+      "5/4096",
+      "5/2048",
+      "-5/2048",
+      "-15/2048",
+      "-5/4096",
+      "5/1024",
+      "5/1024",
+      "5/1024",
+      "-5/4096",
+      "-15/2048",
+      "-5/2048",
+      "5/2048",
+      "5/4096"
+    ],
+    "den": [
+      "0",
+      "0",
+      "0",
+      "0",
+      "0",
+      "0",
+      "1"
+    ]
+  },
+  "equal": true
+}
+"""
+
+
+def test_s_coeff_output_text(capsys):
+    assert run_cli(capsys, "hurwitz", "s-coeff", "--m", "4") == (0, HURWITZ_S4_TEXT)
+    assert run_cli(capsys, "catalan", "s-coeff", "--m", "3") == (0, CATALAN_S3_TEXT)
+
+
 def test_wkb_corrections_command(capsys):
     code, out = run_cli(capsys, "--format", "json", "wkb", "corrections",
                         "--model", "hurwitz", "--order", "3")

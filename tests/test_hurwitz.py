@@ -268,6 +268,9 @@ def test_s_coefficients_against_counts():
     assert hur.s_coefficient(3) == (UPoly([0, 0, 1]) * UPoly([-1, 1]).pow(2)
                                     * UPoly([6, -20, 15]) * Q(1, 48))
     s4 = hur.s_coefficient(4)
+    assert s4.coeffs == [Q(c) for c in [
+        "0", "0", "0", "127/2880", "-3443/5760", "1781/640", "-3547/576", "511/72",
+        "-1585/384", "1105/1152"]]
     assert s4.degree() == 9
     assert s4.eval(Q(1)) == 0
 
