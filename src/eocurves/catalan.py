@@ -21,7 +21,7 @@ from . import shared
 from .errors import AsymmetricResult, InvalidProfile
 from .laurent import SparseLaurent, sum_over_divisors
 from .rationals import QONE, QZERO
-from .ratfunc import RatFunc, UPoly, integrate_no_log, substitute_mobius, even_part
+from .ratfunc import RatFunc, integrate_no_log, substitute_mobius, even_part
 from .series import TruncatedSeries
 from .shared import (
     CurveSymbol,
@@ -140,23 +140,22 @@ BASE_POINT = Q(-1)  # t = -1 (z = 0, x = infinity): free energies vanish here
 
 def x_of_t() -> RatFunc:
     """x = z + 1/z = 2(t^2+1)/(t^2-1)."""
-    return RatFunc(UPoly([2, 0, 2]), UPoly([-1, 0, 1]), "t")
+    return RatFunc({0: 2, 2: 2}, 1, 1, "t")
 
 
 def ddx_factor() -> RatFunc:
     """d/dx = ddx_factor * d/dt with the factor -(t^2-1)^2 / (8t)."""
-    return RatFunc(UPoly([-1, 0, 1]).pow(2) * Q(-1, 8), UPoly([0, 1]), "t")
+    return RatFunc({-1: Q(-1, 8)}, -2, -2, "t")
 
 
 def s0_prime_x() -> RatFunc:
     """dS_0/dx = -z = -(t+1)/(t-1)."""
-    return RatFunc(UPoly([-1, -1]), UPoly([-1, 1]), "t")
+    return RatFunc({0: -1, 1: -1}, 1, 0, "t")
 
 
 def s1_prime_x() -> RatFunc:
     """dS_1/dx = -(t^2-1)(t+1)^2 / (16 t^2)."""
-    return RatFunc(UPoly([-1, 0, 1]) * UPoly([1, 1]).pow(2) * Q(-1, 16),
-                   UPoly([0, 0, 1]), "t")
+    return RatFunc({-2: Q(-1, 16)}, -1, -3, "t")
 
 
 def to_z(f: RatFunc) -> RatFunc:
@@ -166,23 +165,20 @@ def to_z(f: RatFunc) -> RatFunc:
 
 def curve_symbol() -> CurveSymbol:
     """y^2 + x y + 1 on y = -z, x = z + 1/z; derivative frame d/dx."""
-    towers = {1: RatFunc(UPoly([1, 0, -1]), UPoly([0, 1]), "z"),  # (1 - z^2)/z
+    towers = {1: RatFunc({-1: 1, 1: -1}, var="z"),  # (1 - z^2)/z
               2: RatFunc.const(2, "z")}
     zero = RatFunc.zero("z")
-    dz = RatFunc(UPoly([0, 0, 1]), UPoly([-1, 0, 1]), "z")  # z^2/(z^2-1)
+    dz = RatFunc({2: 1}, 1, 1, "z")  # z^2/(z^2-1)
     return CurveSymbol(lambda r: towers.get(r, zero), dz)
 
 
-def s_polynomial(f: RatFunc) -> UPoly:
-    """Express an even function of z as a polynomial in s = z^2/(z^2-1).
+def s_polynomial(f: RatFunc) -> list[Fraction]:
+    """An even function of z as a polynomial in s = z^2/(z^2-1), low to high.
 
     Raises ValueError if the function is odd in z or not polynomial in s.
     """
     in_u = even_part(to_z(f), "u")
-    in_s = substitute_mobius(in_u, U_OF_S, "s")
-    if not in_s.is_polynomial():
-        raise ValueError("not a polynomial in s")
-    return in_s.num * Q(in_s.den.den, in_s.den.num[0])
+    return substitute_mobius(in_u, U_OF_S, "s").coefficients()
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +336,7 @@ def _x_frame_primes(m_max: int) -> list[RatFunc]:
     a = 0 terms are what the (t^2-1)/(4t) inversion absorbs.
     """
     c = ddx_factor()
-    inv = RatFunc(UPoly([-1, 0, 1]), UPoly([0, 4]), "t")
+    inv = RatFunc({-1: Q(1, 4)}, -1, -1, "t")
     primes = [s0_prime_x(), s1_prime_x()]
     for m in range(1, m_max):
         acc = c * primes[m].diff()

@@ -216,8 +216,8 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             print(qstr(hur.hurwitz_number(args.g, args.n, args.mu)))
             return 0
         if args.subcommand == "s-coeff":
-            poly = hur.s_coefficient(args.m)
-            _emit({"m": args.m, "coeffs": poly.to_json()})
+            coeffs = hur.s_coefficient(args.m).coefficients()
+            _emit({"m": args.m, "coeffs": [qstr(c) for c in coeffs]})
             return 0
         if args.subcommand == "verify":
             if args.suite == "all":

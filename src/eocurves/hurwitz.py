@@ -2,9 +2,10 @@
 
 Counts come from the cut-and-join recursion, descending on the number of
 simple ramification points.  Free energies are reconstructed in the
-polynomial basis xi_k(t) (xi_0 = t - 1, xi_{k+1} = t^2(t-1) xi_k') by an
-exact linear solve against computed Hurwitz values, which makes the
-differential recursion for them a pure verification target.
+polynomial basis xi_k(t) (xi_0 = t - 1, xi_{k+1} = t^2(t-1) xi_k'), each a
+one-variable ``SparseLaurent`` embedded into its slot, by an exact linear
+solve against computed Hurwitz values, which makes the differential
+recursion for them a pure verification target.
 
 The WKB layer lives on the curve x = z e^{-z} with z = (t-1)/t and
 x = e^{-w}; all "x-derivatives" of the S coefficients are logarithmic,
@@ -30,7 +31,7 @@ from .errors import (
 from .laurent import Divisor, SparseLaurent, sum_over_divisors
 from .linsolve import solve_overdetermined
 from .rationals import QONE, QZERO
-from .ratfunc import RatFunc, UPoly, integrate_no_log, substitute_mobius
+from .ratfunc import RatFunc, integrate_no_log, substitute_mobius
 from .series import TruncatedSeries
 from .shared import (
     CurveSymbol,
@@ -167,20 +168,20 @@ def labeled_hurwitz(g: int, mu: Sequence[int]) -> Fraction:
 # the polynomial basis xi_k and free energies
 # ---------------------------------------------------------------------------
 
-_xi_memo: dict[int, UPoly] = {}
+_xi_memo: dict[int, SparseLaurent] = {}
 
 
-def xi_polynomial(k: int) -> UPoly:
-    """xi_0 = t - 1, xi_{k+1} = t^2 (t-1) d xi_k / dt; degree 2k+1."""
+def xi_polynomial(k: int) -> SparseLaurent:
+    """xi_0 = t - 1, xi_{k+1} = t^2 (t-1) d xi_k / dt; degree 2k+1, one variable."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k in _xi_memo:
         return _xi_memo[k]
     if k == 0:
-        poly = UPoly([-1, 1])
+        poly = SparseLaurent.in_slot(1, 0, {0: -1, 1: 1})
     else:
         prev = xi_polynomial(k - 1)
-        poly = UPoly([0, 0, -1, 1]) * prev.diff()
+        poly = SparseLaurent.in_slot(1, 0, {2: -1, 3: 1}) * prev.diff(0)
     _xi_memo[k] = poly
     return poly
 
@@ -231,7 +232,8 @@ def elsv_coefficients(g: int, n: int) -> dict[tuple[int, ...], Fraction]:
 
     # off-grid verification against fresh cut-and-join values
     top = bound + 3 if n > 1 else bound + 4
-    extras = [mu for mu in _sorted_tuples(n, 1, top) if mu not in set(grid)]
+    on_grid = set(grid)
+    extras = [mu for mu in _sorted_tuples(n, 1, top) if mu not in on_grid]
     checked = 0
     for mu in extras:
         if checked >= 3:
@@ -264,9 +266,7 @@ def free_energy(g: int, n: int) -> SparseLaurent:
         for p in set(_perms(kvec)):
             term = SparseLaurent.const(n, c)
             for slot, k in enumerate(p):
-                xi = xi_polynomial(k)
-                # xi_k has integer coefficients, so den is 1
-                term = term * SparseLaurent.in_slot(n, slot, dict(enumerate(xi.num)))
+                term = term * xi_polynomial(k).embed(n, [slot])
             total = total + term
     _fe_memo[key] = total
     return total
@@ -392,30 +392,30 @@ def to_z(f: RatFunc) -> RatFunc:
 def curve_symbol() -> CurveSymbol:
     """-y + x e^y on y = z, x = z e^{-z}; derivative frame x d/dx."""
     towers = {0: RatFunc.zero("z"),
-              1: RatFunc(UPoly([-1, 1]), UPoly([1]), "z")}  # z - 1
+              1: RatFunc({0: -1, 1: 1}, var="z")}  # z - 1
     zc = RatFunc.x("z")  # every higher derivative is x e^y = z
-    dz = RatFunc(UPoly([0, 1]), UPoly([1, -1]), "z")  # z/(1-z)
+    dz = RatFunc({1: -1}, 1, 0, "z")  # z/(1-z)
     return CurveSymbol(lambda r: towers.get(r, zc), dz)
 
 
 def d_dw(f: RatFunc) -> RatFunc:
     """d/dw = -t^2 (t-1) d/dt on rational functions of t."""
-    return RatFunc(UPoly([0, 0, 1, -1]), UPoly([1]), "t") * f.diff()
+    return RatFunc({2: 1, 3: -1}) * f.diff()
 
 
 def s0_h() -> RatFunc:
     """S_0 = (1 - 1/t^2)/2."""
-    return RatFunc(UPoly([-1, 0, 1]), UPoly([0, 0, 2]), "t")
+    return RatFunc({-2: Q(-1, 2), 0: Q(1, 2)})
 
 
 def s0_prime_w() -> RatFunc:
     """dS_0/dw = -(t-1)/t = -z."""
-    return RatFunc(UPoly([1, -1]), UPoly([0, 1]), "t")
+    return RatFunc({-1: 1, 0: -1})
 
 
 def s1_prime_w() -> RatFunc:
     """dS_1/dw = -(t-1)^2/2."""
-    return RatFunc(UPoly([-1, 1]).pow(2) * Q(-1, 2), UPoly([1]), "t")
+    return RatFunc({0: Q(-1, 2)}, -2)
 
 
 _s_assembled_memo: dict[int, RatFunc] = {}
@@ -448,8 +448,8 @@ def s_coefficient_recursive(m: int) -> RatFunc:
         acc = d_dw(w1[k]) + w1[k]
         for a in range(1, k + 1):
             acc = acc + w1[a] * w1[k + 1 - a]
-        z = RatFunc(UPoly([-1, 1]), UPoly([0, 1]), "t")
-        half_density = RatFunc(UPoly([1]), UPoly([0, -2, 2]), "t")  # 1/(2t(t-1))
+        z = RatFunc({-1: -1, 0: 1})  # (t-1)/t
+        half_density = RatFunc({-1: Q(1, 2)}, 1)  # 1/(2t(t-1))
         integrand = z.pow(k) * acc * half_density
         anti = integrate_no_log(integrand, BASE_POINT)
         s_next = z.pow(-k) * anti
@@ -460,25 +460,25 @@ def s_coefficient_recursive(m: int) -> RatFunc:
     return _s_recursive_memo[m]
 
 
-def s_coefficient(m: int) -> UPoly:
-    """S_m by both constructions, asserted equal, degree 3m-3, S_m(1) = 0."""
+def s_coefficient(m: int) -> RatFunc:
+    """S_m by both constructions, asserted equal: polynomial, degree 3m-3, S_m(1) = 0."""
     assembled = s_coefficient_assembled(m)
     recursive = s_coefficient_recursive(m)
     if assembled != recursive:
         raise PathMismatch(f"S_{m}: assembled and recursive paths differ")
     if not assembled.is_polynomial():
         raise PathMismatch(f"S_{m} is not polynomial")
-    poly = assembled.num * Q(assembled.den.den, assembled.den.num[0])
-    if poly.degree() != 3 * m - 3:
-        raise PathMismatch(f"S_{m} has degree {poly.degree()}, expected {3 * m - 3}")
-    if poly.eval(QONE) != 0:
+    degree = len(assembled.coefficients()) - 1
+    if degree != 3 * m - 3:
+        raise PathMismatch(f"S_{m} has degree {degree}, expected {3 * m - 3}")
+    if assembled.eval(QONE) != 0:
         raise PathMismatch(f"S_{m}(1) != 0")
-    return poly
+    return assembled
 
 
 def s_prime_logx(m: int) -> RatFunc:
     """x dS_m/dx = -dS_m/dw as a function of t (m >= 2)."""
-    return -d_dw(RatFunc(s_coefficient(m), UPoly([1]), "t"))
+    return -d_dw(s_coefficient(m))
 
 
 s_prime = s_prime_logx  # S_m' in the base frame x d/dx
@@ -500,7 +500,7 @@ def heat_residuals(m_max: int) -> list[RatFunc]:
     svals: list[RatFunc] = [s0_h(), RatFunc.zero("t")]
     w1: list[RatFunc] = [s0_prime_w(), s1_prime_w()]
     for k in range(2, m_max + 2):
-        sk = RatFunc(s_coefficient(k), UPoly([1]), "t")
+        sk = s_coefficient(k)
         svals.append(sk)
         w1.append(d_dw(sk))
     out = []
@@ -520,7 +520,7 @@ def heat_residuals(m_max: int) -> list[RatFunc]:
 def s0_quadratic_identity_residual() -> RatFunc:
     """S_0 - t^2(t-1) S_0' + (t^2(t-1) S_0')^2 / 2 with S_0' = dS_0/dt."""
     s0 = s0_h()
-    op = RatFunc(UPoly([0, 0, -1, 1]), UPoly([1]), "t") * s0.diff()
+    op = RatFunc({2: -1, 3: 1}) * s0.diff()
     return s0 - op + op * op * Q(1, 2)
 
 

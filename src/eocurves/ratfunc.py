@@ -1,239 +1,96 @@
-"""Univariate polynomials and reduced rational functions over the rationals.
+"""Rational functions over the rationals with poles only at 0, 1 and -1.
 
-``UPoly`` is a dense list of ``int`` numerators (low to high) over one
-``int`` denominator, so every kernel works in integers.
-``RatFunc`` keeps a coprime numerator/denominator pair with monic
-denominator, so equality is literal comparison of the variable name and
-the two polynomials.  Both curves are written in coordinates where every
-pole sits at one of ``POLES`` = 0, 1, -1, so a denominator is a constant
-times powers of v, v - 1 and v + 1: reduction is synthetic division by
-those three factors, and a denominator with any other factor raises
-``UnfactoredDenominator`` rather than being reduced some other way.
-Antiderivatives are computed by partial fractions over the same factors;
-a nonzero residue at a simple pole (which would produce a logarithm) is
-an error.
+Both curves are written in coordinates where every pole sits at one of
+``POLES`` = 0, 1, -1.  A ``RatFunc`` in the variable v is stored as
+``num / ((v - 1)^b (v + 1)^c)``, with ``num`` a one-variable
+``SparseLaurent`` whose negative exponents carry the pole at 0, so every
+kernel is a ``SparseLaurent`` one.  The form is canonical: ``num`` is not
+divisible by v - 1 when b > 0, nor by v + 1 when c > 0, so equality is
+literal comparison of ``(var, num, b, c)``.  A value has no place for any
+other pole: dividing by a function with a zero outside ``POLES``, or a
+substitution that moves a pole there, raises ``UnfactoredDenominator``.
+Antiderivatives take the pole parts at 1 and -1 by synthetic division and
+integrate the Laurent rest termwise; a nonzero residue (which would
+produce a logarithm) is an error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
-from math import gcd, lcm
-from typing import Iterable
+from functools import cache
+from typing import Mapping
 
 from .errors import DegenerateMap, NonzeroResidue, UnfactoredDenominator
-from .rationals import QZERO, over_common_denominator, qstr
+from .laurent import SparseLaurent
+from .rationals import QZERO, qstr
 
 POLES = (0, 1, -1)
 
 
-def _divide_linear(num: list[int], r: int) -> list[int] | None:
-    """Quotient of sum num[i] v^i by v - r, or None when it leaves a remainder."""
-    out = num[1:]
-    acc = 0
-    for i in range(len(out) - 1, -1, -1):
-        acc = out[i] = out[i] + acc * r
-    if num and num[0] + acc * r:
-        return None
-    return out
+@cache
+def _factor(b: int, c: int) -> SparseLaurent:
+    """(v - 1)^b (v + 1)^c, for b, c >= 0."""
+    return (SparseLaurent.in_slot(1, 0, {0: -1, 1: 1}).pow(b)
+            * SparseLaurent.in_slot(1, 0, {0: 1, 1: 1}).pow(c))
 
 
-class UPoly:
-    """Dense univariate polynomial: ``num[i] / den`` is the coefficient of t^i.
-
-    Canonical: no trailing zero numerator, ``den > 0`` coprime to the
-    numerators taken together, zero is ``([], 1)``; so equal values have
-    equal ``(den, num)``.  ``coeffs`` is a ``Fraction`` view built on demand.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        # over the lcm of the reduced denominators the numerators are coprime to it
-        self.den, self.num = over_common_denominator(cs)
-
-    @classmethod
-    def from_ints(cls, num: list[int], den: int = 1) -> "UPoly":
-        """``num[i] / den`` low to high, for nonzero ``den``; the list is taken over."""
-        while num and not num[-1]:
-            num.pop()
-        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
-        p = object.__new__(cls)
-        p.num, p.den = (num, den) if g == 1 else ([c // g for c in num], den // g)
-        return p
-
-    @classmethod
-    def monomial(cls, n: int, c: Fraction | int = 1) -> "UPoly":
-        return cls([0] * n + [Fraction(c)])
-
-    @property
-    def coeffs(self) -> list[Fraction]:
-        """``Fraction`` view of the coefficients, low to high (a new list)."""
-        den = self.den
-        return [Fraction(c, den) for c in self.num]
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.num) - 1
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.den, tuple(self.num)))
-
-    def __repr__(self) -> str:
-        return f"UPoly({[qstr(c) for c in self.coeffs]})"
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        d = lcm(self.den, other.den)
-        ua, ub = d // self.den, d // other.den
-        return UPoly.from_ints([a * ua + b * ub for a, b in
-                                zip_longest(self.num, other.num, fillvalue=0)], d)
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UPoly":
-        return UPoly.from_ints([-c for c in self.num], self.den)
-
-    def __mul__(self, other: "UPoly | Fraction | int") -> "UPoly":
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        ia, ib = self.num, other.num
-        out = [0] * (len(ia) + len(ib) - 1)
-        for i, a in enumerate(ia):
-            if a == 0:
-                continue
-            for j, b in enumerate(ib):
-                out[i + j] += a * b
-        return UPoly.from_ints(out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Fraction | int) -> "UPoly":
-        if c == 0:
-            return UPoly()
-        return UPoly.from_ints([v * c.numerator for v in self.num], self.den * c.denominator)
-
-    def pow(self, n: int) -> "UPoly":
-        res = UPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            n >>= 1
-            if n:
-                base = base * base
-        return res
-
-    def monic(self) -> "UPoly":
-        if not self.num or self.num[-1] == self.den:
-            return self
-        return UPoly.from_ints(list(self.num), self.num[-1])
-
-    def diff(self) -> "UPoly":
-        return UPoly.from_ints([c * i for i, c in enumerate(self.num)][1:], self.den)
-
-    def integrate(self) -> "UPoly":
-        # every new exponent i + 1 divides m, so c / (i + 1) = c (m / (i + 1)) / m
-        m = lcm(*range(1, len(self.num) + 1))
-        return UPoly.from_ints([0] + [c * (m // (i + 1)) for i, c in enumerate(self.num)],
-                               self.den * m)
-
-    def eval(self, x: Fraction | int) -> Fraction:
-        # Horner on x = p/q in integers: after step i, acc / q^i is the partial value
-        p, q = x.numerator, x.denominator
-        acc = 0
-        for i, c in enumerate(reversed(self.num)):
-            acc = acc * p + c * q ** i
-        return Fraction(acc, self.den * q ** max(len(self.num) - 1, 0))
-
-    def to_json(self) -> list[str]:
-        return [qstr(c) for c in self.coeffs]
+def _value(p: SparseLaurent, x: Fraction | int) -> Fraction:
+    return p.eval_partial(0, x).terms.get((0,), QZERO)
 
 
-def _cancel_poles(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
-    """num/den in lowest terms, for den a constant times powers of v - r, r in POLES."""
-    n, d, rest = num.num, den.num, den.num
-    for r in POLES:
-        k = 0  # multiplicity of r as a root of den
-        q = _divide_linear(rest, r)
-        while q is not None:
-            rest, k = q, k + 1
-            q = _divide_linear(rest, r)
-        while k:
-            q = _divide_linear(n, r)
-            if q is None:
-                break
-            n, d, k = q, _divide_linear(d, r), k - 1
-    if len(rest) > 1:
-        raise UnfactoredDenominator(
-            f"denominator factor of degree {len(rest) - 1} outside the poles {POLES}")
-    return UPoly.from_ints(n, num.den), UPoly.from_ints(d, den.den)
+def _cancel(num: SparseLaurent, r: int, k: int) -> tuple[SparseLaurent, int]:
+    """num over (v - r)^k with the common factors v - r divided out."""
+    while k and num.eval_partial(0, r).is_zero():
+        num, k = num.divide_var_linear(0, r), k - 1
+    return num, k
+
+
+def _lowest(num: SparseLaurent, b: int, c: int) -> tuple[SparseLaurent, int, int]:
+    """num / ((v - 1)^b (v + 1)^c) in lowest terms; a negative b or c multiplies."""
+    if b < 0 or c < 0:
+        num = num * _factor(max(-b, 0), max(-c, 0))
+    num, b = _cancel(num, 1, max(b, 0))
+    num, c = _cancel(num, -1, max(c, 0))
+    return num, b, c
+
+
+def _dense(p: SparseLaurent, shift: int = 0) -> list[Fraction]:
+    """The coefficients of v^shift p low to high, for p with no exponent below -shift."""
+    terms = {e + shift: c for (e,), c in p.terms.items()}
+    return [terms.get(i, QZERO) for i in range(max(terms, default=-1) + 1)]
 
 
 class RatFunc:
-    """Reduced ratio of two univariate polynomials with a variable tag.
+    """``num / ((v - 1)^b (v + 1)^c)`` in lowest terms, v named by ``var``."""
 
-    The denominator is monic and a product of powers of v - r, r in ``POLES``.
-    """
+    __slots__ = ("var", "num", "b", "c")
 
-    __slots__ = ("num", "den", "var")
-
-    def __init__(self, num: UPoly, den: UPoly | None = None, var: str = "t",
-                 _reduced: bool = False):
-        if den is None:
-            den = UPoly([1])
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not _reduced:
-            if num.is_zero():
-                den = UPoly([1])
-            else:
-                num, den = _cancel_poles(num, den)
-                if den.num[-1] != den.den:
-                    num = num.scale(Fraction(den.den, den.num[-1]))
-                    den = den.monic()
-        self.num = num
-        self.den = den
+    def __init__(self, terms: Mapping[int, Fraction | int], b: int = 0, c: int = 0,
+                 var: str = "t"):
+        """sum terms[e] v^e / ((v - 1)^b (v + 1)^c); a negative b or c multiplies."""
+        self.num, self.b, self.c = _lowest(SparseLaurent.in_slot(1, 0, terms), b, c)
         self.var = var
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _new(cls, num: SparseLaurent, b: int, c: int, var: str) -> "RatFunc":
+        """Wrap fields that are already in lowest terms (no check)."""
+        f = object.__new__(cls)
+        f.var, f.num, f.b, f.c = var, num, b, c
+        return f
+
+    @classmethod
     def zero(cls, var: str = "t") -> "RatFunc":
-        return cls(UPoly(), UPoly([1]), var, _reduced=True)
+        return cls._new(SparseLaurent.zero(1), 0, 0, var)
 
     @classmethod
     def const(cls, c: Fraction | int, var: str = "t") -> "RatFunc":
-        return cls(UPoly([c]), UPoly([1]), var, _reduced=True)
+        return cls._new(SparseLaurent.const(1, c), 0, 0, var)
 
     @classmethod
     def x(cls, var: str = "t") -> "RatFunc":
-        return cls(UPoly([0, 1]), UPoly([1]), var, _reduced=True)
-
-    @classmethod
-    def from_laurent_dict(cls, d: dict[int, Fraction], var: str = "t") -> "RatFunc":
-        """Build from exponent -> coefficient with possibly negative exponents."""
-        if not d:
-            return cls.zero(var)
-        shift = -min(min(d), 0)
-        num = [QZERO] * (max(d) + shift + 1)
-        for e, c in d.items():
-            num[e + shift] = c
-        return cls(UPoly(num), UPoly.monomial(shift), var)
+        return cls._new(SparseLaurent.var(1, 0), 0, 0, var)
 
     # -- basics ----------------------------------------------------------------
 
@@ -241,7 +98,13 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
+        return not (self.b or self.c) and all(e >= 0 for (e,) in self.num.num)
+
+    def coefficients(self) -> list[Fraction]:
+        """The coefficients of a polynomial, low to high; ValueError otherwise."""
+        if not self.is_polynomial():
+            raise ValueError(f"not a polynomial in {self.var}")
+        return _dense(self.num)
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()
@@ -249,121 +112,188 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return (self.var == other.var and self.num == other.num
-                and self.den == other.den)
+        return (self.var == other.var and self.b == other.b and self.c == other.c
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.var, self.num, self.den))
+        return hash((self.var, self.num, self.b, self.c))
 
     def __repr__(self) -> str:
-        return f"RatFunc({self.num!r} / {self.den!r}, var={self.var!r})"
+        return f"RatFunc({self.num!r} / ((v-1)^{self.b} (v+1)^{self.c}), var={self.var!r})"
 
     # -- field operations ---------------------------------------------------------
 
-    def __add__(self, other: "RatFunc | Fraction | int") -> "RatFunc":
+    def _plus(self, other: "RatFunc | Fraction | int", sign: int) -> "RatFunc":
         other = self._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den, self.var)
+        n1, b1, c1 = self.num, self.b, self.c
+        n2, b2, c2 = other.num, other.b, other.c
+        b, c = max(b1, b2), max(c1, c2)
+        if b1 != b or c1 != c:
+            n1 = n1 * _factor(b - b1, c - c1)
+        if b2 != b or c2 != c:
+            n2 = n2 * _factor(b - b2, c - c2)
+        num = n1 + n2 if sign > 0 else n1 - n2
+        # the sum can vanish at a pole only where both sides have it to one order
+        if b1 == b2:
+            num, b = _cancel(num, 1, b)
+        if c1 == c2:
+            num, c = _cancel(num, -1, c)
+        return RatFunc._new(num, b, c, self.var)
+
+    def __add__(self, other: "RatFunc | Fraction | int") -> "RatFunc":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: "RatFunc | Fraction | int") -> "RatFunc":
-        other = self._coerce(other)
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den, self.var)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, self.var, _reduced=True)
+        return RatFunc._new(-self.num, self.b, self.c, self.var)
 
     def __mul__(self, other: "RatFunc | Fraction | int") -> "RatFunc":
-        other = self._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den, self.var)
+        if not isinstance(other, RatFunc):
+            if not other:
+                return RatFunc.zero(self.var)
+            return RatFunc._new(self.num.scale(Fraction(other)), self.b, self.c, self.var)
+        n1, b1, c1 = self.num, self.b, self.c
+        n2, b2, c2 = other.num, other.b, other.c
+        # a numerator is prime to its own pole factors, so a pole of one side
+        # can only cancel against the other side's numerator
+        if b1 and not b2:
+            n2, b1 = _cancel(n2, 1, b1)
+        elif b2 and not b1:
+            n1, b2 = _cancel(n1, 1, b2)
+        if c1 and not c2:
+            n2, c1 = _cancel(n2, -1, c1)
+        elif c2 and not c1:
+            n1, c2 = _cancel(n1, -1, c2)
+        return RatFunc._new(n1 * n2, b1 + b2, c1 + c2, self.var)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "RatFunc | Fraction | int") -> "RatFunc":
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num, self.var)
+        return self * self._coerce(other)._inverse()
 
     def _coerce(self, other: "RatFunc | Fraction | int") -> "RatFunc":
         if isinstance(other, RatFunc):
             return other
-        return RatFunc.const(Fraction(other), self.var)
+        return RatFunc.const(other, self.var)
+
+    def _inverse(self) -> "RatFunc":
+        """1/self; UnfactoredDenominator if the numerator has a zero outside POLES."""
+        if not self.num:
+            raise ZeroDivisionError("division by zero rational function")
+        # by Descartes' rule of signs a root of a Laurent polynomial with n
+        # terms has multiplicity below n, so the two calls strip every v -+ 1
+        rest, left_b = _cancel(self.num, 1, len(self.num))
+        rest, left_c = _cancel(rest, -1, len(self.num))
+        if len(rest) != 1:
+            raise UnfactoredDenominator(f"denominator {rest!r} has a zero outside {POLES}")
+        ((e,), a), = rest.terms.items()
+        # a numerator is prime to its own pole factors, so self.b and the
+        # multiplicity of 1 as a root are never both positive: no cancelling
+        num = SparseLaurent.var(1, 0, -e, 1 / a) * _factor(self.b, self.c)
+        return RatFunc._new(num, len(self.num) - left_b, len(self.num) - left_c, self.var)
 
     def pow(self, n: int) -> "RatFunc":
         if n < 0:
-            inv = RatFunc(self.den, self.num, self.var)
-            return inv.pow(-n)
-        return RatFunc(self.num.pow(n), self.den.pow(n), self.var)
+            return self._inverse().pow(-n)
+        return RatFunc._new(self.num.pow(n), self.b * n, self.c * n, self.var)
 
     # -- calculus -------------------------------------------------------------------
 
     def diff(self) -> "RatFunc":
-        return RatFunc(self.num.diff() * self.den - self.num * self.den.diff(),
-                       self.den * self.den, self.var)
+        # (num / (P^b Q^c))' = (num' P Q - num (b Q + c P)) / (P^(b+1) Q^(c+1))
+        # with P = v - 1, Q = v + 1.  Without a pole at 1 (b = 0) the P's
+        # cancel, likewise the Q's for c = 0.  The rest is in lowest terms:
+        # at v = 1 the new numerator is -b num(1) Q(1)^ec, nonzero for b > 0,
+        # and likewise at v = -1.
+        num, b, c = self.num, self.b, self.c
+        eb, ec = int(b > 0), int(c > 0)
+        out = num.diff(0)
+        if eb or ec:
+            out = out * _factor(eb, ec) - num * (_factor(0, ec) * b + _factor(eb, 0) * c)
+        return RatFunc._new(out, b + eb, c + ec, self.var)
 
-    def eval(self, x: Fraction) -> Fraction:
-        d = self.den.eval(x)
+    def eval(self, x: Fraction | int) -> Fraction:
+        x = Fraction(x)
+        d = (x - 1) ** self.b * (x + 1) ** self.c
         if d == 0:
             raise ZeroDivisionError(f"pole at {qstr(x)}")
-        return self.num.eval(x) / d
+        return _value(self.num, x) / d
 
     def to_json(self) -> dict:
-        return {"var": self.var, "num": self.num.to_json(), "den": self.den.to_json()}
+        """The quotient of two polynomials, denominator monic, coefficients low to high."""
+        shift = max(0, -min((e for (e,) in self.num.num), default=0))
+        den = [QZERO] * shift + _dense(_factor(self.b, self.c))
+        return {"var": self.var, "num": [qstr(c) for c in _dense(self.num, shift)],
+                "den": [qstr(c) for c in den]}
 
 
 def substitute_mobius(f: RatFunc, coeffs: tuple[Fraction, Fraction, Fraction, Fraction],
                       new_var: str | None = None) -> RatFunc:
     """Substitute var -> (a*u + b)/(c*u + d) into f.
 
-    Raises DegenerateMap when ad - bc = 0.
+    Raises DegenerateMap when ad - bc = 0, and UnfactoredDenominator when a
+    pole of the result falls outside POLES.
     """
     a, b, c, d = (Fraction(v) for v in coeffs)
     if a * d - b * c == 0:
         raise DegenerateMap("ad - bc = 0")
-    up = UPoly([b, a])
-    dn = UPoly([d, c])
-    m = max(f.num.degree(), f.den.degree(), 0)
-    up_pows, dn_pows = [UPoly([1])], [UPoly([1])]
-    for _ in range(m):
-        up_pows.append(up_pows[-1] * up)
-        dn_pows.append(dn_pows[-1] * dn)
+    var = new_var or f.var
+    if not f:
+        return RatFunc.zero(var)
+    terms = {e: q for (e,), q in f.num.terms.items()}
+    lo, hi = min(terms), max(terms)
+    up = SparseLaurent.in_slot(1, 0, {0: b, 1: a})
+    dn = SparseLaurent.in_slot(1, 0, {0: d, 1: c})
+    # f = h up^lo dn^(f.b + f.c - hi) (up - dn)^-f.b (up + dn)^-f.c with the
+    # polynomial h = sum_e num_e up^(e - lo) dn^(hi - e), by Horner's rule
+    num, dn_pow = SparseLaurent.zero(1), SparseLaurent.const(1, 1)
+    for e in range(hi, lo - 1, -1):
+        num = num * up
+        if e in terms:
+            num = num + dn_pow.scale(terms[e])
+        dn_pow = dn_pow * dn
+    # the four linear factors vanish at the images of v = 0, oo, 1, -1: at
+    # distinct points, so no two of them share a root
+    scale, poles = Fraction(1), {1: 0, -1: 0}
+    for alpha, beta, k in ((a, b, lo), (c, d, f.b + f.c - hi),
+                           (a - c, b - d, -f.b), (a + c, b + d, -f.c)):
+        if not k:
+            continue
+        if not alpha:
+            scale *= beta ** k
+            continue
+        scale *= alpha ** k
+        r = -beta / alpha
+        if r in poles:
+            poles[r] -= k
+        elif r == 0:
+            num = num * SparseLaurent.var(1, 0, k)
+        elif k > 0:
+            num = num * SparseLaurent.in_slot(1, 0, {0: -r, 1: 1}).pow(k)
+        else:
+            raise UnfactoredDenominator(f"pole at {qstr(r)} outside {POLES}")
+    return RatFunc._new(*_lowest(num.scale(scale), poles[1], poles[-1]), var)
 
-    def homogenize(p: UPoly) -> UPoly:
-        acc = UPoly()
-        for i, c in enumerate(p.num):
-            if c == 0:
-                continue
-            acc = acc + up_pows[i] * dn_pows[m - i] * c
-        return acc.scale(Fraction(1, p.den))
 
-    num = homogenize(f.num)
-    den = homogenize(f.den)
-    return RatFunc(num, den, new_var or f.var)
+def partial_fractions(f: RatFunc) -> tuple[SparseLaurent, dict[int, dict[int, Fraction]]]:
+    """Decompose f as a Laurent polynomial plus sum a_{r,k}/(v-r)^k over r = 1, -1.
 
-
-def partial_fractions(f: RatFunc) -> tuple[UPoly, dict[int, dict[int, Fraction]]]:
-    """Decompose f as poly + sum of a_{r,k}/(x-r)^k over r in POLES."""
-    num, den_left = f.num, f.den.num
-    parts: dict[int, dict[int, Fraction]] = {}
-    for r in POLES:
-        e = 0  # multiplicity of the pole at r
-        q = _divide_linear(den_left, r)
-        while q is not None:
-            den_left, e = q, e + 1
-            q = _divide_linear(den_left, r)
-        # num / (other (x-r)^k) = a/(x-r)^k + (num - a other)/(other (x-r)^k),
+    The Laurent polynomial carries the pole at 0.
+    """
+    num, parts = f.num, {}
+    for r, e, other in ((1, f.b, _factor(0, f.c)), (-1, f.c, _factor(0, 0))):
+        # num / (other (v-r)^k) = a/(v-r)^k + (num - a other)/(other (v-r)^k),
         # and the second numerator vanishes at r for a = num(r)/other(r)
-        other = UPoly.from_ints(den_left, f.den.den)
         for k in range(e, 0, -1):
-            a = num.eval(r) / other.eval(r)
+            a = _value(num, r) / _value(other, r)
             if a != 0:
                 parts.setdefault(r, {})[k] = a
-            num = num - other.scale(a)
-            num = UPoly.from_ints(_divide_linear(num.num, r), num.den)
-    # what is left of the monic denominator is 1, so num is the polynomial part
+                num = num - other.scale(a)
+            num = num.divide_var_linear(0, r)
     return num, parts
 
 
@@ -373,30 +303,22 @@ def integrate_no_log(f: RatFunc, base_point: Fraction) -> RatFunc:
     Partial fractions over the poles; a nonzero residue at a simple pole
     raises NonzeroResidue.
     """
-    poly, parts = partial_fractions(f)
-    anti = RatFunc(poly.integrate(), UPoly([1]), f.var)
+    laurent, parts = partial_fractions(f)
+    anti = RatFunc._new(laurent.integrate(0), 0, 0, f.var)
     for r, table in parts.items():
         for k, a in table.items():
             if k == 1:
                 raise NonzeroResidue(f"residue {qstr(a)} at {qstr(r)}")
             # integral of a/(x-r)^k is a*(x-r)^(1-k)/(1-k)
-            anti = anti + RatFunc(UPoly([a / (1 - k)]),
-                                  UPoly([-r, 1]).pow(k - 1), f.var)
+            anti = anti + RatFunc._new(SparseLaurent.const(1, a / (1 - k)),
+                                       k - 1 if r == 1 else 0, k - 1 if r == -1 else 0,
+                                       f.var)
     return anti - RatFunc.const(anti.eval(Fraction(base_point)), f.var)
 
 
 def even_part(f: RatFunc, new_var: str = "u") -> RatFunc:
     """Rewrite an even rational function of x as a function of u = x^2."""
-    # f(x) = N(x) D(-x) / (D(x) D(-x)); both products must be even.
-    def negate(p: UPoly) -> UPoly:
-        return UPoly.from_ints([c if i % 2 == 0 else -c for i, c in enumerate(p.num)], p.den)
-
-    num = f.num * negate(f.den)
-    den = f.den * negate(f.den)
-
-    def squeeze(p: UPoly) -> UPoly:
-        if any(p.num[1::2]):
-            raise ValueError("function is not even")
-        return UPoly.from_ints(p.num[0::2], p.den)
-
-    return RatFunc(squeeze(num), squeeze(den), new_var)
+    # f = num / ((x - 1)^b (x + 1)^c) is even iff b = c and num is even
+    if f.b != f.c or any(e % 2 for (e,) in f.num.num):
+        raise ValueError("function is not even")
+    return RatFunc._new(f.num.relabel(1, lambda k: (k[0] // 2,)), f.b, 0, new_var)

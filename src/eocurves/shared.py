@@ -105,7 +105,7 @@ def diagonal_mixed(f: SparseLaurent) -> SparseLaurent:
 
 def principal_ratfunc(f: SparseLaurent, var: str = "t") -> RatFunc:
     """Specialize all variables to a single t, as a rational function."""
-    return RatFunc.from_laurent_dict(f.principal(), var)
+    return RatFunc(f.principal(), var=var)
 
 
 def s_coefficient_assembled(free_energy: FreeEnergy, m: int) -> RatFunc:
