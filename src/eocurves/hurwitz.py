@@ -148,8 +148,6 @@ def hurwitz_number(g: int, n: int, mu: Sequence[int]) -> Fraction:
     """Automorphism-weighted count of covers with n labeled poles of orders mu."""
     if n < 1 or len(mu) != n or any(m < 1 for m in mu) or g < 0:
         raise InvalidProfile(f"bad profile (g={g}, n={n}, mu={tuple(mu)})")
-    if 2 * g - 2 + n + sum(mu) < 0:
-        raise InvalidProfile("negative ramification count")
     key = _sorted_key(mu)
     return Fraction(_hurwitz(g, key), _scale(g, key))
 
@@ -201,9 +199,6 @@ def _sorted_tuples(n: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     return list(_multisets(range(lo, hi + 1), n))
 
 
-_elsv_memo: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
-
-
 def elsv_coefficients(g: int, n: int) -> dict[tuple[int, ...], Fraction]:
     """Coefficients of F_{g,n} in the xi basis, from an exact grid solve.
 
@@ -212,9 +207,6 @@ def elsv_coefficients(g: int, n: int) -> dict[tuple[int, ...], Fraction]:
     """
     if 2 * g - 2 + n <= 0:
         raise InvalidProfile(f"({g},{n}) is unstable")
-    key = (g, n)
-    if key in _elsv_memo:
-        return _elsv_memo[key]
     bound = 3 * g - 3 + n
     kvecs = _kvectors(n, bound)
     grid = _sorted_tuples(n, 1, max(2, bound + 1))
@@ -246,7 +238,6 @@ def elsv_coefficients(g: int, n: int) -> dict[tuple[int, ...], Fraction]:
     if checked < 3:
         raise OverdeterminedMismatch("not enough verification points")
 
-    _elsv_memo[key] = table
     return table
 
 
@@ -602,7 +593,6 @@ def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:
 def clear_caches() -> None:
     _h_memo.clear()
     _xi_memo.clear()
-    _elsv_memo.clear()
     _fe_memo.clear()
     _s_assembled_memo.clear()
     _s_recursive_memo.clear()

@@ -32,10 +32,10 @@ a key whose partial sum reaches zero is dropped and re-enters at the end.
 ``eval_float`` sums the terms in that order, so float probes depend on it.
 
 ``sum_over_divisors`` adds terms over products of the divisors
-``v_a - v_b``, ``v_a + v_b`` and ``v_a - c`` and divides the sum out
-exactly.  It serves only the (0,3) base cases of the two recursions,
-whose unstable two-point inputs give terms that clear their denominators
-only in the sum; every stable term divides on its own by
+``v_a - v_b``, ``v_a + v_b`` and ``v_a - c`` for an integer c, and divides
+the sum out exactly.  It serves only the (0,3) base cases of the two
+recursions, whose unstable two-point inputs give terms that clear their
+denominators only in the sum; every stable term divides on its own by
 ``divide_var_binomial``.
 """
 
@@ -54,7 +54,7 @@ from .rationals import qstr
 
 ExpVec = tuple[int, ...]
 # (a, b, s): v_a - s*v_b, or v_a - s when b is None
-Divisor = tuple[int, int | None, Fraction | int]
+Divisor = tuple[int, int | None, int]
 
 FIELD_BITS = 16
 FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -496,22 +496,21 @@ class SparseLaurent:
         """Exact division by ``v_a - sign*v_b`` (sign is +1 or -1)."""
         if a == b:
             raise ValueError("binomial needs distinct variables")
-        return self._divide(a, b, sign, 1, f"v{a} {'-' if sign > 0 else '+'} v{b}")
+        return self._divide(a, b, sign, f"v{a} {'-' if sign > 0 else '+'} v{b}")
 
-    def divide_var_linear(self, a: int, c0: Fraction) -> "SparseLaurent":
-        """Exact division by ``v_a - c0`` for a rational constant c0."""
-        if c0 == 0:
-            # v_a is a unit here: just shift the exponent down
-            reach = self._stepped_reach(a, -1)
-            one = 1 << _layout(self.arity).shifts[a]
-            return SparseLaurent._new(self.arity, {k - one: c for k, c in self._num.items()},
-                                      self.den, reach)
-        c0 = Fraction(c0)
-        return self._divide(a, None, c0.numerator, c0.denominator, f"v{a} - {qstr(c0)}")
+    def divide_var_linear(self, a: int, c0: int) -> "SparseLaurent":
+        """Exact division by ``v_a - c0`` for a nonzero integer c0.
 
-    def _divide(self, a: int, b: int | None, p: int, q: int,
-                divisor: str) -> "SparseLaurent":
-        """Exact division by ``v_a - (p/q) v_b``, or by ``v_a - p/q`` when b is None.
+        Raises TypeError for a root that is not an ``int``.  A nonzero
+        dividend over c0 = 0, where v_a is a unit, raises ExactDivisionError:
+        the synthetic division leaves its lowest layer as a remainder.
+        """
+        if not isinstance(c0, int):
+            raise TypeError(f"root {c0!r} is not an int")
+        return self._divide(a, None, c0, f"v{a} - {c0}")
+
+    def _divide(self, a: int, b: int | None, p: int, divisor: str) -> "SparseLaurent":
+        """Exact division by ``v_a - p v_b``, or by ``v_a - p`` when b is None.
 
         Synthetic division from the highest power of ``v_a`` down.  An exact
         quotient has no exponent outside the dividend's range, so it keeps
@@ -535,11 +534,8 @@ class SparseLaurent:
         quot: dict[int, int] = {}
         carry: dict[int, int] = {}
         for e in range(hi, lo - 1, -1):
-            # step holds q^(hi-e) times the quotient's v_a^(e-1) layer: this
-            # layer plus (p/q) v_b times the layer above
-            lift = q ** (hi - e)
-            layer = layers.get(e, {})
-            step = dict(layer) if lift == 1 else {k: c * lift for k, c in layer.items()}
+            # the quotient's v_a^(e-1) layer: this layer plus p v_b times the layer above
+            step = dict(layers.get(e, {}))
             if guard and any(k >> sb & FIELD_MASK == FIELD_MASK for k in carry):
                 raise ExactDivisionError(f"remainder dividing by {divisor}")
             get, pop = step.get, step.pop
@@ -551,15 +547,12 @@ class SparseLaurent:
                 else:
                     pop(k, None)
             if e > lo:
-                down = q ** (e - lo - 1)
                 at = (e - 1) << sa
-                quot.update({k + at: c for k, c in step.items()} if down == 1
-                            else {k + at: c * down for k, c in step.items()})
+                quot.update({k + at: c for k, c in step.items()})
                 carry = step
             elif step:
                 raise ExactDivisionError(f"remainder dividing by {divisor}")
-        return SparseLaurent._reduced(self.arity, quot, self.den * q ** (hi - lo - 1),
-                                      self._reach)
+        return SparseLaurent._reduced(self.arity, quot, self.den, self._reach)
 
     # -- JSON wire format -----------------------------------------------------
 

@@ -9,9 +9,9 @@ divisible by v - 1 when b > 0, nor by v + 1 when c > 0, so equality is
 literal comparison of ``(var, num, b, c)``.  A value has no place for any
 other pole: dividing by a function with a zero outside ``POLES``, or a
 substitution that moves a pole there, raises ``UnfactoredDenominator``.
-Antiderivatives take the pole parts at 1 and -1 by synthetic division and
-integrate the Laurent rest termwise; a nonzero residue (which would
-produce a logarithm) is an error.
+Antiderivatives are taken of Laurent polynomials only (no pole at 1 or
+-1), termwise; a nonzero residue (which would produce a logarithm) is an
+error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping
 
-from .errors import DegenerateMap, NonzeroResidue, UnfactoredDenominator
+from .errors import DegenerateMap, UnfactoredDenominator
 from .laurent import SparseLaurent
 from .rationals import QZERO, qstr
 
@@ -32,10 +32,6 @@ def _factor(b: int, c: int) -> SparseLaurent:
     """(v - 1)^b (v + 1)^c, for b, c >= 0."""
     return (SparseLaurent.in_slot(1, 0, {0: -1, 1: 1}).pow(b)
             * SparseLaurent.in_slot(1, 0, {0: 1, 1: 1}).pow(c))
-
-
-def _value(p: SparseLaurent, x: Fraction | int) -> Fraction:
-    return p.eval_partial(0, x).terms.get((0,), QZERO)
 
 
 def _cancel(num: SparseLaurent, r: int, k: int) -> tuple[SparseLaurent, int]:
@@ -156,6 +152,7 @@ class RatFunc:
             if not other:
                 return RatFunc.zero(self.var)
             return RatFunc._new(self.num.scale(Fraction(other)), self.b, self.c, self.var)
+        other = self._coerce(other)
         n1, b1, c1 = self.num, self.b, self.c
         n2, b2, c2 = other.num, other.b, other.c
         # a numerator is prime to its own pole factors, so a pole of one side
@@ -176,9 +173,12 @@ class RatFunc:
         return self * self._coerce(other)._inverse()
 
     def _coerce(self, other: "RatFunc | Fraction | int") -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        return RatFunc.const(other, self.var)
+        """other as a function of self.var; ValueError for a function of another variable."""
+        if not isinstance(other, RatFunc):
+            return RatFunc.const(other, self.var)
+        if other.var != self.var:
+            raise ValueError(f"variable mismatch: {self.var} and {other.var}")
+        return other
 
     def _inverse(self) -> "RatFunc":
         """1/self; UnfactoredDenominator if the numerator has a zero outside POLES."""
@@ -221,7 +221,7 @@ class RatFunc:
         d = (x - 1) ** self.b * (x + 1) ** self.c
         if d == 0:
             raise ZeroDivisionError(f"pole at {qstr(x)}")
-        return _value(self.num, x) / d
+        return self.num.eval_partial(0, x).terms.get((0,), QZERO) / d
 
     def to_json(self) -> dict:
         """The quotient of two polynomials, denominator monic, coefficients low to high."""
@@ -279,41 +279,15 @@ def substitute_mobius(f: RatFunc, coeffs: tuple[Fraction, Fraction, Fraction, Fr
     return RatFunc._new(*_lowest(num.scale(scale), poles[1], poles[-1]), var)
 
 
-def partial_fractions(f: RatFunc) -> tuple[SparseLaurent, dict[int, dict[int, Fraction]]]:
-    """Decompose f as a Laurent polynomial plus sum a_{r,k}/(v-r)^k over r = 1, -1.
-
-    The Laurent polynomial carries the pole at 0.
-    """
-    num, parts = f.num, {}
-    for r, e, other in ((1, f.b, _factor(0, f.c)), (-1, f.c, _factor(0, 0))):
-        # num / (other (v-r)^k) = a/(v-r)^k + (num - a other)/(other (v-r)^k),
-        # and the second numerator vanishes at r for a = num(r)/other(r)
-        for k in range(e, 0, -1):
-            a = _value(num, r) / _value(other, r)
-            if a != 0:
-                parts.setdefault(r, {})[k] = a
-                num = num - other.scale(a)
-            num = num.divide_var_linear(0, r)
-    return num, parts
-
-
 def integrate_no_log(f: RatFunc, base_point: Fraction) -> RatFunc:
-    """The unique antiderivative of f vanishing at base_point.
+    """The unique antiderivative of the Laurent polynomial f vanishing at base_point.
 
-    Partial fractions over the poles; a nonzero residue at a simple pole
-    raises NonzeroResidue.
+    Raises ValueError when f has a pole at 1 or -1, and NonzeroResidue when
+    f has a v^-1 term (its antiderivative would hold a logarithm).
     """
-    laurent, parts = partial_fractions(f)
-    anti = RatFunc._new(laurent.integrate(0), 0, 0, f.var)
-    for r, table in parts.items():
-        for k, a in table.items():
-            if k == 1:
-                raise NonzeroResidue(f"residue {qstr(a)} at {qstr(r)}")
-            # integral of a/(x-r)^k is a*(x-r)^(1-k)/(1-k)
-            anti = anti + RatFunc._new(SparseLaurent.const(1, a / (1 - k)),
-                                       k - 1 if r == 1 else 0, k - 1 if r == -1 else 0,
-                                       f.var)
-    return anti - RatFunc.const(anti.eval(Fraction(base_point)), f.var)
+    if f.b or f.c:
+        raise ValueError(f"{f!r} has a pole at 1 or -1: not a Laurent polynomial")
+    return RatFunc._new(f.num.integrate(0, base=base_point), 0, 0, f.var)
 
 
 def even_part(f: RatFunc, new_var: str = "u") -> RatFunc:

@@ -112,23 +112,16 @@ def build_d_operators(order: int, s_primes: Sequence[RatFunc],
             coeffs[r] = towers[m][r - 1] * Q(1, factorial(r))
         return YPolyOperator(coeffs)
 
-    # exp of the h-graded sum, collected by h-power
+    # the d_n commute (their coefficients do not depend on y), so E =
+    # exp(sum h^n d_n) solves h dE/dh = (sum n h^n d_n) E, which reads
+    # h D_h = sum_{n=1..h} n d_n D_{h-n}
     ds = [little_d(n) for n in range(1, order + 1)]
-    result = [YPolyOperator.identity()] + [YPolyOperator.zero()] * order
-    # power series: sum_k (sum_n h^n d_n)^k / k!
-    power = [YPolyOperator.identity()] + [YPolyOperator.zero()] * order
-    for k in range(1, order + 1):
-        nxt = [YPolyOperator.zero() for _ in range(order + 1)]
-        for h1 in range(k - 1, order):
-            if power[h1].is_zero():
-                continue
-            for nn in range(1, order - h1 + 1):
-                nxt[h1 + nn] = nxt[h1 + nn] + power[h1] * ds[nn - 1]
-        power = nxt
-        inv = Q(1, factorial(k))
-        for h in range(order + 1):
-            if not power[h].is_zero():
-                result[h] = result[h] + power[h].scale(inv)
+    result = [YPolyOperator.identity()]
+    for h in range(1, order + 1):
+        acc = YPolyOperator.zero()
+        for n in range(1, h + 1):
+            acc = acc + (ds[n - 1] * result[h - n]).scale(Q(n, h))
+        result.append(acc)
     return result
 
 

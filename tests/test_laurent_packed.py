@@ -62,11 +62,8 @@ def test_calculus_past_a_bound_raises():
         x(2, 1, EXP_MIN).diff(1)
     with pytest.raises(OverflowError, match=f"exponent {EXP_MAX + 1} of variable 0"):
         x(2, 0, EXP_MAX).integrate(0)
-    with pytest.raises(OverflowError, match=f"exponent {EXP_MIN - 1} of variable 0"):
-        x(1, 0, EXP_MIN).divide_var_linear(0, Q(0))
     assert x(2, 1, EXP_MIN + 1).diff(1).terms == {(0, EXP_MIN): Q(EXP_MIN + 1)}
     assert x(2, 0, EXP_MAX - 1).integrate(0).terms == {(EXP_MAX, 0): Q(1, EXP_MAX)}
-    assert x(1, 0, EXP_MIN + 1).divide_var_linear(0, Q(0)) == x(1, 0, EXP_MIN)
     # a slot at the edge does not stop a shift of another slot
     assert (x(2, 0, EXP_MIN) * x(2, 1, 2)).diff(1).num == {(EXP_MIN, 1): 2}
 
