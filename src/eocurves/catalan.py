@@ -14,6 +14,7 @@ the second-order equation (hbar d/dx)^2 + hbar x d/dx + 1 order by order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import prod
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .shared import (
     CurveSymbol,
     diagonal_mixed,
     is_stable,
+    mirrored_half,
     sorted_key as _sorted_key,
     stable_splits,
     submultisets,
@@ -41,6 +43,23 @@ Q = Fraction
 # ---------------------------------------------------------------------------
 
 _count_memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+
+@cache
+def _splits_by_parity(rest: tuple[int, ...]) -> tuple[tuple[tuple[shared.Split, ...], ...], ...]:
+    """``submultisets(rest)`` and its ``mirrored_half``, each grouped by the
+    parity of the left sum.
+
+    A group keeps the mirror order when ``|rest|`` is even, the only case
+    in which ``_count`` reads the half.
+    """
+    grouped = []
+    for splits in (submultisets(rest), mirrored_half(rest)):
+        by_parity = ([], [])
+        for split in splits:
+            by_parity[split[2] % 2].append(split)
+        grouped.append((tuple(by_parity[0]), tuple(by_parity[1])))
+    return tuple(grouped)
 
 
 def _count(g: int, mu: tuple[int, ...]) -> int:
@@ -90,10 +109,7 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
             c = _count(*k0)
         total += 2 * c
     if mu1 >= 4:
-        # the splits of the other vertices, by the parity of the left sum
-        by_parity = ([], [])
-        for split in submultisets(rest):
-            by_parity[sum(split[0]) % 2].append(split)
+        whole, half = _splits_by_parity(rest)
     for a in range(1, mu1 // 2):
         b = mu1 - 2 - a
         term = 0
@@ -102,7 +118,9 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
             term = get(drop)
             if term is None:
                 term = _count(*drop)
-        for left, right, ways in by_parity[a % 2]:  # both sides' sums even
+        # both sides' sums even; at a = b a split and its complement give
+        # the same term, so the mirrored half counts it
+        for left, right, _, ways in (half if a == b else whole)[a % 2]:
             ka = with_part(left, a)
             kb = with_part(right, b)
             for g1 in range(g + 1):
@@ -455,3 +473,5 @@ def clear_caches() -> None:
     _s_recursive_memo.clear()
     shared.with_part.cache_clear()
     shared.submultisets.cache_clear()
+    shared.mirrored_half.cache_clear()
+    _splits_by_parity.cache_clear()

@@ -16,6 +16,7 @@ rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement as _multisets
 from itertools import permutations as _perms
 from math import comb, exp, factorial, prod
@@ -36,6 +37,7 @@ from .series import TruncatedSeries
 from .shared import (
     CurveSymbol,
     diagonal_mixed,
+    mirrored_half,
     sorted_key as _sorted_key,
     stable_splits,
     submultisets,
@@ -59,6 +61,12 @@ def _scale(g: int, mu: Sequence[int]) -> int:
     """r! d!, the factor between H_g(mu) and its memoized integer N_g(mu)."""
     d = sum(mu)
     return factorial(2 * g - 2 + len(mu) + d) * factorial(d)
+
+
+@cache
+def _binomial_row(m: int) -> tuple[int, ...]:
+    """C(m, 0), ..., C(m, m); memoized, as the cut-and-join reads each row often."""
+    return tuple(comb(m, k) for k in range(m + 1))
 
 
 def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
@@ -102,7 +110,10 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
     # Swapping alpha with beta = v - alpha, each split with its complement and
     # g1 with g - g1 gives the same term (r1 + r2 = r - 1, d1 + d2 = d), so
     # alpha stops at beta and a term with alpha < beta counts twice.
-    shares = [comb(r - 1, r1) for r1 in range(r)]
+    # At alpha = beta a split and its complement give the same term too, so
+    # the mirrored half of the splits counts it.
+    shares = _binomial_row(r - 1)
+    sheets = _binomial_row(d)
     for v in values:
         if v == 1:
             break  # a pole of order 1 is not cut
@@ -118,11 +129,11 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
                 term = get(drop)
                 if term is None:
                     term = _hurwitz(*drop)
-            for sub, left, ways in splits:
+            for sub, left, size, ways in mirrored_half(rest) if alpha == beta else splits:
                 ka = with_part(sub, alpha)
                 kb = with_part(left, beta)
-                d1 = sum(ka)
-                weight = ways * comb(d, d1)
+                d1 = size + alpha
+                weight = ways * sheets[d1]
                 r1 = len(ka) + d1 - 2  # at g1 = 0; each genus adds 2
                 for g1 in range(g + 1):
                     na = get((g1, ka))
@@ -598,3 +609,5 @@ def clear_caches() -> None:
     _s_recursive_memo.clear()
     shared.with_part.cache_clear()
     shared.submultisets.cache_clear()
+    shared.mirrored_half.cache_clear()
+    _binomial_row.cache_clear()

@@ -56,20 +56,40 @@ def with_part(key: tuple[int, ...], part: int) -> tuple[int, ...]:
     return key[:at] + (part,) + key[at:]
 
 
-@cache
-def submultisets(rest: tuple[int, ...]
-                 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """(sub, complement, labeled ways) over sub-multisets of a sorted tuple.
+Split = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
-    Memoized: both count recursions ask it again and again for the same
-    profile, and every caller shares the one immutable result.
+
+@cache
+def submultisets(rest: tuple[int, ...]) -> tuple[Split, ...]:
+    """(sub, complement, size, labeled ways) over sub-multisets of a sorted tuple.
+
+    ``size`` is ``sum(sub)``.  Mirror order: entry ``i`` and entry
+    ``N - 1 - i`` (of ``N``) trade ``sub`` with the complement and have
+    equal ways, so their sizes add to ``sum(rest)``; when ``N`` is odd the
+    middle entry is its own complement.  Memoized: both count recursions
+    ask it again and again for the same profile, and every caller shares
+    the one immutable result.
     """
-    splits = [((), (), 1)]
+    splits = [((), (), 0, 1)]
     for v in sorted(set(rest), reverse=True):
         m = rest.count(v)
-        splits = [(sub + (v,) * k, left + (v,) * (m - k), ways * comb(m, k))
-                  for sub, left, ways in splits for k in range(m + 1)]
+        splits = [(sub + (v,) * k, left + (v,) * (m - k), size + k * v, ways * comb(m, k))
+                  for sub, left, size, ways in splits for k in range(m + 1)]
     return tuple(splits)
+
+
+@cache
+def mirrored_half(rest: tuple[int, ...]) -> tuple[Split, ...]:
+    """The first half of ``submultisets(rest)`` at twice its ways, then the middle.
+
+    Summed over these, a term that a split and its complement share (as
+    when both halves of a cut get the same part) adds up to its sum over
+    every split, at half the visits.
+    """
+    splits = submultisets(rest)
+    half, odd = divmod(len(splits), 2)
+    return tuple((sub, left, size, 2 * ways) for sub, left, size, ways in splits[:half]
+                 ) + splits[half:half + odd]
 
 
 def is_stable(g: int, n: int) -> bool:
