@@ -1,13 +1,18 @@
 """Command-line front end: outputs, exit codes, reports, caching."""
 
 import csv
+import hashlib
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction as Q
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import eocurves
 from eocurves import cache
 from eocurves import catalan as cat
 from eocurves import cli
@@ -288,6 +293,41 @@ def test_cache_roundtrip(tmp_path):
     assert again.read_text() == text
 
 
+# In a fresh interpreter, so that no memo of an earlier test shortens the run:
+# the memos of a cold `eo verify --suite all`, exported by the run, cleared and
+# imported, then written again.
+FULL_ROUND_TRIP = """
+import sys
+from pathlib import Path
+from eocurves import catalan as cat
+from eocurves import hurwitz as hur
+from eocurves.cache import export_caches, import_caches
+from eocurves.cli import main
+
+cold, again = map(Path, sys.argv[1:])
+assert main(["--cache", str(cold), "verify", "--suite", "all", "--format", "json"]) == 0
+memos = dict(cat._count_memo), dict(hur._h_memo)
+cat._count_memo.clear()
+hur._h_memo.clear()
+assert import_caches(cold) == {"catalan": 3638, "hurwitz": 2704, "rejected": 0}
+assert (cat._count_memo, hur._h_memo) == memos
+export_caches(again)
+"""
+
+
+def test_cache_roundtrip_of_a_full_cold_run(tmp_path):
+    cold, again = tmp_path / "cold.json", tmp_path / "again.json"
+    env = {"PYTHONPATH": str(Path(eocurves.__file__).parents[1]), "PYTHONHASHSEED": "0"}
+    run = subprocess.run([sys.executable, "-c", FULL_ROUND_TRIP, str(cold), str(again)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert json.loads(run.stdout)["overall"] == "pass"
+    # the digest CI pins for the file a cold run writes
+    assert hashlib.sha256(cold.read_bytes()).hexdigest() == \
+        "213d5705e93b2c120666bc13bf9c829ff912b31805a33fcc0a9e4d11594cb63c"
+    assert again.read_bytes() == cold.read_bytes()
+
+
 def test_cache_rejects_tampered_value(tmp_path):
     cat.catalan_count(0, 1, [2])
     path = tmp_path / "cache.json"
@@ -359,6 +399,73 @@ def test_cache_rejects_unsorted_keys(tmp_path, capsys):
         for key in ("0,2,2,4", "0,2,1,2")]
     assert json.loads(path.read_text()) == {
         "catalan": {"0,1,2": "1", "0,1,4": "2", "0,1,6": "5"}, "hurwitz": {}}
+
+
+BAD_INT = "invalid literal for int() with base 10: "
+NOT_HELD = "key {key!r} is not a profile the memo holds"
+
+
+# every rule an entry of either table can break, in the order import applies
+# them, with the exact text after "cache: rejecting '<key>': "
+@pytest.mark.parametrize("model,key,value,reason", [
+    *((model, key, "1", reason) for model in ("catalan", "hurwitz") for key, reason in [
+        ("0,1,x", BAD_INT + "'x'"),
+        ("6", "not enough values to unpack (expected at least 2, got 1)"),
+        ("0,2,4", "malformed key {key!r}"),
+        ("-1,1,4", "malformed key {key!r}"),
+        ("0,2,2,4", NOT_HELD),
+        ("0,0", NOT_HELD),
+        ("0,2,2,0", NOT_HELD),
+    ]),
+    ("catalan", "0,1,3", "1", NOT_HELD),
+    ("hurwitz", "0,1,1", "1", NOT_HELD),
+    ("hurwitz", "0,1,402", "1", "key {key!r} has r = 401 > 400"),
+    ("hurwitz", "200000,1,1", "1", "key {key!r} has r = 400000 > 400"),
+    *((model, key, value, reason) for model, key in (("catalan", "0,1,2"), ("hurwitz", "0,1,2"))
+      for value, reason in [
+          ("x", BAD_INT + "'x'"),
+          ("1/x", BAD_INT + "'x'"),
+          ("1/0", "value '1/0' has denominator 0"),
+          ("1/-2", "value '1/-2' has denominator -2"),
+          (2.0, BAD_INT + "'2.0'"),
+          (True, BAD_INT + "'True'"),
+          (None, BAD_INT + "'None'"),
+          ([1], BAD_INT + "'[1]'"),
+      ]),
+    ("catalan", "0,1,2", "1/3", "count {key} = 1/3 is not a whole number"),
+    ("catalan", "0,1,2", "-1", "count {key} = -1 is not a whole number"),
+    ("hurwitz", "0,1,2", "-1/2", "count {key} = -1/2 is negative"),
+    # r! d! = 1! 2! = 2 for (g, mu) = (0, (2,))
+    ("hurwitz", "0,1,2", "1/4", "count {key} = 1/4: denominator 4 does not divide r! d!"),
+])
+def test_cache_rejection_rules(tmp_path, monkeypatch, model, key, value, reason):
+    # a rejected entry costs one warning and does not stop the good entry after it
+    monkeypatch.setattr(cat, "_count_memo", {})
+    monkeypatch.setattr(hur, "_h_memo", {})
+    good = {"catalan": ("0,1,4", "2"), "hurwitz": ("0,1,3", "1/2")}[model]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({model: {key: value, good[0]: good[1]}}))
+    warnings = []
+    stats = import_caches(path, warn=warnings.append)
+    assert warnings == [f"cache: rejecting {key!r}: {reason.format(key=key)}"]
+    assert stats == {"catalan": 0, "hurwitz": 0, model: 1, "rejected": 1}
+    # r! d! H = 2! 3! / 2 for (0, (3,))
+    assert (cat._count_memo, hur._h_memo) == {
+        "catalan": ({(0, (4,)): 2}, {}), "hurwitz": ({}, {(0, (3,)): 6})}[model]
+
+
+def test_cache_accepts_integer_values_through_their_text(tmp_path, monkeypatch):
+    # a JSON number is read as its decimal text: an int is a count like "1"
+    monkeypatch.setattr(cat, "_count_memo", {})
+    monkeypatch.setattr(hur, "_h_memo", {})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"catalan": {"0,1,2": 1}, "hurwitz": {"0,2,2,2": 1}}))
+    warnings = []
+    assert import_caches(path, warn=warnings.append) == {
+        "catalan": 1, "hurwitz": 1, "rejected": 0}
+    assert warnings == []
+    # r! d! H = 4! 4! for (0, (2, 2)), where H = 1
+    assert cat._count_memo == {(0, (2,)): 1} and hur._h_memo == {(0, (2, 2)): 576}
 
 
 def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
