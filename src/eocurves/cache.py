@@ -3,12 +3,19 @@
 Keys flatten to "g,n,mu1,...,mun"; values are decimal integer strings
 for the graph counts and "p/q" strings for the Hurwitz numbers.  The
 Hurwitz memo holds the integers r! d! H, which import computes as
-p (r! d! / q) in integers; a q that does not divide r! d! marks a corrupt
-entry.  Corrupt entries are rejected with a warning and recomputed
-rather than trusted; an oversized Hurwitz key is rejected before r! d!
-is computed.  A file that is not JSON, or whose top level or tables are
-not objects, is rejected whole.  A file that cannot be written is
-reported with a warning, and the run keeps its exit code.
+p (r! d! / q) in integers.
+
+Import reads each entry once and rejects it with a warning at the first of
+these rules it breaks; a rejected count is recomputed, not trusted.
+1. The key is integers "g,n,mu1,...,mun" with n parts and g >= 0.
+2. mu is a profile the memo holds: sorted, parts >= 1, and |mu| even
+   (Catalan) or r = 2g - 2 + n + |mu| >= 1 (Hurwitz).
+3. A Hurwitz key has r <= MAX_BRANCH_POINTS: no r! d! is formed past it.
+4. The value is "p" or "p/q" with integers p and q > 0.
+5. Catalan: q divides p, and p >= 0.  Hurwitz: p >= 0, and q divides r! d!.
+A file that is not JSON, or whose top level or tables are not objects, is
+rejected whole.  A file that cannot be written is reported with a warning,
+and the run keeps its exit code.
 """
 
 from __future__ import annotations
@@ -28,29 +35,12 @@ from .rationals import qstr
 # ``eo verify --suite all`` stores r <= 41; 400! is cheap.
 MAX_BRANCH_POINTS = 400
 
+# 0!, 1!, ..., (r + 1)! for the largest r import has loaded; d = |mu| <= r + 1
+_factorials = [1]
+
 
 def _flatten(g: int, mu: tuple[int, ...]) -> str:
     return ",".join(str(v) for v in (g, len(mu), *mu))
-
-
-def _unflatten(key: str) -> tuple[int, tuple[int, ...]]:
-    g, n, *mu = map(int, key.split(","))  # ValueError for a malformed key too
-    if len(mu) != n or g < 0:
-        raise CorruptCache(f"malformed key {key!r}")
-    # the memos key sorted profiles only: an unsorted key would be loaded
-    # where no lookup reads it, and written back on export
-    if mu != sorted(mu, reverse=True):
-        raise CorruptCache(f"key {key!r} is not a profile the memo holds")
-    return g, tuple(mu)
-
-
-def _ratio(value) -> tuple[int, int]:
-    """Split a "p" or "p/q" string into integers p and q > 0."""
-    num, _, den = str(value).partition("/")
-    p, q = int(num), int(den) if den else 1
-    if q <= 0:
-        raise CorruptCache(f"value {value!r} has denominator {q}")
-    return p, q
 
 
 def memo_sizes() -> tuple[int, int]:
@@ -98,40 +88,44 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
     except (OSError, ValueError) as exc:
         warn(f"cache: unreadable file {path}: {exc}")
         return {"catalan": 0, "hurwitz": 0, "rejected": 1}
-    rejected = 0
-    loaded_c = 0
-    for key, value in payload.get("catalan", {}).items():
-        try:
-            g, mu = _unflatten(key)
-            if not mu or min(mu) < 1 or sum(mu) % 2:
-                raise CorruptCache(f"key {key!r} is not a profile the memo holds")
-            p, q = _ratio(value)
-            if p % q or p < 0:
-                raise CorruptCache(f"count {key} = {value} is not a whole number")
-            cat._count_memo[(g, mu)] = p // q
-            loaded_c += 1
-        except (CorruptCache, ValueError) as exc:
-            warn(f"cache: rejecting {key!r}: {exc}")
-            rejected += 1
-    loaded_h = 0
-    for key, value in payload.get("hurwitz", {}).items():
-        try:
-            g, mu = _unflatten(key)
-            r = 2 * g - 2 + len(mu) + sum(mu)
-            if not mu or min(mu) < 1 or r < 1:
-                raise CorruptCache(f"key {key!r} is not a profile the memo holds")
-            if r > MAX_BRANCH_POINTS:
-                raise CorruptCache(f"key {key!r} has r = {r} > {MAX_BRANCH_POINTS}")
-            p, q = _ratio(value)
-            if p < 0:
-                raise CorruptCache(f"count {key} = {value} is negative")
-            scale = hur._scale(g, mu)
-            if scale % q:
-                raise CorruptCache(f"count {key} = {value}: denominator {q} "
-                                   "does not divide r! d!")
-            hur._h_memo[(g, mu)] = p * (scale // q)
-            loaded_h += 1
-        except (CorruptCache, ValueError) as exc:
-            warn(f"cache: rejecting {key!r}: {exc}")
-            rejected += 1
-    return {"catalan": loaded_c, "hurwitz": loaded_h, "rejected": rejected}
+    loaded = {"catalan": 0, "hurwitz": 0, "rejected": 0}
+    fact = _factorials
+    for model, memo in (("catalan", cat._count_memo), ("hurwitz", hur._h_memo)):
+        hurwitz = model == "hurwitz"
+        for key, value in payload.get(model, {}).items():
+            try:
+                g, n, *mu = map(int, key.split(","))  # ValueError for a malformed key too
+                if len(mu) != n or g < 0:
+                    raise CorruptCache(f"malformed key {key!r}")
+                d = sum(mu)
+                r = 2 * g - 2 + n + d
+                # the memos key sorted profiles only: an unsorted key would be
+                # loaded where no lookup reads it, and written back on export
+                if (not mu or mu[-1] < 1 or mu != sorted(mu, reverse=True)
+                        or (r < 1 if hurwitz else d % 2)):
+                    raise CorruptCache(f"key {key!r} is not a profile the memo holds")
+                if hurwitz and r > MAX_BRANCH_POINTS:
+                    raise CorruptCache(f"key {key!r} has r = {r} > {MAX_BRANCH_POINTS}")
+                num, _, den = str(value).partition("/")
+                p, q = int(num), int(den) if den else 1
+                if q <= 0:
+                    raise CorruptCache(f"value {value!r} has denominator {q}")
+                if not hurwitz:
+                    if p % q or p < 0:
+                        raise CorruptCache(f"count {key} = {value} is not a whole number")
+                    memo[g, tuple(mu)] = p // q
+                else:
+                    if p < 0:
+                        raise CorruptCache(f"count {key} = {value} is negative")
+                    while len(fact) <= r + 1:
+                        fact.append(fact[-1] * len(fact))
+                    scale = fact[r] * fact[d]
+                    if scale % q:
+                        raise CorruptCache(f"count {key} = {value}: denominator {q} "
+                                           "does not divide r! d!")
+                    memo[g, tuple(mu)] = p * (scale // q)
+                loaded[model] += 1
+            except (CorruptCache, ValueError) as exc:
+                warn(f"cache: rejecting {key!r}: {exc}")
+                loaded["rejected"] += 1
+    return loaded

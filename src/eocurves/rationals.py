@@ -4,7 +4,7 @@
 scalar type (reduced, positive denominator, zero is 0/1), so it is used
 directly.  ``qstr`` writes the wire format used everywhere else:
 ``"p/q"``, or ``"p"`` when the denominator is 1.  ``Fraction`` parses it
-back; the one reader in the program is ``cache._ratio``.
+back; the one reader in the program is ``cache.import_caches``.
 """
 
 from __future__ import annotations

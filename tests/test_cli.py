@@ -469,14 +469,19 @@ def test_cache_accepts_integer_values_through_their_text(tmp_path, monkeypatch):
 
 
 def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
-    # a forged key for a huge profile is refused before r! d! is computed
+    # a forged key for a huge profile is refused before r! d! is formed: import
+    # reads the factorials from cache._factorials, grown as far as a key needs,
+    # and no valid key needs one past (MAX_BRANCH_POINTS + 1)!
     cat.clear_caches()
     hur.clear_caches()
 
-    def no_arithmetic(g, mu):
-        raise AssertionError("r! d! computed for an oversized key")
+    class Factorials(list):
+        def append(self, value):
+            assert len(self) <= cache.MAX_BRANCH_POINTS + 1, \
+                f"{len(self)}! formed for an oversized key"
+            super().append(value)
 
-    monkeypatch.setattr(hur, "_scale", no_arithmetic)
+    monkeypatch.setattr(cache, "_factorials", Factorials([1]))
     path = tmp_path / "c.json"
     big = cache.MAX_BRANCH_POINTS + 2  # r = |mu| - 1 for g = 0, n = 1
     path.write_text(json.dumps({"hurwitz": {"200000,1,1": "1/7", f"0,1,{big}": "1"}}))
@@ -487,7 +492,7 @@ def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
                         f"r = 400000 > {cache.MAX_BRANCH_POINTS}",
                         f"cache: rejecting '0,1,{big}': key '0,1,{big}' has "
                         f"r = {big - 1} > {cache.MAX_BRANCH_POINTS}"]
-    assert not hur._h_memo
+    assert not hur._h_memo and cache._factorials == [1]
 
 
 def test_poisoned_count_fails_only_the_laplace_probe(tmp_path, capsys, monkeypatch):
