@@ -7,11 +7,12 @@ p (r! d! / q) in integers.
 
 Import reads each entry once and rejects it with a warning at the first of
 these rules it breaks; a rejected count is recomputed, not trusted.
-1. The key is integers "g,n,mu1,...,mun" with n parts and g >= 0.
+1. The key is integers "g,n,mu1,...,mun" spelt as export writes them (no
+   "+", space, leading zero or non-ASCII digit), with n parts and g >= 0.
 2. mu is a profile the memo holds: sorted, parts >= 1, and |mu| even
    (Catalan) or r = 2g - 2 + n + |mu| >= 1 (Hurwitz).
 3. A Hurwitz key has r <= MAX_BRANCH_POINTS: no r! d! is formed past it.
-4. The value is "p" or "p/q" with integers p and q > 0.
+4. The value is "p" or "p/q" with integers p and q > 0 (q not empty).
 5. Catalan: q divides p, and p >= 0.  Hurwitz: p >= 0, and q divides r! d!.
 A file that is not JSON, or whose top level or tables are not objects, is
 rejected whole.  A file that cannot be written is reported with a warning,
@@ -90,11 +91,19 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
         return {"catalan": 0, "hurwitz": 0, "rejected": 1}
     loaded = {"catalan": 0, "hurwitz": 0, "rejected": 0}
     fact = _factorials
+    # key fields as export writes them, up to any a valid Hurwitz key holds
+    fields = {str(i): i for i in range(MAX_BRANCH_POINTS + 2)}
     for model, memo in (("catalan", cat._count_memo), ("hurwitz", hur._h_memo)):
         hurwitz = model == "hurwitz"
         for key, value in payload.get(model, {}).items():
             try:
-                g, n, *mu = map(int, key.split(","))  # ValueError for a malformed key too
+                try:
+                    g, n, *mu = map(fields.__getitem__, key.split(","))
+                except KeyError:
+                    g, n, *mu = map(int, key.split(","))  # ValueError for a malformed key too
+                    # int() also reads " +6", "06" and full-width digits: aliases of "6"
+                    if ",".join(map(str, (g, n, *mu))) != key:
+                        raise CorruptCache(f"key {key!r} is not written as export writes it")
                 if len(mu) != n or g < 0:
                     raise CorruptCache(f"malformed key {key!r}")
                 d = sum(mu)
@@ -106,8 +115,8 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
                     raise CorruptCache(f"key {key!r} is not a profile the memo holds")
                 if hurwitz and r > MAX_BRANCH_POINTS:
                     raise CorruptCache(f"key {key!r} has r = {r} > {MAX_BRANCH_POINTS}")
-                num, _, den = str(value).partition("/")
-                p, q = int(num), int(den) if den else 1
+                num, slash, den = str(value).partition("/")
+                p, q = int(num), int(den) if slash else 1
                 if q <= 0:
                     raise CorruptCache(f"value {value!r} has denominator {q}")
                 if not hurwitz:

@@ -291,7 +291,7 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
         terms.append((nump.scale(Q(1, 16)), [(0, 1, -1), (0, 2, -1)]))
         return sum_over_divisors(n, terms)
 
-    cleared = SparseLaurent.zero(n)
+    parts: list[SparseLaurent] = []
     k3 = _kernel3(n, 0)
     if n >= 2:
         # the j = 1 terms, t_2 standing for t_j and F_{g,n-1} on the rest
@@ -302,12 +302,11 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
         pairing = (((phi_1 - phi_2) * SparseLaurent.var(n, 1)).scale(Q(-1, 16))
                    .divide_var_binomial(0, 1, +1).divide_var_binomial(0, 1, -1))
         line2 = (_kernel2(n, 0) * d_at_1).scale(Q(-1, 16))
-        cleared = cleared + pairing + line2
+        parts += (pairing, line2)
         for j in range(2, n):
             # slot 1 to j, the others kept in order: the direct j terms
             slots = [0, j, *(s for s in range(1, n) if s != j)]
-            cleared = cleared + pairing.embed(n, slots)
-            cleared = cleared + line2.embed(n, slots)
+            parts += (pairing.embed(n, slots), line2.embed(n, slots))
 
     if g >= 1:
         if (g - 1, n + 1) == (0, 2):
@@ -316,14 +315,15 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
             diag = SparseLaurent.in_slot(n, 0, {-2: Q(1, 4)})
         else:
             diag = diagonal_mixed(free_energy(g - 1, n + 1))
-        cleared = cleared + (k3 * diag).scale(Q(-1, 32))
+        parts.append((k3 * diag).scale(Q(-1, 32)))
 
     for g1, left, g2, right in stable_splits(g, range(1, n)):
         fa = free_energy(g1, len(left) + 1).embed(n, [0, *left])
         fb = free_energy(g2, len(right) + 1).embed(n, [0, *right])
-        cleared = cleared + (k3 * fa.diff(0) * fb.diff(0)).scale(Q(-1, 32))
+        parts.append((k3 * fa.diff(0) * fb.diff(0)).scale(Q(-1, 32)))
 
-    return cleared
+    # in the term order of adding the parts one by one, which F's float probes read
+    return SparseLaurent.sum(n, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,25 @@ class SparseLaurent:
                 res.pop(k, None)
         return SparseLaurent._reduced(self.arity, res, d, max(self._reach, other._reach))
 
+    @classmethod
+    def sum(cls, arity: int, parts: Iterable["SparseLaurent"]) -> "SparseLaurent":
+        """The sum of ``parts`` in one pass, in the term order of a left fold of ``+``."""
+        parts = list(parts)
+        if any(f.arity != arity for f in parts):
+            raise ValueError("arity mismatch")
+        d = lcm(*(f.den for f in parts))
+        res: dict[int, int] = {}
+        get, pop = res.get, res.pop
+        for f in parts:
+            up = d // f.den
+            for k, c in f._num.items():
+                s = get(k, 0) + c * up
+                if s:
+                    res[k] = s
+                else:
+                    pop(k, None)
+        return cls._reduced(arity, res, d, max((f._reach for f in parts), default=0))
+
     def __add__(self, other: "SparseLaurent") -> "SparseLaurent":
         return self._plus(other, 1)
 
@@ -396,6 +415,33 @@ class SparseLaurent:
             else:
                 res.pop(nk, None)
         return SparseLaurent._reduced(self.arity, res, self.den * scale, self._reach)
+
+    def vanishes_at_unit(self, r: int) -> bool:
+        """Whether a one-variable polynomial is zero at ``v = r`` for r = 1 or -1."""
+        if self.arity != 1:
+            raise ValueError("one-variable kernel")
+        # a key is e + BIAS with BIAS even, so odd keys are odd powers
+        odd = sum(c for k, c in self._num.items() if k & 1) if r == -1 else 0
+        return sum(self._num.values()) == 2 * odd
+
+    def homogenize(self, a: int, b: int, c: int, d: int) -> tuple["SparseLaurent", int, int]:
+        """``(h, lo, hi)``: h = sum_e n_e (a u + b)^(e - lo) (c u + d)^(hi - e) / den.
+
+        One variable, integers a..d, exponents lo..hi: self((a u + b)/(c u + d))
+        is h (a u + b)^lo (c u + d)^-hi.  Horner's rule on a dense int list.
+        """
+        if self.arity != 1:
+            raise ValueError("one-variable kernel")
+        lo, hi = min(self._num, default=BIAS), max(self._num, default=BIAS)
+        h: list[int] = []
+        dn = [1]  # (c u + d)^(hi - e), low to high
+        for k in range(hi, lo - 1, -1):
+            n = self._num.get(k, 0)
+            h = [b * x + a * y + n * p for x, y, p in zip(h + [0], [0] + h, dn)]
+            dn = [d * x + c * y for x, y in zip(dn + [0], [0] + dn)]
+        res = {BIAS + i: x for i, x in enumerate(h) if x}
+        reach = _fit(0, max(res, default=BIAS) - BIAS, 0)
+        return SparseLaurent._reduced(1, res, self.den, reach), lo - BIAS, hi - BIAS
 
     def eval_float(self, values: Sequence[float]) -> float:
         # int / int rounds correctly, exactly as float(Fraction) does

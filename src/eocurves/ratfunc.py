@@ -3,21 +3,23 @@
 Both curves are written in coordinates where every pole sits at one of
 ``POLES`` = 0, 1, -1.  A ``RatFunc`` in the variable v is stored as
 ``num / ((v - 1)^b (v + 1)^c)``, with ``num`` a one-variable
-``SparseLaurent`` whose negative exponents carry the pole at 0, so every
-kernel is a ``SparseLaurent`` one.  The form is canonical: ``num`` is not
-divisible by v - 1 when b > 0, nor by v + 1 when c > 0, so equality is
-literal comparison of ``(var, num, b, c)``.  A value has no place for any
-other pole: dividing by a function with a zero outside ``POLES``, or a
-substitution that moves a pole there, raises ``UnfactoredDenominator``.
-Antiderivatives are taken of Laurent polynomials only (no pole at 1 or
--1), termwise; a nonzero residue (which would produce a logarithm) is an
-error.
+``SparseLaurent`` whose negative exponents carry the pole at 0.  Its
+kernels are ``SparseLaurent`` ones; the test at +-1 sums numerators and a
+Moebius substitution runs Horner's rule on ints, both one-variable loops.
+The form is canonical: ``num`` is not divisible by v - 1 when b > 0, nor by
+v + 1 when c > 0, so equality is literal comparison of ``(var, num, b, c)``.
+A value has no place for any other pole: dividing by a function with a
+zero outside ``POLES``, or a substitution that moves a pole there, raises
+``UnfactoredDenominator``.  Antiderivatives are taken of Laurent
+polynomials only (no pole at 1 or -1), termwise; a nonzero residue (which
+would produce a logarithm) is an error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Mapping
 
 from .errors import DegenerateMap, UnfactoredDenominator
@@ -36,7 +38,7 @@ def _factor(b: int, c: int) -> SparseLaurent:
 
 def _cancel(num: SparseLaurent, r: int, k: int) -> tuple[SparseLaurent, int]:
     """num over (v - r)^k with the common factors v - r divided out."""
-    while k and num.eval_partial(0, r).is_zero():
+    while k and num.vanishes_at_unit(r):
         num, k = num.divide_var_linear(0, r), k - 1
     return num, k
 
@@ -244,21 +246,13 @@ def substitute_mobius(f: RatFunc, coeffs: tuple[Fraction, Fraction, Fraction, Fr
     var = new_var or f.var
     if not f:
         return RatFunc.zero(var)
-    terms = {e: q for (e,), q in f.num.terms.items()}
-    lo, hi = min(terms), max(terms)
-    up = SparseLaurent.in_slot(1, 0, {0: b, 1: a})
-    dn = SparseLaurent.in_slot(1, 0, {0: d, 1: c})
-    # f = h up^lo dn^(f.b + f.c - hi) (up - dn)^-f.b (up + dn)^-f.c with the
-    # polynomial h = sum_e num_e up^(e - lo) dn^(hi - e), by Horner's rule
-    num, dn_pow = SparseLaurent.zero(1), SparseLaurent.const(1, 1)
-    for e in range(hi, lo - 1, -1):
-        num = num * up
-        if e in terms:
-            num = num + dn_pow.scale(terms[e])
-        dn_pow = dn_pow * dn
+    # f = h up^lo dn^(f.b + f.c - hi) (up - dn)^-f.b (up + dn)^-f.c for up = a u + b,
+    # dn = c u + d and h = sum_e num_e up^(e - lo) dn^(hi - e), a..d taken over m
+    m = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    num, lo, hi = f.num.homogenize(*(v.numerator * (m // v.denominator) for v in (a, b, c, d)))
     # the four linear factors vanish at the images of v = 0, oo, 1, -1: at
     # distinct points, so no two of them share a root
-    scale, poles = Fraction(1), {1: 0, -1: 0}
+    scale, poles = Fraction(1, m ** (hi - lo)), {1: 0, -1: 0}
     for alpha, beta, k in ((a, b, lo), (c, d, f.b + f.c - hi),
                            (a - c, b - d, -f.b), (a + c, b + d, -f.c)):
         if not k:

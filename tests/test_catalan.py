@@ -247,6 +247,37 @@ def test_s_polynomiality_in_s(m):
     assert len(p) - 1 <= 3 * m - 3
 
 
+def count_kernel_calls(monkeypatch, work) -> tuple[int, int]:
+    """The SparseLaurent products and sums that ``work()`` makes."""
+    calls = {"mul": 0, "plus": 0}
+    mul, plus = SparseLaurent.__mul__, SparseLaurent._plus
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_plus(self, other, sign):
+        calls["plus"] += 1
+        return plus(self, other, sign)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SparseLaurent, "__mul__", counted_mul)
+        patch.setattr(SparseLaurent, "_plus", counted_plus)
+        work()
+    return calls["mul"], calls["plus"]
+
+
+def test_layer2_work_counts(monkeypatch):
+    # a work count no machine speed moves: the Moebius substitution runs
+    # Horner's rule on ints and cancels poles by numerator sums, so moving S_4
+    # to z makes no product or sum; the stable terms of dF_{0,5}/dt_1 are
+    # added in one pass, leaving the pairing difference as the one sum
+    s4 = cat.s_coefficient_assembled(4)
+    assert count_kernel_calls(monkeypatch, lambda: cat.to_z(s4)) == (0, 0)
+    cat.free_energy(0, 5)
+    assert count_kernel_calls(monkeypatch, lambda: cat._recursion_rhs(0, 5)) == (16, 1)
+
+
 # S_m as a polynomial in s = z^2/(z^2-1), coefficients low to high
 S_IN_S = {
     2: ["0", "0", "3/4", "-5/6"],

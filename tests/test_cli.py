@@ -401,8 +401,24 @@ def test_cache_rejects_unsorted_keys(tmp_path, capsys):
         "catalan": {"0,1,2": "1", "0,1,4": "2", "0,1,6": "5"}, "hurwitz": {}}
 
 
+def test_cache_alias_key_does_not_override_the_exported_one(tmp_path, capsys):
+    # int(" +6") is 6, so the second key once overrode the first; only the
+    # text export writes is read, and the rewritten file drops the alias
+    cat.clear_caches()
+    hur.clear_caches()
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"catalan": {"0,1,6": "5", "0,1, +6": "999"}}))
+    code = main(["--cache", str(path), "catalan", "count", "--g", "0", "--n", "1", "--mu", "6"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.strip() == "5"
+    assert captured.err.splitlines() == [
+        "cache: rejecting '0,1, +6': key '0,1, +6' is not written as export writes it"]
+    assert json.loads(path.read_text()) == {"catalan": {"0,1,6": "5"}, "hurwitz": {}}
+
+
 BAD_INT = "invalid literal for int() with base 10: "
 NOT_HELD = "key {key!r} is not a profile the memo holds"
+NOT_EXPORTED = "key {key!r} is not written as export writes it"
 
 
 # every rule an entry of either table can break, in the order import applies
@@ -437,6 +453,10 @@ NOT_HELD = "key {key!r} is not a profile the memo holds"
     ("hurwitz", "0,1,2", "-1/2", "count {key} = -1/2 is negative"),
     # r! d! = 1! 2! = 2 for (g, mu) = (0, (2,))
     ("hurwitz", "0,1,2", "1/4", "count {key} = 1/4: denominator 4 does not divide r! d!"),
+    # int() reads these keys, but export writes "0,1,6", "0,1,4", "0,1,8", "0,1,2", "0,1,402"
+    *((model, key, "1", NOT_EXPORTED) for model in ("catalan", "hurwitz")
+      for key in ("0,1, +6", "0,1,+6", "0,1,04", "0,1,\uff18", "0,1,2 ", "-0,1,2", "0,1,0402")),
+    *((model, "0,1,2", "1/", BAD_INT + "''") for model in ("catalan", "hurwitz")),
 ])
 def test_cache_rejection_rules(tmp_path, monkeypatch, model, key, value, reason):
     # a rejected entry costs one warning and does not stop the good entry after it

@@ -9,7 +9,9 @@ plain Fraction-by-Fraction loop, including the order of its terms (float
 evaluation sums the terms in that order).
 """
 
+import functools
 import itertools
+import operator
 from fractions import Fraction as Q
 from math import gcd
 
@@ -170,6 +172,18 @@ def test_substitute_mobius_matches_sympy(case):
     want = to_expr(got, u)
     # cancel alone leaves a nested quotient such as 1/(u/(u - 1) - 1) standing
     assert sympy.cancel(sympy.together(expr - want)) == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(MOBIUS_MAPS).flatmap(lambda mp: st.tuples(
+    st.just(mp[0]), poly_terms(max_len=3), pole_orders(mp[1], max_mult=2))),
+    st.sampled_from([Q(1, 2), Q(3, 7)]))
+def test_substitute_mobius_is_blind_to_a_common_factor(case, lam):
+    # the model maps have integer coefficients; scaled ones take the path
+    # that brings the four to one integer denominator
+    m, num, den = case
+    f = over(num, den)
+    assert substitute_mobius(f, tuple(lam * v for v in m), "u") == substitute_mobius(f, m, "u")
 
 
 def test_undeclared_denominator_factor_raises():
@@ -369,6 +383,47 @@ def test_laurent_sums_match_fraction_loops(pair):
     check(f + g, ref_plus(f.terms, g.terms, 1))
     check(f - g, ref_plus(f.terms, g.terms, -1))
     check(-f, {k: -c for k, c in f.terms.items()})
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(laurent_polys(n), max_size=5), st.integers(0, 5))))
+def test_laurent_sum_matches_a_left_fold(case):
+    n, parts, at = case
+    if parts:
+        # a part and its negation make every key of it cancel midway; a later
+        # part holding the key brings it back at the end
+        parts[at % len(parts):at % len(parts)] = [parts[0], -parts[0]]
+    got = SparseLaurent.sum(n, parts)
+    want = functools.reduce(operator.add, parts, SparseLaurent.zero(n))
+    assert list(got.num.items()) == list(want.num.items())
+    assert got.den == want.den and got == want
+    assert_canonical(got)
+
+
+def test_laurent_sum_keeps_the_fold_order_and_checks_arity():
+    x, y = SparseLaurent.var(2, 0), SparseLaurent.var(2, 1)
+    parts = [x + y.scale(Q(1, 2)), -x, x.scale(Q(1, 3))]
+    assert list(SparseLaurent.sum(2, parts).terms.items()) == [((0, 1), Q(1, 2)),
+                                                                ((1, 0), Q(1, 3))]
+    assert SparseLaurent.sum(2, []) == SparseLaurent.zero(2)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        SparseLaurent.sum(2, [x, SparseLaurent.var(1, 0)])
+
+
+@settings(max_examples=80)
+@given(laurent_polys(1), st.integers(0, 2), st.integers(0, 2))
+def test_laurent_vanishing_at_units_matches_eval_partial(f, i, j):
+    # (v - 1)^i (v + 1)^j f vanishes at 1 when i > 0 and at -1 when j > 0
+    f = f * SparseLaurent.in_slot(1, 0, {0: -1, 1: 1}).pow(i) * \
+        SparseLaurent.in_slot(1, 0, {0: 1, 1: 1}).pow(j)
+    for r in (1, -1):
+        assert f.vanishes_at_unit(r) == f.eval_partial(0, r).is_zero()
+    # both one-variable kernels refuse other arities
+    with pytest.raises(ValueError, match="one-variable"):
+        SparseLaurent.var(2, 0).vanishes_at_unit(1)
+    with pytest.raises(ValueError, match="one-variable"):
+        SparseLaurent.var(2, 0).homogenize(1, 0, 0, 1)
 
 
 @settings(max_examples=60)
