@@ -346,22 +346,34 @@ def s_prime(m: int) -> RatFunc:
     return ddx_factor() * s_coefficient_assembled(m).diff()
 
 
-def _x_frame_primes(m_max: int) -> list[RatFunc]:
-    """P_m = dS_m/dx as functions of t, built by the quadratic recursion.
+_x_prime_memo: list[RatFunc] = []  # P_0, P_1, ... as far as built
 
+
+def _x_frame_primes(m_max: int) -> list[RatFunc]:
+    """P_0..P_{m_max} (P_1 at least), P_m = dS_m/dx as functions of t.
+
+    They come from the quadratic recursion
     P_{m+1} = (t^2-1)/(4t) * [ c dP_m/dt + sum_{a+b=m+1, a,b>=1} P_a P_b ]
     with c the d/dx -> d/dt factor.  The pair sum runs over a, b >= 1; the
     a = 0 terms are what the (t^2-1)/(4t) inversion absorbs.
+
+    The primes built so far are kept in ``_x_prime_memo`` and only the
+    missing orders are built, each from the same lower primes by the same
+    sums in the same order, so a prime is the value a fresh build gives, term
+    for term.  The caller gets a new list of the prefix and may change it.
     """
-    c = ddx_factor()
-    inv = RatFunc({-1: Q(1, 4)}, -1, -1, "t")
-    primes = [s0_prime_x(), s1_prime_x()]
-    for m in range(1, m_max):
-        acc = c * primes[m].diff()
-        for a in range(1, m + 1):
-            acc = acc + primes[a] * primes[m + 1 - a]
-        primes.append(inv * acc)
-    return primes
+    primes = _x_prime_memo
+    if not primes:
+        primes += (s0_prime_x(), s1_prime_x())
+    if len(primes) <= m_max:
+        c = ddx_factor()
+        inv = RatFunc({-1: Q(1, 4)}, -1, -1, "t")
+        for m in range(len(primes) - 1, m_max):
+            acc = c * primes[m].diff()
+            for a in range(1, m + 1):
+                acc = acc + primes[a] * primes[m + 1 - a]
+            primes.append(inv * acc)
+    return primes[:max(m_max, 1) + 1]
 
 
 base_s_primes = _x_frame_primes  # S_0'..S_max' in the base frame d/dx
@@ -448,10 +460,16 @@ LAPLACE_PROBES = [(1, 1, [10.0], 60), (0, 3, [10.0, 11.0, 12.0], 60)]
 def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
     """C_{g,n}(mu) / prod(mu) of a sorted profile, from the memo.
 
-    int / int rounds like float(Fraction), so this is the float of the exact
-    automorphism-weighted count.
+    The memo is read here and ``_count`` is called only on a miss, so a warm
+    probe makes no count call; a miss asks ``_count`` as before, so a cold
+    probe fills the memo in the same order.  int / int rounds like
+    float(Fraction), so this is the float of the exact automorphism-weighted
+    count, and each weight is the same float as before.
     """
-    return _count(g, key) / prod(key)
+    c = _count_memo.get((g, key))
+    if c is None:
+        c = _count(g, key)
+    return c / prod(key)
 
 
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
@@ -471,6 +489,7 @@ def clear_caches() -> None:
     _fe_memo.clear()
     _s_assembled_memo.clear()
     _s_recursive_memo.clear()
+    _x_prime_memo.clear()
     shared.with_part.cache_clear()
     shared.submultisets.cache_clear()
     shared.mirrored_half.cache_clear()

@@ -256,12 +256,16 @@ _fe_memo: dict[tuple[int, int], SparseLaurent] = {}
 
 
 def free_energy(g: int, n: int) -> SparseLaurent:
-    """F_{g,n}(t_1..t_n): symmetric polynomial of degree <= 6g-6+3n."""
+    """F_{g,n}(t_1..t_n): symmetric polynomial of degree <= 6g-6+3n.
+
+    The permutation terms are added in one ``SparseLaurent.sum``, which
+    keeps the term order of adding them one by one.
+    """
     key = (g, n)
     if key in _fe_memo:
         return _fe_memo[key]
     table = elsv_coefficients(g, n)
-    total = SparseLaurent.zero(n)
+    terms = []
     for kvec, c in table.items():
         if c == 0:
             continue
@@ -269,7 +273,8 @@ def free_energy(g: int, n: int) -> SparseLaurent:
             term = SparseLaurent.const(n, c)
             for slot, k in enumerate(p):
                 term = term * xi_polynomial(k).embed(n, [slot])
-            total = total + term
+            terms.append(term)
+    total = SparseLaurent.sum(n, terms)
     _fe_memo[key] = total
     return total
 
@@ -432,6 +437,7 @@ def s_coefficient_assembled(m: int) -> RatFunc:
 
 
 _s_recursive_memo: dict[int, RatFunc] = {}
+_s_dw_memo: list[RatFunc] = []  # dS_k/dw for k = 0, 1, ... as far as S_k is held
 
 
 def s_coefficient_recursive(m: int) -> RatFunc:
@@ -439,13 +445,20 @@ def s_coefficient_recursive(m: int) -> RatFunc:
 
     S_{m+1} = z^{-m} int_1^t z^m [S_m'' + sum_{a+b=m+1, a,b>=1} S_a' S_b'
     + S_m'] / (2 u (u-1)) du  with z = (u-1)/u and primes d/dw.
+
+    The orders already held, and their d/dw in ``_s_dw_memo``, are reused;
+    only the missing ones are integrated, each from the same lower data by
+    the same sums in the same order, so every S_k is the value a fresh build
+    gives, term for term.  Each order is checked polynomial once, when built.
     """
     if m < 2:
         raise ValueError("seeds only exist for m >= 2")
     if m in _s_recursive_memo:
         return _s_recursive_memo[m]
-    w1: list[RatFunc] = [s0_prime_w(), s1_prime_w()]
-    for k in range(1, m):
+    w1 = _s_dw_memo
+    if not w1:
+        w1 += (s0_prime_w(), s1_prime_w())
+    for k in range(len(w1) - 1, m):
         target = k + 1
         acc = d_dw(w1[k]) + w1[k]
         for a in range(1, k + 1):
@@ -588,8 +601,17 @@ LAPLACE_PROBES = [(0, 3, [exp(-w) for w in (3.0, 3.1, 3.2)], 40)]
 
 
 def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
-    """float(hurwitz_number) of a sorted profile, from the memo: int / int rounds the same."""
-    return _hurwitz(g, key) / _scale(g, key)
+    """float(hurwitz_number) of a sorted profile, from the memo: int / int rounds the same.
+
+    The memo is read here and ``_hurwitz`` is called only on a miss, so a
+    warm probe makes no count call; a miss asks ``_hurwitz`` as before, so a
+    cold probe fills the memo in the same order and each weight is the same
+    float.
+    """
+    count = _h_memo.get((g, key))
+    if count is None:
+        count = _hurwitz(g, key)
+    return count / _scale(g, key)
 
 
 def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
@@ -607,6 +629,7 @@ def clear_caches() -> None:
     _fe_memo.clear()
     _s_assembled_memo.clear()
     _s_recursive_memo.clear()
+    _s_dw_memo.clear()
     shared.with_part.cache_clear()
     shared.submultisets.cache_clear()
     shared.mirrored_half.cache_clear()

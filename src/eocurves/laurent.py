@@ -472,18 +472,26 @@ class SparseLaurent:
             self.den, self._reach)
 
     def is_symmetric(self) -> bool:
-        """Invariance under all variable permutations (checked on generators)."""
+        """Invariance under all variable permutations (checked on generators).
+
+        The transposition of slots 0 and 1 and the n-cycle generate the
+        symmetric group, so each term is looked up at both of its images in
+        one pass, which stops at the first mismatch.  The terms are only
+        read, so no term order can change.
+        """
         n = self.arity
         if n <= 1:
             return True
-        items, get = self._num.items(), self._num.get
+        get = self._num.get
         top, second = FIELD_BITS * (n - 1), FIELD_BITS * (n - 2)
         low, rest = (1 << top) - 1, (1 << second) - 1
-        # swap the fields of slots 0 and 1; then new slot j carries old slot
-        # j + 1: rotate the key left by one field
-        return (all(get((k >> second & FIELD_MASK) << top | (k >> top) << second | k & rest) == c
-                    for k, c in items)
-                and all(get((k & low) << FIELD_BITS | k >> top) == c for k, c in items))
+        for k, c in self._num.items():
+            # swap the fields of slots 0 and 1; then new slot j carries old
+            # slot j + 1: rotate the key left by one field
+            if (get((k >> second & FIELD_MASK) << top | (k >> top) << second | k & rest) != c
+                    or get((k & low) << FIELD_BITS | k >> top) != c):
+                return False
+        return True
 
     def embed(self, arity: int, slots: Sequence[int]) -> "SparseLaurent":
         """Embed into ``arity`` variables, old variable i going to slots[i].
@@ -643,6 +651,10 @@ def sum_over_divisors(arity: int,
     each addition bringing the running sum and the group over the lcm of
     their divisors, and the sum is divided by each divisor in turn.  A
     remainder raises ExactDivisionError naming the divisor.
+
+    Each divisor's linear factor is built once per call and reused by every
+    group that needs it; it is the same value a fresh build gives, and the
+    products run in the same order, so the sum keeps its term order.
     """
     groups: dict[frozenset, tuple[Counter, SparseLaurent]] = {}
     for num, divisors in terms:
@@ -659,13 +671,16 @@ def sum_over_divisors(arity: int,
             num = groups[key][1] + num
         groups[key] = (mult, num)
     total, common = SparseLaurent.zero(arity), Counter()
+    factors: dict[Divisor, SparseLaurent] = {}
     for mult, num in groups.values():
         for d in common | mult:
             if mult[d] != common[d]:
-                a, b, s = d
-                factor = SparseLaurent.var(arity, a) - (
-                    SparseLaurent.const(arity, s) if b is None
-                    else SparseLaurent.var(arity, b, coeff=s))
+                factor = factors.get(d)
+                if factor is None:
+                    a, b, s = d
+                    factor = factors[d] = SparseLaurent.var(arity, a) - (
+                        SparseLaurent.const(arity, s) if b is None
+                        else SparseLaurent.var(arity, b, coeff=s))
                 for _ in range(mult[d] - common[d]):
                     total = total * factor
                 for _ in range(common[d] - mult[d]):

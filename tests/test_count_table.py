@@ -124,9 +124,24 @@ def test_clear_caches_empties_the_shared_count_tables(model):
     if model is hur:
         own = hur._binomial_row
         own(3)
+        hur.hurwitz_number(1, 1, (4,))
     else:
         own = cat._splits_by_parity
         own((2, 1))
+        cat.catalan_count(1, 1, (4,))
+    # fill every module-level memo of the model: counts, free energies, both
+    # S_m paths and what the recursive paths keep (Catalan's x-frame primes,
+    # the Hurwitz dS_k/dw)
+    model.free_energy(0, 3)
+    model.s_coefficient_assembled(3)
+    model.s_coefficient_recursive(3)
+    model.base_s_primes(3)
+    memos = {name: table for name, table in vars(model).items()
+             if name.startswith("_") and name.endswith("_memo")}
+    assert {"_fe_memo", "_s_assembled_memo", "_s_recursive_memo"} <= memos.keys()
+    assert ("_x_prime_memo" if model is cat else "_s_dw_memo") in memos
+    assert all(memos.values()), [name for name, table in memos.items() if not table]
     model.clear_caches()
     for table in (with_part, submultisets, mirrored_half, own):
         assert table.cache_info().currsize == 0
+    assert not any(memos.values()), [name for name, table in memos.items() if table]

@@ -17,6 +17,7 @@ from eocurves.report import RunConfig
 
 SIGN = {"catalan": -1, "hurwitz": 1}
 MEMO = {"catalan": "_count_memo", "hurwitz": "_h_memo"}
+COUNT = {"catalan": "_count", "hurwitz": "_hurwitz"}
 
 
 def reference_sum(weight, sign, g, n, xs, cap):
@@ -86,3 +87,16 @@ def test_cold_probe_leaves_the_reference_memo(model):
         reference_sum(module._laplace_weight, SIGN[model], g, n, xs, cap)
     assert len(memo) == len(probed)
     assert list(memo.items()) == probed
+
+
+@pytest.mark.parametrize("model", ["catalan", "hurwitz"])
+def test_warm_probe_calls_no_count_function(monkeypatch, model):
+    assert report.laplace_check(model)(RunConfig())[0]
+    calls = []
+    for counted, name in COUNT.items():
+        real = getattr(wkb.MODELS[counted], name)
+        monkeypatch.setattr(wkb.MODELS[counted], name,
+                            lambda g, mu, real=real: calls.append((g, mu)) or real(g, mu))
+    # every weight is read from the memo the first run filled
+    assert report.laplace_check(model)(RunConfig())[0]
+    assert calls == []
