@@ -14,7 +14,6 @@ the second-order equation (hbar d/dx)^2 + hbar x d/dx + 1 order by order.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import prod
 from typing import Sequence
 
@@ -28,13 +27,14 @@ from .shared import (
     CurveSymbol,
     diagonal_mixed,
     is_stable,
+    memo,
     mirrored_half,
     sorted_key as _sorted_key,
     stable_splits,
     submultisets,
     with_part,
 )
-from .shared import principal_ratfunc, stable_levels  # public in both models
+from .shared import clear_caches, principal_ratfunc, stable_levels  # public in both models
 
 Q = Fraction
 
@@ -42,10 +42,10 @@ Q = Fraction
 # counting: the edge-shrinking recursion
 # ---------------------------------------------------------------------------
 
-_count_memo: dict[tuple[int, tuple[int, ...]], int] = {}
+_count_memo: dict[tuple[int, tuple[int, ...]], int] = memo({})
 
 
-@cache
+@memo
 def _splits_by_parity(rest: tuple[int, ...]) -> tuple[tuple[tuple[shared.Split, ...], ...], ...]:
     """``submultisets(rest)`` and its ``mirrored_half``, each grouped by the
     parity of the left sum.
@@ -203,7 +203,7 @@ def s_polynomial(f: RatFunc) -> list[Fraction]:
 # free energies: integrated differential recursion
 # ---------------------------------------------------------------------------
 
-_fe_memo: dict[tuple[int, int], SparseLaurent] = {}
+_fe_memo: dict[tuple[int, int], SparseLaurent] = memo({})
 
 
 def _kernel3(arity: int, slot: int) -> SparseLaurent:
@@ -330,15 +330,9 @@ def _recursion_rhs(g: int, n: int) -> SparseLaurent:
 # WKB coefficients S_m
 # ---------------------------------------------------------------------------
 
-_s_assembled_memo: dict[int, RatFunc] = {}
-
-
 def s_coefficient_assembled(m: int) -> RatFunc:
     """S_m(t) summed from principally specialized free energies (m >= 2)."""
-    cached = _s_assembled_memo.get(m)
-    if cached is None:
-        cached = _s_assembled_memo[m] = shared.s_coefficient_assembled(free_energy, m)
-    return cached
+    return shared.s_coefficient_assembled(free_energy, m)
 
 
 def s_prime(m: int) -> RatFunc:
@@ -346,56 +340,34 @@ def s_prime(m: int) -> RatFunc:
     return ddx_factor() * s_coefficient_assembled(m).diff()
 
 
-_x_prime_memo: list[RatFunc] = []  # P_0, P_1, ... as far as built
+@memo
+def _x_frame_prime(m: int) -> RatFunc:
+    """P_m = dS_m/dx as a function of t.
 
-
-def _x_frame_primes(m_max: int) -> list[RatFunc]:
-    """P_0..P_{m_max} (P_1 at least), P_m = dS_m/dx as functions of t.
-
-    They come from the quadratic recursion
+    It comes from the quadratic recursion
     P_{m+1} = (t^2-1)/(4t) * [ c dP_m/dt + sum_{a+b=m+1, a,b>=1} P_a P_b ]
     with c the d/dx -> d/dt factor.  The pair sum runs over a, b >= 1; the
     a = 0 terms are what the (t^2-1)/(4t) inversion absorbs.
-
-    The primes built so far are kept in ``_x_prime_memo`` and only the
-    missing orders are built, each from the same lower primes by the same
-    sums in the same order, so a prime is the value a fresh build gives, term
-    for term.  The caller gets a new list of the prefix and may change it.
     """
-    primes = _x_prime_memo
-    if not primes:
-        primes += (s0_prime_x(), s1_prime_x())
-    if len(primes) <= m_max:
-        c = ddx_factor()
-        inv = RatFunc({-1: Q(1, 4)}, -1, -1, "t")
-        for m in range(len(primes) - 1, m_max):
-            acc = c * primes[m].diff()
-            for a in range(1, m + 1):
-                acc = acc + primes[a] * primes[m + 1 - a]
-            primes.append(inv * acc)
-    return primes[:max(m_max, 1) + 1]
+    if m < 2:
+        return (s0_prime_x(), s1_prime_x())[m]
+    acc = ddx_factor() * _x_frame_prime(m - 1).diff()
+    for a in range(1, m):
+        acc = acc + _x_frame_prime(a) * _x_frame_prime(m - a)
+    return RatFunc({-1: Q(1, 4)}, -1, -1, "t") * acc
 
 
-base_s_primes = _x_frame_primes  # S_0'..S_max' in the base frame d/dx
+def base_s_primes(m_max: int) -> list[RatFunc]:
+    """S_0'..S_max' (S_1' at least) in the base frame d/dx, by the x-frame recursion."""
+    return [_x_frame_prime(m) for m in range(max(m_max, 1) + 1)]
 
 
-_s_recursive_memo: dict[int, RatFunc] = {}
-
-
+@memo
 def s_coefficient_recursive(m: int) -> RatFunc:
     """S_m(t) from the Schrodinger-equation recursion, integrated from t = -1."""
     if m < 2:
         raise ValueError("only m >= 2 is integrated; lower ones contain logs")
-    cached = _s_recursive_memo.get(m)
-    if cached is not None:
-        return cached
-    primes = _x_frame_primes(m)
-    c = ddx_factor()
-    for k in range(2, m + 1):
-        if k not in _s_recursive_memo:
-            dsdt = primes[k] / c
-            _s_recursive_memo[k] = integrate_no_log(dsdt, BASE_POINT)
-    return _s_recursive_memo[m]
+    return integrate_no_log(_x_frame_prime(m) / ddx_factor(), BASE_POINT)
 
 
 def schrodinger_residuals(m_max: int) -> list[RatFunc]:
@@ -432,12 +404,11 @@ def curve_inversion_check(order: int) -> dict:
     g = TruncatedSeries(coeffs[1:], "u")  # z / u with u = 1/x
     # z + 1/z = u^-1 (u^2 g + 1/g) must equal x = u^-1
     probe = TruncatedSeries([QZERO, QZERO] + g.coeffs[:-2], "u") + g.reciprocal()
-    ok = probe.coeffs[0] == 1 and all(c == 0 for c in probe.coeffs[1:])
     first_bad = next((i for i, c in enumerate(probe.coeffs)
                       if c != (1 if i == 0 else 0)), None)
     return {
         "order": order,
-        "pass": ok,
+        "pass": first_bad is None,
         # probe is x * (z + 1/z - x); coefficient k corresponds to x^(1-k)
         "first_failing_x_power": None if first_bad is None else 1 - first_bad,
     }
@@ -482,15 +453,3 @@ def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
 
 def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:
     return shared.free_energy_float(free_energy, t_of_x_float, g, n, xs)
-
-
-def clear_caches() -> None:
-    _count_memo.clear()
-    _fe_memo.clear()
-    _s_assembled_memo.clear()
-    _s_recursive_memo.clear()
-    _x_prime_memo.clear()
-    shared.with_part.cache_clear()
-    shared.submultisets.cache_clear()
-    shared.mirrored_half.cache_clear()
-    _splits_by_parity.cache_clear()

@@ -16,7 +16,6 @@ rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations_with_replacement as _multisets
 from itertools import permutations as _perms
 from math import comb, exp, factorial, prod
@@ -37,13 +36,15 @@ from .series import TruncatedSeries
 from .shared import (
     CurveSymbol,
     diagonal_mixed,
+    is_stable,
+    memo,
     mirrored_half,
     sorted_key as _sorted_key,
     stable_splits,
     submultisets,
     with_part,
 )
-from .shared import principal_ratfunc, stable_levels  # public in both models
+from .shared import clear_caches, principal_ratfunc, stable_levels  # public in both models
 
 Q = Fraction
 
@@ -54,7 +55,7 @@ Q = Fraction
 # N_g(mu) = r! d! H_g(mu), with r = 2g - 2 + n + |mu| simple branch points
 # and degree d = |mu|.  Scaled this way the cut-and-join recursion has
 # integer coefficients, so the memo holds integers.
-_h_memo: dict[tuple[int, tuple[int, ...]], int] = {}
+_h_memo: dict[tuple[int, tuple[int, ...]], int] = memo({})
 
 
 def _scale(g: int, mu: Sequence[int]) -> int:
@@ -63,7 +64,7 @@ def _scale(g: int, mu: Sequence[int]) -> int:
     return factorial(2 * g - 2 + len(mu) + d) * factorial(d)
 
 
-@cache
+@memo
 def _binomial_row(m: int) -> tuple[int, ...]:
     """C(m, 0), ..., C(m, m); memoized, as the cut-and-join reads each row often."""
     return tuple(comb(m, k) for k in range(m + 1))
@@ -177,22 +178,14 @@ def labeled_hurwitz(g: int, mu: Sequence[int]) -> Fraction:
 # the polynomial basis xi_k and free energies
 # ---------------------------------------------------------------------------
 
-_xi_memo: dict[int, SparseLaurent] = {}
-
-
+@memo
 def xi_polynomial(k: int) -> SparseLaurent:
     """xi_0 = t - 1, xi_{k+1} = t^2 (t-1) d xi_k / dt; degree 2k+1, one variable."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k in _xi_memo:
-        return _xi_memo[k]
     if k == 0:
-        poly = SparseLaurent.in_slot(1, 0, {0: -1, 1: 1})
-    else:
-        prev = xi_polynomial(k - 1)
-        poly = SparseLaurent.in_slot(1, 0, {2: -1, 3: 1}) * prev.diff(0)
-    _xi_memo[k] = poly
-    return poly
+        return SparseLaurent.in_slot(1, 0, {0: -1, 1: 1})
+    return SparseLaurent.in_slot(1, 0, {2: -1, 3: 1}) * xi_polynomial(k - 1).diff(0)
 
 
 def _kvectors(n: int, bound: int) -> list[tuple[int, ...]]:
@@ -216,7 +209,7 @@ def elsv_coefficients(g: int, n: int) -> dict[tuple[int, ...], Fraction]:
     Solves H(mu) prod(mu_i!/mu_i^mu_i) = sum_k c_k m_k(mu) on sorted grids
     and verifies extra off-grid points reproduce cut-and-join values.
     """
-    if 2 * g - 2 + n <= 0:
+    if not is_stable(g, n):
         raise InvalidProfile(f"({g},{n}) is unstable")
     bound = 3 * g - 3 + n
     kvecs = _kvectors(n, bound)
@@ -252,7 +245,7 @@ def elsv_coefficients(g: int, n: int) -> dict[tuple[int, ...], Fraction]:
     return table
 
 
-_fe_memo: dict[tuple[int, int], SparseLaurent] = {}
+_fe_memo: dict[tuple[int, int], SparseLaurent] = memo({})
 
 
 def free_energy(g: int, n: int) -> SparseLaurent:
@@ -425,54 +418,41 @@ def s1_prime_w() -> RatFunc:
     return RatFunc({0: Q(-1, 2)}, -2)
 
 
-_s_assembled_memo: dict[int, RatFunc] = {}
-
-
 def s_coefficient_assembled(m: int) -> RatFunc:
     """S_m(t) from principally specialized free energies (m >= 2)."""
-    cached = _s_assembled_memo.get(m)
-    if cached is None:
-        cached = _s_assembled_memo[m] = shared.s_coefficient_assembled(free_energy, m)
-    return cached
+    return shared.s_coefficient_assembled(free_energy, m)
 
 
-_s_recursive_memo: dict[int, RatFunc] = {}
-_s_dw_memo: list[RatFunc] = []  # dS_k/dw for k = 0, 1, ... as far as S_k is held
+@memo
+def _s_dw(k: int) -> RatFunc:
+    """dS_k/dw, from the seeds and the recursive S_k."""
+    if k < 2:
+        return (s0_prime_w(), s1_prime_w())[k]
+    return d_dw(s_coefficient_recursive(k))
 
 
+@memo
 def s_coefficient_recursive(m: int) -> RatFunc:
     """S_m(t) by inverting the heat hierarchy order by order.
 
     S_{m+1} = z^{-m} int_1^t z^m [S_m'' + sum_{a+b=m+1, a,b>=1} S_a' S_b'
     + S_m'] / (2 u (u-1)) du  with z = (u-1)/u and primes d/dw.
 
-    The orders already held, and their d/dw in ``_s_dw_memo``, are reused;
-    only the missing ones are integrated, each from the same lower data by
-    the same sums in the same order, so every S_k is the value a fresh build
-    gives, term for term.  Each order is checked polynomial once, when built.
+    Each order is checked polynomial once, when built.
     """
     if m < 2:
         raise ValueError("seeds only exist for m >= 2")
-    if m in _s_recursive_memo:
-        return _s_recursive_memo[m]
-    w1 = _s_dw_memo
-    if not w1:
-        w1 += (s0_prime_w(), s1_prime_w())
-    for k in range(len(w1) - 1, m):
-        target = k + 1
-        acc = d_dw(w1[k]) + w1[k]
-        for a in range(1, k + 1):
-            acc = acc + w1[a] * w1[k + 1 - a]
-        z = RatFunc({-1: -1, 0: 1})  # (t-1)/t
-        half_density = RatFunc({-1: Q(1, 2)}, 1)  # 1/(2t(t-1))
-        integrand = z.pow(k) * acc * half_density
-        anti = integrate_no_log(integrand, BASE_POINT)
-        s_next = z.pow(-k) * anti
-        if not s_next.is_polynomial():
-            raise PathMismatch(f"S_{target} failed to come out polynomial")
-        _s_recursive_memo[target] = s_next
-        w1.append(d_dw(s_next))
-    return _s_recursive_memo[m]
+    k = m - 1
+    acc = d_dw(_s_dw(k)) + _s_dw(k)
+    for a in range(1, k + 1):
+        acc = acc + _s_dw(a) * _s_dw(k + 1 - a)
+    z = RatFunc({-1: -1, 0: 1})  # (t-1)/t
+    half_density = RatFunc({-1: Q(1, 2)}, 1)  # 1/(2t(t-1))
+    anti = integrate_no_log(z.pow(k) * acc * half_density, BASE_POINT)
+    s_m = z.pow(-k) * anti
+    if not s_m.is_polynomial():
+        raise PathMismatch(f"S_{m} failed to come out polynomial")
+    return s_m
 
 
 def s_coefficient(m: int) -> RatFunc:
@@ -621,16 +601,3 @@ def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
 
 def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:
     return shared.free_energy_float(free_energy, t_of_x_float, g, n, xs)
-
-
-def clear_caches() -> None:
-    _h_memo.clear()
-    _xi_memo.clear()
-    _fe_memo.clear()
-    _s_assembled_memo.clear()
-    _s_recursive_memo.clear()
-    _s_dw_memo.clear()
-    shared.with_part.cache_clear()
-    shared.submultisets.cache_clear()
-    shared.mirrored_half.cache_clear()
-    _binomial_row.cache_clear()

@@ -27,6 +27,7 @@ from .hurwitz import hurwitz_number
 from .laurent import SparseLaurent
 from .qhbar import qh_monomial, zhou_term
 from .rationals import QZERO
+from .shared import memo
 
 Q = Fraction
 
@@ -78,9 +79,6 @@ def dimension(mu: Part) -> int:
     return num // den
 
 
-_char_memo: dict[tuple[Part, Part], int] = {}
-
-
 def character(mu: Part, lam: Part) -> int:
     """Irreducible character value chi_mu(lam), border-strip recursion."""
     mu = normalize_partition(mu)
@@ -90,13 +88,10 @@ def character(mu: Part, lam: Part) -> int:
     return _char(mu, lam)
 
 
+@memo
 def _char(mu: Part, lam: Part) -> int:
     if not lam:
         return 1
-    key = (mu, lam)
-    cached = _char_memo.get(key)
-    if cached is not None:
-        return cached
     strip, rest = lam[0], lam[1:]
     ell = len(mu)
     beta = [mu[i] + (ell - 1 - i) for i in range(ell)]
@@ -113,7 +108,6 @@ def _char(mu: Part, lam: Part) -> int:
         new_mu = normalize_partition(
             v - (len(new_beta) - 1 - idx) for idx, v in enumerate(new_beta))
         total += (-1) ** crossed * _char(new_mu, rest)
-    _char_memo[key] = total
     return total
 
 

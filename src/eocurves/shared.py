@@ -9,6 +9,10 @@ records in ``wkb.MODELS``: each provides ``free_energy(g, n)``, the point
 coordinate z), ``curve_symbol()``, ``base_s_primes(m_max)`` and the
 base-frame ``s_prime(m)`` of the assembled S_m.  The helpers here take a
 model's free energy, count weight or coordinate map as an argument.
+
+Every memo table of both models, of these helpers and of the characters is
+recorded here by ``memo``; ``clear_caches`` empties them all (the algebra
+kernels keep only structural caches of their own).
 """
 
 from __future__ import annotations
@@ -24,6 +28,33 @@ from .laurent import SparseLaurent
 from .ratfunc import RatFunc
 
 FreeEnergy = Callable[[int, int], SparseLaurent]
+
+_tables: list = []  # every memo table, in the order recorded
+
+
+def memo(table):
+    """Record a memo table, so that ``clear_caches`` empties it; return it.
+
+    A function is wrapped in ``functools.cache`` first, so this serves as a
+    decorator; a ``dict`` is recorded as it is.
+    """
+    if not isinstance(table, dict):
+        table = cache(table)
+    _tables.append(table)
+    return table
+
+
+def clear_caches() -> None:
+    """Empty every recorded memo table.
+
+    It clears the objects recorded at import and looks no name up again, so
+    a module attribute rebound to a wrapper (as a tracer does) hides none.
+    """
+    for table in _tables:
+        if isinstance(table, dict):
+            table.clear()
+        else:
+            table.cache_clear()
 
 
 class CurveSymbol(NamedTuple):
@@ -44,7 +75,7 @@ def sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(entries, reverse=True))
 
 
-@cache
+@memo
 def with_part(key: tuple[int, ...], part: int) -> tuple[int, ...]:
     """The sorted key with one more part, ``sorted_key(key + (part,))``.
 
@@ -59,7 +90,7 @@ def with_part(key: tuple[int, ...], part: int) -> tuple[int, ...]:
 Split = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
-@cache
+@memo
 def submultisets(rest: tuple[int, ...]) -> tuple[Split, ...]:
     """(sub, complement, size, labeled ways) over sub-multisets of a sorted tuple.
 
@@ -78,7 +109,7 @@ def submultisets(rest: tuple[int, ...]) -> tuple[Split, ...]:
     return tuple(splits)
 
 
-@cache
+@memo
 def mirrored_half(rest: tuple[int, ...]) -> tuple[Split, ...]:
     """The first half of ``submultisets(rest)`` at twice its ways, then the middle.
 
@@ -93,7 +124,8 @@ def mirrored_half(rest: tuple[int, ...]) -> tuple[Split, ...]:
 
 
 def is_stable(g: int, n: int) -> bool:
-    return 2 * g - 2 + n > 0
+    """(g, n) has a free energy: g >= 0, n >= 1 and 2g - 2 + n > 0."""
+    return g >= 0 and n >= 1 and 2 * g - 2 + n > 0
 
 
 def stable_levels(level: int) -> list[tuple[int, int]]:
@@ -128,8 +160,9 @@ def principal_ratfunc(f: SparseLaurent, var: str = "t") -> RatFunc:
     return RatFunc(f.principal(), var=var)
 
 
+@memo
 def s_coefficient_assembled(free_energy: FreeEnergy, m: int) -> RatFunc:
-    """S_m(t): the principally specialized F_{g,n}/n! summed over 2g-1+n = m."""
+    """S_m(t): the principally specialized F_{g,n}/n! summed over 2g-1+n = m, memoized."""
     if m < 2:
         raise ValueError("S_0 and S_1 contain logarithms; only m >= 2 here")
     total = RatFunc.zero("t")

@@ -3,8 +3,9 @@
 They deliberately avoid the package's code paths: one-vertex maps and
 cellular graphs are enumerated as raw pairings, and Hurwitz numbers are counted from
 transposition factorizations in the symmetric group.  Two plain ``Fraction``
-references close the module: the exact value of a ``SparseLaurent`` at a
-point, and the dessin numbers from the Catalan counts.
+references follow: the exact value of a ``SparseLaurent`` at a point, and
+the dessin numbers from the Catalan counts.  The module closes with the two
+x-series that compare Hurwitz z-forms of x dS_m/dx with the count sums.
 """
 
 from __future__ import annotations
@@ -211,3 +212,35 @@ def dessin_number(g: int, n: int, mu: Sequence[int]) -> Fraction:
     """Automorphism-weighted graph count: catalan_count / prod(mu)."""
     from eocurves.catalan import catalan_count
     return Q(catalan_count(g, n, mu), prod(mu))
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz x-series: a z-form on the tree series against the count sums
+# ---------------------------------------------------------------------------
+
+def z_form_x_series(f, order: int) -> list[Fraction]:
+    """Coefficients of f(z(x)) through x^order, z(x) the tree series."""
+    from eocurves.hurwitz import tree_series
+    from eocurves.series import TruncatedSeries
+    z = tree_series(order)
+
+    def compose(coeffs: list[str]) -> TruncatedSeries:
+        acc = TruncatedSeries([Q(0)] * (order + 1), "x")
+        for c in reversed(coeffs):
+            acc = acc * z + TruncatedSeries([Q(c)] + [Q(0)] * order, "x")
+        return acc
+
+    data = f.to_json()
+    return (compose(data["num"]) * compose(data["den"]).reciprocal()).coeffs[:order + 1]
+
+
+def hurwitz_count_x_series(m: int, order: int) -> list[Fraction]:
+    """x d/dx of sum_{2g-2+n=m-1} sum_mu H_{g,n}(mu)/n! x^|mu| through x^order."""
+    from eocurves.hurwitz import hurwitz_number, stable_levels
+    out = [Q(0)] * (order + 1)
+    for g, n in stable_levels(m - 1):
+        for mu in product(range(1, order + 1), repeat=n):
+            d = sum(mu)
+            if d <= order:
+                out[d] += d * hurwitz_number(g, n, list(mu)) / factorial(n)
+    return out

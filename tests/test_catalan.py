@@ -280,18 +280,18 @@ def test_layer2_work_counts(monkeypatch):
 
 def test_x_frame_primes_are_kept_and_handed_out_as_copies():
     cat.clear_caches()
-    fresh = cat._x_frame_primes(2)
+    fresh = cat.base_s_primes(2)
     cat.clear_caches()
-    cat._x_frame_primes(5)
-    kept = cat._x_frame_primes(2)
+    cat.base_s_primes(5)
+    kept = cat.base_s_primes(2)
     assert kept == fresh
     # term for term, in term order, not only equal as rational functions
     assert [list(p.num.num.items()) for p in kept] == [list(p.num.num.items()) for p in fresh]
     kept.append(RatFunc.zero("t"))
     kept[0] = RatFunc.zero("t")
-    assert cat._x_frame_primes(2) == fresh
-    assert len(cat._x_frame_primes(5)) == 6
-    assert len(cat._x_frame_primes(0)) == 2
+    assert cat.base_s_primes(2) == fresh
+    assert len(cat.base_s_primes(5)) == 6
+    assert len(cat.base_s_primes(0)) == 2
 
 
 # S_m as a polynomial in s = z^2/(z^2-1), coefficients low to high

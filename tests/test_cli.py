@@ -180,6 +180,17 @@ def test_count_errors_are_one_usage_line(capsys, n, mu, reason):
         f"eo: error: catalan count (g=0, mu=[{mu}], n={n}): {reason}"]
 
 
+@pytest.mark.parametrize("model", ["catalan", "hurwitz"])
+@pytest.mark.parametrize("g, n", [(2, 0), (-1, 5), (0, 2)])
+def test_free_energy_of_an_unstable_type_is_one_usage_line(capsys, model, g, n):
+    # the requested (g, n) is named before any recursion runs
+    code = main([model, "free-energy", "--g", str(g), "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"eo: error: {model} free-energy (g={g}, n={n}): ({g},{n}) is unstable"]
+
+
 @pytest.mark.parametrize("mu, lam, reason", [
     ("2,1", "2", "|mu|=3 but |lambda|=2"),
     ("2,-1", "1", "negative part in (2, -1)"),

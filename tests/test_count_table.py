@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from eocurves import catalan as cat
 from eocurves import hurwitz as hur
+from eocurves import schur, shared
 from eocurves.shared import (
     mirrored_half,
     sorted_key,
@@ -116,32 +117,36 @@ def test_with_part_inserts_into_the_sorted_key(key, part):
     assert grown == sorted_key(key + (part,))
 
 
+def _size(table) -> int:
+    return len(table) if isinstance(table, dict) else table.cache_info().currsize
+
+
 @pytest.mark.parametrize("model", [cat, hur])
 def test_clear_caches_empties_the_shared_count_tables(model):
-    with_part((2, 1), 1)
-    submultisets((2, 1))
-    mirrored_half((2, 1))
-    if model is hur:
-        own = hur._binomial_row
-        own(3)
-        hur.hurwitz_number(1, 1, (4,))
-    else:
-        own = cat._splits_by_parity
-        own((2, 1))
-        cat.catalan_count(1, 1, (4,))
-    # fill every module-level memo of the model: counts, free energies, both
-    # S_m paths and what the recursive paths keep (Catalan's x-frame primes,
-    # the Hurwitz dS_k/dw)
-    model.free_energy(0, 3)
-    model.s_coefficient_assembled(3)
-    model.s_coefficient_recursive(3)
-    model.base_s_primes(3)
-    memos = {name: table for name, table in vars(model).items()
-             if name.startswith("_") and name.endswith("_memo")}
-    assert {"_fe_memo", "_s_assembled_memo", "_s_recursive_memo"} <= memos.keys()
-    assert ("_x_prime_memo" if model is cat else "_s_dw_memo") in memos
-    assert all(memos.values()), [name for name, table in memos.items() if not table]
+    # every memo of the four modules that hold them, a module-level _*_memo
+    # dict or a function with cache_info, is registered in shared: a new memo
+    # left out of the registry fails here
+    tables = {f"{module.__name__}.{name}": table
+              for module in (cat, hur, shared, schur) for name, table in vars(module).items()
+              if hasattr(table, "cache_info")
+              or name.startswith("_") and name.endswith("_memo") and isinstance(table, dict)}
+    registered = {id(table) for table in shared._tables}
+    assert [name for name, table in tables.items() if id(table) not in registered] == []
+    assert len({id(table) for table in tables.values()}) == len(shared._tables)
+    # from empty tables, so that no entry comes from a cache file import, fill
+    # them all: counts and their splits, free energies and xi polynomials,
+    # both S_m paths per order with what the recursive paths keep (the
+    # Catalan x-frame primes, the Hurwitz dS_k/dw), and the characters
+    shared.clear_caches()
+    cat.catalan_count(1, 1, (4,))
+    hur.hurwitz_number(1, 1, (4,))
+    for each in (cat, hur):
+        each.free_energy(0, 3)
+        each.s_coefficient_assembled(3)
+        each.s_coefficient_recursive(3)
+        each.base_s_primes(3)
+    schur.character((2, 1), (2, 1))
+    assert [name for name, table in tables.items() if not _size(table)] == []
+    # one call empties every table, the other model's and the characters too
     model.clear_caches()
-    for table in (with_part, submultisets, mirrored_half, own):
-        assert table.cache_info().currsize == 0
-    assert not any(memos.values()), [name for name, table in memos.items() if table]
+    assert [name for name, table in tables.items() if _size(table)] == []

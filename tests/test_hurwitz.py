@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction as Q
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 
@@ -322,31 +322,6 @@ OLD_TABLE_Z = {
 }
 
 
-def z_form_x_series(f: RatFunc, order: int) -> list[Q]:
-    """Coefficients of f(z(x)) through x^order, z(x) the tree series."""
-    z = hur.tree_series(order)
-
-    def compose(coeffs: list[str]) -> TruncatedSeries:
-        acc = TruncatedSeries([Q(0)] * (order + 1), "x")
-        for c in reversed(coeffs):
-            acc = acc * z + TruncatedSeries([Q(c)] + [Q(0)] * order, "x")
-        return acc
-
-    data = f.to_json()
-    return (compose(data["num"]) * compose(data["den"]).reciprocal()).coeffs[:order + 1]
-
-
-def count_x_series(m: int, order: int) -> list[Q]:
-    """x d/dx of sum_{2g-2+n=m-1} sum_mu H_{g,n}(mu)/n! x^|mu| through x^order."""
-    out = [Q(0)] * (order + 1)
-    for g, n in hur.stable_levels(m - 1):
-        for mu in product(range(1, order + 1), repeat=n):
-            d = sum(mu)
-            if d <= order:
-                out[d] += d * hur.hurwitz_number(g, n, list(mu)) / math.factorial(n)
-    return out
-
-
 def test_printed_closed_forms_fail_heat_hierarchy():
     """Negative control: the old table of x dS_m/dx contradicts the counts
     for m = 2, 3, 4, and its S_2 entry is not the derivative of any rational
@@ -361,8 +336,8 @@ def test_printed_closed_forms_fail_heat_hierarchy():
     # (lowest x power, its coefficient) of each table entry
     table_leading = {2: (3, Q(1, 2)), 3: (4, Q(-3, 4)), 4: (5, Q(3, 2))}
     for m in (2, 3, 4):
-        counts = count_x_series(m, order)
-        table = z_form_x_series(OLD_TABLE_Z[m], order)
+        counts = brute_force.hurwitz_count_x_series(m, order)
+        table = brute_force.z_form_x_series(OLD_TABLE_Z[m], order)
         first_diff = next(k for k in range(order + 1) if counts[k] != table[k])
         assert first_diff == 2, m
         assert counts[:3] == [0, 0, count_leading[m]], m
