@@ -395,8 +395,11 @@ def schrodinger_residuals(m_max: int) -> list[RatFunc]:
 # series and floating checks
 # ---------------------------------------------------------------------------
 
-def curve_inversion_check(order: int) -> dict:
-    """Verify z(x) = sum C_m x^{-2m-1} inverts x = z + 1/z through the order."""
+def curve_inversion_check(order: int) -> int | None:
+    """Invert x = z + 1/z by z(x) = sum C_m x^{-2m-1} through the order.
+
+    Returns the first x-power where z + 1/z differs from x, or None.
+    """
     n = 2 * order + 1
     coeffs = [QZERO] * (n + 1)
     for m in range(order + 1):
@@ -404,14 +407,9 @@ def curve_inversion_check(order: int) -> dict:
     g = TruncatedSeries(coeffs[1:], "u")  # z / u with u = 1/x
     # z + 1/z = u^-1 (u^2 g + 1/g) must equal x = u^-1
     probe = TruncatedSeries([QZERO, QZERO] + g.coeffs[:-2], "u") + g.reciprocal()
-    first_bad = next((i for i, c in enumerate(probe.coeffs)
-                      if c != (1 if i == 0 else 0)), None)
-    return {
-        "order": order,
-        "pass": first_bad is None,
-        # probe is x * (z + 1/z - x); coefficient k corresponds to x^(1-k)
-        "first_failing_x_power": None if first_bad is None else 1 - first_bad,
-    }
+    # probe is x * (z + 1/z - x); coefficient k corresponds to x^(1-k)
+    return next((1 - i for i, c in enumerate(probe.coeffs) if c != (1 if i == 0 else 0)),
+                None)
 
 
 def z_of_x_float(x: float) -> float:
@@ -419,13 +417,10 @@ def z_of_x_float(x: float) -> float:
     return (x - (x * x - 4.0) ** 0.5) / 2.0
 
 
-def t_of_x_float(x: float) -> float:
-    z = z_of_x_float(x)
-    return (z + 1.0) / (z - 1.0)
-
-
 # (g, n, xs, cap) of the catalan-laplace check
 LAPLACE_PROBES = [(1, 1, [10.0], 60), (0, 3, [10.0, 11.0, 12.0], 60)]
+LAPLACE_SIGN = -1  # dessin numbers against prod x_i^-mu_i
+LAPLACE_EVEN_ONLY = True  # the counts vanish at odd |mu| = 2E
 
 
 def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
@@ -441,15 +436,3 @@ def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
     if c is None:
         c = _count(g, key)
     return c / prod(key)
-
-
-def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
-    """Truncated Laplace transform: dessin numbers against prod x_i^-mu_i.
-
-    Only even |mu| are summed: the counts vanish at odd |mu| = 2E.
-    """
-    return shared.laplace_sum_float(_laplace_weight, -1, g, n, xs, cap, even_only=True)
-
-
-def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:
-    return shared.free_energy_float(free_energy, t_of_x_float, g, n, xs)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -23,8 +22,6 @@ from .cache import MAX_BRANCH_POINTS, export_caches, import_caches, memo_sizes
 from .errors import InvalidProfile, SizeMismatch
 from .rationals import qstr
 from .report import Report, RunConfig, run_checks, run_suite, SUITES, CheckRecord
-
-Q = Fraction
 
 
 def _mu_list(text: str) -> list[int]:
@@ -124,9 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _report_and_exit(report: Report, fmt: str) -> int:
-    print(report.render(fmt))
+def _report_and_exit(report: Report) -> int:
+    print(report.render(report.config.output_format))
     return 0 if report.overall == "pass" else 1
+
+
+def _zero_report(title: str, rows: list, cfg: RunConfig) -> int:
+    """Report rows (id, statement, value, residual text); a zero value passes."""
+    records = [CheckRecord(check_id, statement, "pass" if value.is_zero() else "fail",
+                           residual, 0.0) for check_id, statement, value, residual in rows]
+    return _report_and_exit(Report(title, records, cfg))
 
 
 def _emit(data) -> None:
@@ -178,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
-    fmt = args.format
     if args.command in wkb.MODELS and args.subcommand == "free-energy":
         fe = wkb.MODELS[args.command].free_energy(args.g, args.n)
         _emit({"g": args.g, "n": args.n, "terms": fe.to_json()})
@@ -200,13 +203,9 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             return 0 if out.get("equal", True) else 1
         if args.subcommand == "verify-schrodinger":
             residuals = cat.schrodinger_residuals(args.max_order - 1)
-            records = [
-                CheckRecord(f"order-{k}", "quantum-curve residual",
-                            "pass" if r.is_zero() else "fail",
-                            "0" if r.is_zero() else "nonzero", 0.0)
-                for k, r in enumerate(residuals)]
-            return _report_and_exit(
-                Report("catalan-schrodinger", records, cfg), fmt)
+            return _zero_report("catalan-schrodinger", [
+                (f"order-{k}", "quantum-curve residual", r, "0" if r.is_zero() else "nonzero")
+                for k, r in enumerate(residuals)], cfg)
 
     if args.command == "hurwitz":
         if args.subcommand == "number":
@@ -221,22 +220,17 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             return 0
         if args.subcommand == "verify":
             if args.suite == "all":
-                return _report_and_exit(run_suite("hurwitz", cfg), fmt)
+                return _report_and_exit(run_suite("hurwitz", cfg))
             wanted = HURWITZ_SUBSUITES[args.suite]
             checks = [c for c in SUITES["hurwitz"] if c[0] in wanted]
-            return _report_and_exit(
-                run_checks("hurwitz:" + args.suite, checks, cfg), fmt)
+            return _report_and_exit(run_checks("hurwitz:" + args.suite, checks, cfg))
 
     if args.command == "wkb":
         if args.subcommand == "corrections":
             corr = wkb.recover_corrections(args.model, args.order)
-            records = [
-                CheckRecord(f"A{k + 1}", "quantization correction",
-                            "pass" if c.is_zero() else "fail",
-                            json.dumps(c.to_json()), 0.0)
-                for k, c in enumerate(corr)]
-            return _report_and_exit(
-                Report(f"wkb-corrections-{args.model}", records, cfg), fmt)
+            return _zero_report(f"wkb-corrections-{args.model}", [
+                (f"A{k + 1}", "quantization correction", c, json.dumps(c.to_json()))
+                for k, c in enumerate(corr)], cfg)
         if args.subcommand == "s-prime":
             f = wkb.s_prime_from_hierarchy(args.model, args.n)
             _emit({"model": args.model, "n": args.n, "s_prime": f.to_json()})
@@ -249,20 +243,16 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             return 0
         if args.subcommand == "verify":
             w, r = args.max_weight, args.s_order
-            checks = [
+            return _zero_report("schur-verify", [
                 ("tau-expansion", "character expansion of exp(H)",
                  schur.tau_expansion_residual(w, r), f"weight<={w}, order<={r}"),
                 ("heat-flow", "cut-and-join generates the s-flow",
                  schur.heat_consistency_residual(w, r), f"weight<={w}, order<={r - 1}"),
                 ("cauchy", "pairing identity",
-                 schur.cauchy_residual(min(w, 5)), f"weight<={min(w, 5)}")]
-            records = [CheckRecord(check_id, statement,
-                                   "pass" if residual.is_zero() else "fail", scope, 0.0)
-                       for check_id, statement, residual, scope in checks]
-            return _report_and_exit(Report("schur-verify", records, cfg), fmt)
+                 schur.cauchy_residual(min(w, 5)), f"weight<={min(w, 5)}")], cfg)
 
     if args.command == "verify":
-        return _report_and_exit(run_suite(args.suite, cfg), fmt)
+        return _report_and_exit(run_suite(args.suite, cfg))
 
     return 2
 

@@ -193,9 +193,15 @@ def _kvectors(n: int, bound: int) -> list[tuple[int, ...]]:
     return [k for k in _multisets(range(bound, -1, -1), n) if sum(k) <= bound]
 
 
+@memo
+def _distinct_perms(kvec: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct permutations of kvec, in their set's order; memoized."""
+    return tuple(set(_perms(kvec)))
+
+
 def _monomial_sym(kvec: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Sum over distinct permutations p of kvec of prod mu_i^{p_i}."""
-    return sum(prod(m ** k for m, k in zip(mu, p)) for p in set(_perms(kvec)))
+    return sum(prod(m ** k for m, k in zip(mu, p)) for p in _distinct_perms(kvec))
 
 
 def _sorted_tuples(n: int, lo: int, hi: int) -> list[tuple[int, ...]]:
@@ -262,7 +268,7 @@ def free_energy(g: int, n: int) -> SparseLaurent:
     for kvec, c in table.items():
         if c == 0:
             continue
-        for p in set(_perms(kvec)):
+        for p in _distinct_perms(kvec):
             term = SparseLaurent.const(n, c)
             for slot, k in enumerate(p):
                 term = term * xi_polynomial(k).embed(n, [slot])
@@ -530,8 +536,11 @@ def tree_series(order: int) -> TruncatedSeries:
         "x")
 
 
-def lambert_inversion_check(order: int) -> dict:
-    """Verify z e^{-z} = x and t = 1/(1-z) = 1 + sum mu^mu/mu! x^mu."""
+def lambert_inversion_check(order: int) -> tuple[int | None, int | None]:
+    """Verify z e^{-z} = x and t = 1/(1-z) = 1 + sum mu^mu/mu! x^mu.
+
+    Returns the x-power where each residual (curve, frame) first fails, or None.
+    """
     z = tree_series(order)
     lhs = z * (-z).exp()
     x = TruncatedSeries([QZERO, QONE] + [QZERO] * (order - 1), "x")
@@ -545,14 +554,7 @@ def lambert_inversion_check(order: int) -> dict:
     def first_failing(residual: TruncatedSeries) -> int | None:
         return next((k for k, c in enumerate(residual.coeffs) if c != 0), None)
 
-    curve_bad, frame_bad = first_failing(first), first_failing(second)
-    return {
-        "order": order,
-        "pass": curve_bad is None and frame_bad is None,
-        # the x-power of the first nonzero coefficient of each residual
-        "first_failing_curve_order": curve_bad,
-        "first_failing_frame_order": frame_bad,
-    }
+    return first_failing(first), first_failing(second)
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +574,10 @@ def z_of_x_float(x: float) -> float:
     return z
 
 
-def t_of_x_float(x: float) -> float:
-    return 1.0 / (1.0 - z_of_x_float(x))
-
-
 # (g, n, xs, cap) of the hurwitz-laplace check, at x = e^{-w}
 LAPLACE_PROBES = [(0, 3, [exp(-w) for w in (3.0, 3.1, 3.2)], 40)]
+LAPLACE_SIGN = 1  # H(mu) against x_1^mu_1 ... x_n^mu_n
+LAPLACE_EVEN_ONLY = False
 
 
 def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
@@ -592,12 +592,3 @@ def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
     if count is None:
         count = _hurwitz(g, key)
     return count / _scale(g, key)
-
-
-def laplace_sum_float(g: int, n: int, xs: Sequence[float], cap: int) -> float:
-    """Truncated sum H(mu) x_1^mu_1 ... x_n^mu_n over total degree <= cap."""
-    return shared.laplace_sum_float(_laplace_weight, 1, g, n, xs, cap)
-
-
-def free_energy_float(g: int, n: int, xs: Sequence[float]) -> float:
-    return shared.free_energy_float(free_energy, t_of_x_float, g, n, xs)

@@ -56,7 +56,7 @@ def zhou_term(m: int) -> SparseLaurent:
     return qh_monomial(m * (m - 1) // 2, -m, m)
 
 
-def zhou_series_checks(m_max: int) -> dict:
+def zhou_series_checks(m_max: int) -> list[str]:
     """Termwise verification of the explicit partition-function expansion.
 
     Checks, for every m <= m_max: the term recursion
@@ -75,14 +75,10 @@ def zhou_series_checks(m_max: int) -> dict:
             failures.append(f"difference equation at order {m + 1}")
         if not op_q(zhou_term(m)).is_zero():
             failures.append(f"heat bracket at m={m}")
-    return {
-        "m_max": m_max,
-        "pass": not failures,
-        "failures": failures,
-    }
+    return failures
 
 
-def pq_commutator_check(m_max: int, k_range: int = 3) -> dict:
+def pq_commutator_check(m_max: int, k_range: int = 3) -> list[str]:
     """([P,Q] - P) f = 0 on every basis element hbar^k e^{-m w}."""
     failures: list[str] = []
     for m in range(m_max + 1):
@@ -91,9 +87,4 @@ def pq_commutator_check(m_max: int, k_range: int = 3) -> dict:
             resid = op_p(op_q(f)) - op_q(op_p(f)) - op_p(f)
             if not resid.is_zero():
                 failures.append(f"m={m}, k={k}")
-    return {
-        "m_max": m_max,
-        "k_range": k_range,
-        "pass": not failures,
-        "failures": failures,
-    }
+    return failures

@@ -20,6 +20,7 @@ from . import catalan as cat
 from . import hurwitz as hur
 from . import qhbar
 from . import schur
+from . import shared
 from . import wkb
 from . import oracles
 from .rationals import qstr
@@ -106,11 +107,10 @@ def check_catalan_base_sequence(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def check_catalan_curve_inversion(cfg: RunConfig) -> tuple[bool, str]:
-    rep = cat.curve_inversion_check(8)
-    if rep["pass"]:
-        return True, f"series inverse exact through order {rep['order']}"
-    return False, (f"series inverse first fails at x^{rep['first_failing_x_power']}"
-                   f" (order {rep['order']})")
+    bad = cat.curve_inversion_check(8)
+    if bad is None:
+        return True, "series inverse exact through order 8"
+    return False, f"series inverse first fails at x^{bad} (order 8)"
 
 
 def free_energies_check(model: str) -> CheckFn:
@@ -143,8 +143,8 @@ def laplace_check(model: str) -> CheckFn:
     def check(cfg: RunConfig) -> tuple[bool, str]:
         worst, where = 0.0, ""
         for g, n, xs, cap in module.LAPLACE_PROBES:
-            exact = module.free_energy_float(g, n, xs)
-            direct = module.laplace_sum_float(g, n, xs, cap)
+            exact = shared.free_energy_float(module, g, n, xs)
+            direct = shared.laplace_probe_sum(module, g, n, xs, cap)
             error = abs(exact - direct) / abs(direct)
             if error > worst:
                 worst, where = error, f" at ({g},{n})"
@@ -249,21 +249,18 @@ def check_hurwitz_heat(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def check_hurwitz_lambert(cfg: RunConfig) -> tuple[bool, str]:
-    rep = hur.lambert_inversion_check(12)
-    if rep["pass"]:
-        return True, f"series identities exact through order {rep['order']}"
-    fails = [f"{name} identity first fails at x^{rep[key]}"
-             for name, key in (("curve", "first_failing_curve_order"),
-                               ("frame", "first_failing_frame_order"))
-             if rep[key] is not None]
-    return False, "; ".join(fails) + f" (order {rep['order']})"
+    fails = [f"{name} identity first fails at x^{bad}"
+             for name, bad in zip(("curve", "frame"), hur.lambert_inversion_check(12))
+             if bad is not None]
+    if not fails:
+        return True, "series identities exact through order 12"
+    return False, "; ".join(fails) + " (order 12)"
 
 
-def _listed_failures(rep: dict, passed: str) -> tuple[bool, str]:
-    """A helper report's pass flag, with its failure count and first failure."""
-    if rep["pass"]:
+def _listed_failures(failures: list[str], passed: str) -> tuple[bool, str]:
+    """Pass when a helper found no failure; else the count and the first."""
+    if not failures:
         return True, passed
-    failures = rep["failures"]
     plural = "" if len(failures) == 1 else "s"
     return False, f"{len(failures)} failure{plural}, first: {failures[0]}"
 
@@ -410,10 +407,7 @@ SUITES: dict[str, list[tuple[str, str, CheckFn]]] = {
 
 def suite_checks(name: str) -> list[tuple[str, str, CheckFn]]:
     if name == "all":
-        out = []
-        for key in ("catalan", "hurwitz", "wkb", "schur"):
-            out.extend(SUITES[key])
-        return out
+        return [check for checks in SUITES.values() for check in checks]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     return SUITES[name]

@@ -282,7 +282,7 @@ def cauchy_restriction_residual(d_max: int) -> SparseLaurent:
 # principal specialization collapse
 # ---------------------------------------------------------------------------
 
-def principal_collapse_check(m_max: int) -> dict:
+def principal_collapse_check(m_max: int) -> list[str]:
     """Substituting p_j = (x/hbar)^j collapses the expansion to one row.
 
     Verifies (i) multi-row Schur functions vanish under the substitution,
@@ -309,4 +309,4 @@ def principal_collapse_check(m_max: int) -> dict:
         expected = zhou_term(m) * Q(1, factorial(m))
         if total != expected:
             failures.append(f"collapse total at m={m}")
-    return {"m_max": m_max, "pass": not failures, "failures": failures}
+    return failures

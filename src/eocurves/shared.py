@@ -5,10 +5,15 @@ energies F_{g,n}, then the principal specialization S_m, then an equation
 whose symbol is the spectral curve.  The model modules ``catalan`` and
 ``hurwitz`` keep the model-specific mathematics and serve as their own
 records in ``wkb.MODELS``: each provides ``free_energy(g, n)``, the point
-``BASE_POINT`` where free energies vanish, ``to_z`` (t to the curve
-coordinate z), ``curve_symbol()``, ``base_s_primes(m_max)`` and the
-base-frame ``s_prime(m)`` of the assembled S_m.  The helpers here take a
-model's free energy, count weight or coordinate map as an argument.
+``BASE_POINT`` where free energies vanish, the exact Moebius map ``T_OF_Z``
+(t of the curve coordinate z) and ``to_z``, which applies it,
+``curve_symbol()``, ``base_s_primes(m_max)`` and the base-frame
+``s_prime(m)`` of the assembled S_m.  For the Laplace probe each provides
+``z_of_x_float`` (z at a float x), the count weight ``_laplace_weight``,
+``LAPLACE_PROBES`` as (g, n, xs, cap), the sign ``LAPLACE_SIGN`` of the
+x exponents and ``LAPLACE_EVEN_ONLY`` (its counts vanish at odd |mu|).
+The helpers here take a model, or its free energy, count weight or
+coordinate map, as an argument.
 
 Every memo table of both models, of these helpers and of the characters is
 recorded here by ``memo``; ``clear_caches`` empties them all (the algebra
@@ -230,7 +235,22 @@ def laplace_sum_float(weight: Callable[[int, tuple[int, ...]], float], sign: int
     return total
 
 
-def free_energy_float(free_energy: FreeEnergy, t_of_x_float: Callable[[float], float],
-                      g: int, n: int, xs: Sequence[float]) -> float:
-    """The exact free energy evaluated at the t-points corresponding to xs."""
-    return free_energy(g, n).eval_float([t_of_x_float(x) for x in xs])
+def laplace_probe_sum(model, g: int, n: int, xs: Sequence[float], cap: int) -> float:
+    """A model's truncated Laplace sum of its counts at xs, over |mu| <= cap.
+
+    The model module's weight and constants are read at each call, so a
+    weight patched onto the module is the one summed.
+    """
+    return laplace_sum_float(model._laplace_weight, model.LAPLACE_SIGN, g, n, xs, cap,
+                             model.LAPLACE_EVEN_ONLY)
+
+
+def free_energy_float(model, g: int, n: int, xs: Sequence[float]) -> float:
+    """A model's exact free energy at the t-points of xs on its curve.
+
+    Each x goes to z by the model's ``z_of_x_float`` and z to t by its
+    exact map ``T_OF_Z``, the one ``to_z`` applies, taken in floats.
+    """
+    a, b, c, d = map(float, model.T_OF_Z)
+    ts = [(a * z + b) / (c * z + d) for z in map(model.z_of_x_float, xs)]
+    return model.free_energy(g, n).eval_float(ts)

@@ -151,8 +151,8 @@ def test_free_energy_shape(g, n):
 ])
 def test_free_energy_matches_laplace_sum(g, n, ws, cap):
     xs = [math.exp(-w) for w in ws]
-    exact = hur.free_energy_float(g, n, xs)
-    direct = hur.laplace_sum_float(g, n, xs, cap)
+    exact = shared.free_energy_float(hur, g, n, xs)
+    direct = shared.laplace_probe_sum(hur, g, n, xs, cap)
     assert abs(exact - direct) <= 1e-8 * abs(direct)
 
 
@@ -160,7 +160,7 @@ def test_free_energy_matches_laplace_sum(g, n, ws, cap):
 def test_laplace_probe_weight_is_exact(g, n, xs, cap):
     # the memo read over int / int rounds like float(Fraction): the sum
     # agrees to the last bit with Fraction weights, and with its pinned hex
-    direct = hur.laplace_sum_float(g, n, xs, cap)
+    direct = shared.laplace_probe_sum(hur, g, n, xs, cap)
     assert direct.hex() == "0x1.ff6db3667c56bp-14"
     assert direct == shared.laplace_sum_float(
         lambda g, key: float(hur.hurwitz_number(g, len(key), key)), 1, g, n, xs, cap)
@@ -357,8 +357,7 @@ def test_printed_closed_forms_fail_heat_hierarchy():
 
 
 def test_lambert_inversion():
-    rep = hur.lambert_inversion_check(8)
-    assert rep["pass"]
+    assert hur.lambert_inversion_check(8) == (None, None)
     z = hur.tree_series(5)
     assert z.coeffs[1] == 1
     assert z.coeffs[3] == Q(3, 2)  # 3^2/3!

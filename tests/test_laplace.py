@@ -8,6 +8,7 @@ a cold run must leave the count memos exactly as the reference leaves them.
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -55,7 +56,7 @@ def test_sum_matches_plain_enumeration(model, g, n, cap):
     module = wkb.MODELS[model]
     xs = probe_points(model, n)
     expected = reference_sum(module._laplace_weight, SIGN[model], g, n, xs, cap)
-    assert module.laplace_sum_float(g, n, xs, cap).hex() == expected.hex()
+    assert shared.laplace_probe_sum(module, g, n, xs, cap).hex() == expected.hex()
 
 
 @pytest.mark.parametrize("model", ["catalan", "hurwitz"])
@@ -66,12 +67,43 @@ def test_each_weight_is_asked_for_once(monkeypatch, model, g, n, cap):
     asked = []
     monkeypatch.setattr(module, "_laplace_weight",
                         lambda g, key: asked.append(key) or real(g, key))
-    module.laplace_sum_float(g, n, probe_points(model, n), cap)
+    shared.laplace_probe_sum(module, g, n, probe_points(model, n), cap)
     # every sorted key of the box, largest part first, once; Catalan even only
     needed = {shared.sorted_key(mu) for mu in product(range(1, cap + 1), repeat=n)
               if sum(mu) <= cap and (model == "hurwitz" or sum(mu) % 2 == 0)}
     assert len(asked) == len(set(asked))
     assert set(asked) == needed
+
+
+def curve_point(model, t):
+    """(x, z) of a float t on the model's curve, not through the map under test."""
+    if model == "catalan":  # z = (t+1)/(t-1); x = 2(t^2+1)/(t^2-1), exact at the float t
+        return float(wkb.MODELS["catalan"].x_of_t().eval(Fraction(t))), (t + 1) / (t - 1)
+    z = (t - 1) / t  # x = z e^{-z}
+    return z * math.exp(-z), z
+
+
+@pytest.mark.parametrize("model", ["catalan", "hurwitz"])
+def test_probe_points_lie_on_the_curve(monkeypatch, model):
+    module = wkb.MODELS[model]
+    evaluated = []
+
+    class Recorder:
+        def eval_float(self, ts):
+            evaluated.append(ts)
+            return 0.0
+
+    monkeypatch.setattr(module, "free_energy", lambda g, n: Recorder())
+    for g, n, xs, cap in module.LAPLACE_PROBES:
+        shared.free_energy_float(module, g, n, xs)
+        ts = evaluated.pop()
+        assert len(ts) == len(xs)
+        for x, t in zip(xs, ts):
+            x_of_t, z = curve_point(model, t)
+            assert x_of_t == pytest.approx(x, rel=1e-12, abs=0)
+            # the sheet where z -> 0, on which the Laplace sums converge; the
+            # Catalan x is even in t, so t and -t (z and 1/z) share an x
+            assert abs(z) < 1
 
 
 @pytest.mark.parametrize("model", ["catalan", "hurwitz"])
@@ -83,7 +115,7 @@ def test_cold_probe_leaves_the_reference_memo(model):
     probed = list(memo.items())
     module.clear_caches()
     for g, n, xs, cap in module.LAPLACE_PROBES:
-        module.free_energy_float(g, n, xs)
+        shared.free_energy_float(module, g, n, xs)
         reference_sum(module._laplace_weight, SIGN[model], g, n, xs, cap)
     assert len(memo) == len(probed)
     assert list(memo.items()) == probed
