@@ -1,15 +1,18 @@
 """Persistent JSON caches for the two memoized counting tables.
 
 Keys flatten to "g,n,mu1,...,mun"; values are decimal integer strings
-for the graph counts and "p/q" strings for the Hurwitz numbers.  The
-Hurwitz memo holds the integers r! d! H, which import computes as
+for the graph counts and "p/q" strings for the Hurwitz numbers.  The memos
+key each entry (g, profile id), so export writes the profile of each id and
+import interns each profile it loads: ids stay inside the process, and the
+file is in json's sorted key order, whatever order the memos were filled
+in.  The Hurwitz memo holds the integers r! d! H, which import computes as
 p (r! d! / q) in integers.
 
 Import reads each entry once and rejects it with a warning at the first of
 these rules it breaks; a rejected count is recomputed, not trusted.
 1. The key is integers "g,n,mu1,...,mun" spelt as export writes them (no
    "+", space, leading zero or non-ASCII digit), with n parts and g >= 0.
-2. mu is a profile the memo holds: sorted, parts >= 1, and |mu| even
+2. mu is a profile the recursion stores: sorted, parts >= 1, and |mu| even
    (Catalan) or r = 2g - 2 + n + |mu| >= 1 (Hurwitz).
 3. A Hurwitz key has r <= MAX_BRANCH_POINTS: no r! d! is formed past it.
 4. The value is "p" or "p/q" with integers p and q > 0 (q not empty).
@@ -31,13 +34,11 @@ from . import catalan as cat
 from . import hurwitz as hur
 from .errors import CorruptCache
 from .rationals import qstr
+from .shared import profile_id, profile_items
 
 # Largest r = 2g - 2 + n + |mu| of a Hurwitz key, so |mu| <= r + 1: a cold
 # ``eo verify --suite all`` stores r <= 41; 400! is cheap.
 MAX_BRANCH_POINTS = 400
-
-# 0!, 1!, ..., (r + 1)! for the largest r import has loaded; d = |mu| <= r + 1
-_factorials = [1]
 
 
 def _flatten(g: int, mu: tuple[int, ...]) -> str:
@@ -57,9 +58,9 @@ def export_caches(path: Path) -> dict:
     """
     payload = {
         "catalan": {_flatten(g, mu): str(v)
-                    for (g, mu), v in sorted(cat._count_memo.items())},
+                    for (g, mu), v in profile_items(cat._count_memo)},
         "hurwitz": {_flatten(g, mu): qstr(Fraction(v, hur._scale(g, mu)))
-                    for (g, mu), v in sorted(hur._h_memo.items())},
+                    for (g, mu), v in profile_items(hur._h_memo)},
     }
     # write beside the file and rename over it, so an interrupted write
     # leaves the old file whole
@@ -90,7 +91,7 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
         warn(f"cache: unreadable file {path}: {exc}")
         return {"catalan": 0, "hurwitz": 0, "rejected": 1}
     loaded = {"catalan": 0, "hurwitz": 0, "rejected": 0}
-    fact = _factorials
+    fact = hur._factorials  # grown here as far as each key needs, as _scale does
     # key fields as export writes them, up to any a valid Hurwitz key holds
     fields = {str(i): i for i in range(MAX_BRANCH_POINTS + 2)}
     for model, memo in (("catalan", cat._count_memo), ("hurwitz", hur._h_memo)):
@@ -108,8 +109,9 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
                     raise CorruptCache(f"malformed key {key!r}")
                 d = sum(mu)
                 r = 2 * g - 2 + n + d
-                # the memos key sorted profiles only: an unsorted key would be
-                # loaded where no lookup reads it, and written back on export
+                # the recursions store sorted profiles only: an unsorted key
+                # would be loaded where no lookup reads it, and written back on
+                # export
                 if (not mu or mu[-1] < 1 or mu != sorted(mu, reverse=True)
                         or (r < 1 if hurwitz else d % 2)):
                     raise CorruptCache(f"key {key!r} is not a profile the memo holds")
@@ -122,7 +124,7 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
                 if not hurwitz:
                     if p % q or p < 0:
                         raise CorruptCache(f"count {key} = {value} is not a whole number")
-                    memo[g, tuple(mu)] = p // q
+                    memo[g, profile_id(tuple(mu))] = p // q
                 else:
                     if p < 0:
                         raise CorruptCache(f"count {key} = {value} is negative")
@@ -132,7 +134,7 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
                     if scale % q:
                         raise CorruptCache(f"count {key} = {value}: denominator {q} "
                                            "does not divide r! d!")
-                    memo[g, tuple(mu)] = p * (scale // q)
+                    memo[g, profile_id(tuple(mu))] = p * (scale // q)
                 loaded[model] += 1
             except (CorruptCache, ValueError) as exc:
                 warn(f"cache: rejecting {key!r}: {exc}")

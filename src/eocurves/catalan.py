@@ -29,6 +29,9 @@ from .shared import (
     is_stable,
     memo,
     mirrored_half,
+    profile_id,
+    profile_ids,
+    profiles,
     sorted_key as _sorted_key,
     stable_splits,
     submultisets,
@@ -42,11 +45,11 @@ Q = Fraction
 # counting: the edge-shrinking recursion
 # ---------------------------------------------------------------------------
 
-_count_memo: dict[tuple[int, tuple[int, ...]], int] = memo({})
+_count_memo: dict[tuple[int, int], int] = memo({})  # (g, profile id) -> count
 
 
 @memo
-def _splits_by_parity(rest: tuple[int, ...]) -> tuple[tuple[tuple[shared.Split, ...], ...], ...]:
+def _splits_by_parity(rest: int) -> tuple[tuple[tuple[shared.Split, ...], ...], ...]:
     """``submultisets(rest)`` and its ``mirrored_half``, each grouped by the
     parity of the left sum.
 
@@ -62,9 +65,9 @@ def _splits_by_parity(rest: tuple[int, ...]) -> tuple[tuple[tuple[shared.Split, 
     return tuple(grouped)
 
 
-def _count(g: int, mu: tuple[int, ...]) -> int:
-    """Arrowed cellular-graph count for sorted mu; pure recursion, memoized."""
-    key = (g, mu)
+def _count(g: int, pid: int) -> int:
+    """Arrowed cellular-graph count for the profile id pid; pure recursion, memoized."""
+    key = (g, pid)
     # sub-memo hits, stored zeros included, are read inline; the loops below
     # ask only for profiles with even |mu|, no zero part and g >= 0, so the
     # only calls are for entries the memo does not hold yet
@@ -74,20 +77,21 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
         return cached
     if g < 0:
         return 0
+    mu = profiles[pid]
     if mu[-1] == 0:
-        return 1 if key == (0, (0,)) else 0
+        return 1 if (g, mu) == (0, (0,)) else 0
     if sum(mu) % 2:
         return 0
 
     mu1, rest = mu[0], mu[1:]
     if mu1 == 1:
         # every degree is 1: one edge joins two vertices, or nothing does
-        _count_memo[key] = total = int(key == (0, (1, 1)))
+        _count_memo[key] = total = int((g, mu) == (0, (1, 1)))
         return total
     total = 0
     # shrink the arrowed edge joining vertex 1 to another vertex
     for j, mj in enumerate(rest):
-        merged = (g, with_part(rest[:j] + rest[j + 1:], mu1 + mj - 2))
+        merged = (g, with_part(profile_id(rest[:j] + rest[j + 1:]), mu1 + mj - 2))
         c = get(merged)
         if c is None:
             c = _count(*merged)
@@ -100,27 +104,28 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
     # At a = 0 the genus drop has a zero part, and C_g1((0) + L) is 1 only
     # for g1 = 0, L = (), so the term is C_g((mu1 - 2) + rest); for mu1 = 2
     # (a = b = 0) that is C_g((0) + rest), which is 1 only for C_0((2)).
+    rest_id = profile_id(rest)
     if mu1 == 2:
-        total += int(key == (0, (2,)))
+        total += int((g, mu) == (0, (2,)))
     else:
-        k0 = (g, with_part(rest, mu1 - 2))
+        k0 = (g, with_part(rest_id, mu1 - 2))
         c = get(k0)
         if c is None:
             c = _count(*k0)
         total += 2 * c
     if mu1 >= 4:
-        whole, half = _splits_by_parity(rest)
+        whole, half = _splits_by_parity(rest_id)
     for a in range(1, mu1 // 2):
         b = mu1 - 2 - a
         term = 0
         if g:
-            drop = (g - 1, with_part(with_part(rest, a), b))
+            drop = (g - 1, with_part(with_part(rest_id, a), b))
             term = get(drop)
             if term is None:
                 term = _count(*drop)
         # both sides' sums even; at a = b a split and its complement give
         # the same term, so the mirrored half counts it
-        for left, right, _, ways in (half if a == b else whole)[a % 2]:
+        for left, right, _, _, ways in (half if a == b else whole)[a % 2]:
             ka = with_part(left, a)
             kb = with_part(right, b)
             for g1 in range(g + 1):
@@ -140,11 +145,14 @@ def _count(g: int, mu: tuple[int, ...]) -> int:
 
 def catalan_count(g: int, n: int, mu: Sequence[int]) -> int:
     """Number of arrowed cellular graphs of type (g, n) with degrees mu."""
-    if n < 1 or len(mu) != n:
+    key = _sorted_key(mu)
+    if n < 1 or len(key) != n:
         raise InvalidProfile(f"need n >= 1 vertices, got n={n}, mu={tuple(mu)}")
-    if g < 0 or any(m < 0 for m in mu):
+    if g < 0 or key[-1] < 0:
         raise InvalidProfile(f"bad profile (g={g}, mu={tuple(mu)})")
-    return _count(g, _sorted_key(mu))
+    pid = profile_id(key)
+    count = _count_memo.get((g, pid))
+    return _count(g, pid) if count is None else count
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +434,14 @@ LAPLACE_EVEN_ONLY = True  # the counts vanish at odd |mu| = 2E
 def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
     """C_{g,n}(mu) / prod(mu) of a sorted profile, from the memo.
 
-    The memo is read here and ``_count`` is called only on a miss, so a warm
-    probe makes no count call; a miss asks ``_count`` as before, so a cold
-    probe fills the memo in the same order.  int / int rounds like
-    float(Fraction), so this is the float of the exact automorphism-weighted
-    count, and each weight is the same float as before.
+    The memo is read here, through the profile's id, and ``_count`` is
+    called only on a miss, so a warm probe makes no count call; a miss asks
+    ``_count`` as before, so a cold probe fills the memo in the same order.
+    int / int rounds like float(Fraction), so this is the float of the
+    exact automorphism-weighted count, and each weight is the same float as
+    before.
     """
-    c = _count_memo.get((g, key))
+    c = _count_memo.get((g, profile_ids.get(key)))
     if c is None:
-        c = _count(g, key)
+        c = _count(g, profile_id(key))
     return c / prod(key)

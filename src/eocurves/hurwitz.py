@@ -39,6 +39,9 @@ from .shared import (
     is_stable,
     memo,
     mirrored_half,
+    profile_id,
+    profile_ids,
+    profiles,
     sorted_key as _sorted_key,
     stable_splits,
     submultisets,
@@ -54,14 +57,23 @@ Q = Fraction
 
 # N_g(mu) = r! d! H_g(mu), with r = 2g - 2 + n + |mu| simple branch points
 # and degree d = |mu|.  Scaled this way the cut-and-join recursion has
-# integer coefficients, so the memo holds integers.
-_h_memo: dict[tuple[int, tuple[int, ...]], int] = memo({})
+# integer coefficients, so the memo holds integers, keyed (g, profile id).
+_h_memo: dict[tuple[int, int], int] = memo({})
+
+
+# 0!, 1!, ..., (r + 1)! for the largest r a scale or a cache import has
+# needed; d = |mu| <= r + 1.  Factorials are constants, so no clear empties it.
+_factorials = [1]
 
 
 def _scale(g: int, mu: Sequence[int]) -> int:
     """r! d!, the factor between H_g(mu) and its memoized integer N_g(mu)."""
     d = sum(mu)
-    return factorial(2 * g - 2 + len(mu) + d) * factorial(d)
+    r = 2 * g - 2 + len(mu) + d
+    fact = _factorials
+    while len(fact) <= r + 1:
+        fact.append(fact[-1] * len(fact))
+    return fact[r] * fact[d]
 
 
 @memo
@@ -70,9 +82,9 @@ def _binomial_row(m: int) -> tuple[int, ...]:
     return tuple(comb(m, k) for k in range(m + 1))
 
 
-def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
-    """N_g(mu) for sorted mu: cut-and-join r H = join + cut, times (r-1)! d!."""
-    key = (g, mu)
+def _hurwitz(g: int, pid: int) -> int:
+    """N_g(mu) for the profile id pid: cut-and-join r H = join + cut, times (r-1)! d!."""
+    key = (g, pid)
     # sub-memo hits, stored zeros included, are read inline; the loops below
     # ask only for g >= 0 and r >= 1, apart from N_0((1)) = 1, so the only
     # calls are for entries the memo does not hold yet
@@ -82,10 +94,11 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
         return cached
     if g < 0:
         return 0
+    mu = profiles[pid]
     d = sum(mu)
     r = 2 * g - 2 + len(mu) + d
     if r <= 0:
-        return 1 if key == (0, (1,)) else 0
+        return 1 if (g, mu) == (0, (1,)) else 0
 
     # Every term below is doubled, so that the cut's factor 1/2 stays integral.
     twice = 0
@@ -101,7 +114,7 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
             if not twice_pairs:
                 continue
             at_b = without_a.index(b)
-            joined = (g, with_part(without_a[:at_b] + without_a[at_b + 1:], a + b))
+            joined = (g, with_part(profile_id(without_a[:at_b] + without_a[at_b + 1:]), a + b))
             nj = get(joined)
             if nj is None:
                 nj = _hurwitz(*joined)
@@ -115,11 +128,12 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
     # the mirrored half of the splits counts it.
     shares = _binomial_row(r - 1)
     sheets = _binomial_row(d)
+    unit = profile_id((1,))  # N_0((1)) = 1 is not in the memo
     for v in values:
         if v == 1:
             break  # a pole of order 1 is not cut
         i = mu.index(v)
-        rest = mu[:i] + mu[i + 1:]
+        rest = profile_id(mu[:i] + mu[i + 1:])
         splits = submultisets(rest)
         cut = 0
         for alpha in range(1, v // 2 + 1):
@@ -130,20 +144,20 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
                 term = get(drop)
                 if term is None:
                     term = _hurwitz(*drop)
-            for sub, left, size, ways in mirrored_half(rest) if alpha == beta else splits:
+            for sub, left, size, parts, ways in mirrored_half(rest) if alpha == beta else splits:
                 ka = with_part(sub, alpha)
                 kb = with_part(left, beta)
                 d1 = size + alpha
                 weight = ways * sheets[d1]
-                r1 = len(ka) + d1 - 2  # at g1 = 0; each genus adds 2
+                r1 = parts + d1 - 1  # at g1 = 0, as ka has parts + 1 parts; each genus adds 2
                 for g1 in range(g + 1):
                     na = get((g1, ka))
                     if na is None:
-                        na = 1 if (g1, ka) == (0, (1,)) else _hurwitz(g1, ka)
+                        na = 1 if ka == unit and not g1 else _hurwitz(g1, ka)
                     if na:
                         nb = get((g - g1, kb))
                         if nb is None:
-                            nb = 1 if (g - g1, kb) == (0, (1,)) else _hurwitz(g - g1, kb)
+                            nb = 1 if kb == unit and g1 == g else _hurwitz(g - g1, kb)
                         if nb:
                             term += weight * shares[r1 + 2 * g1] * na * nb
             cut += alpha * beta * (term if alpha == beta else 2 * term)
@@ -158,10 +172,14 @@ def _hurwitz(g: int, mu: tuple[int, ...]) -> int:
 
 def hurwitz_number(g: int, n: int, mu: Sequence[int]) -> Fraction:
     """Automorphism-weighted count of covers with n labeled poles of orders mu."""
-    if n < 1 or len(mu) != n or any(m < 1 for m in mu) or g < 0:
-        raise InvalidProfile(f"bad profile (g={g}, n={n}, mu={tuple(mu)})")
     key = _sorted_key(mu)
-    return Fraction(_hurwitz(g, key), _scale(g, key))
+    if n < 1 or len(key) != n or g < 0 or key[-1] < 1:
+        raise InvalidProfile(f"bad profile (g={g}, n={n}, mu={tuple(mu)})")
+    pid = profile_id(key)
+    count = _h_memo.get((g, pid))
+    if count is None:
+        count = _hurwitz(g, pid)
+    return Fraction(count, _scale(g, key))
 
 
 def labeled_hurwitz(g: int, mu: Sequence[int]) -> Fraction:
@@ -583,12 +601,12 @@ LAPLACE_EVEN_ONLY = False
 def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
     """float(hurwitz_number) of a sorted profile, from the memo: int / int rounds the same.
 
-    The memo is read here and ``_hurwitz`` is called only on a miss, so a
-    warm probe makes no count call; a miss asks ``_hurwitz`` as before, so a
-    cold probe fills the memo in the same order and each weight is the same
-    float.
+    The memo is read here, through the profile's id, and ``_hurwitz`` is
+    called only on a miss, so a warm probe makes no count call; a miss asks
+    ``_hurwitz`` as before, so a cold probe fills the memo in the same order
+    and each weight is the same float.
     """
-    count = _h_memo.get((g, key))
+    count = _h_memo.get((g, profile_ids.get(key)))
     if count is None:
-        count = _hurwitz(g, key)
+        count = _hurwitz(g, profile_id(key))
     return count / _scale(g, key)

@@ -15,9 +15,19 @@ x exponents and ``LAPLACE_EVEN_ONLY`` (its counts vanish at odd |mu|).
 The helpers here take a model, or its free energy, count weight or
 coordinate map, as an argument.
 
+Both count recursions run on profile ids: every sorted profile they meet is
+interned once by ``profile_id`` (``profile_ids`` maps a profile to its small
+int id, ``profiles`` maps the id back), their memos are keyed ``(g, id)``,
+``with_part`` inserts a part into an id's profile and returns the new id, and
+``submultisets`` and ``mirrored_half`` hand out splits as ids.  Ids are
+process-local: the cache file, every printed answer and every error text key
+by the profile itself, translated at the boundary through ``profiles``.
+
 Every memo table of both models, of these helpers and of the characters is
-recorded here by ``memo``; ``clear_caches`` empties them all (the algebra
-kernels keep only structural caches of their own).
+recorded here by ``memo``, the id tables included; ``clear_caches`` empties
+them all (the algebra kernels keep only structural caches of their own).
+Ids are handed out again from 0 after it, so every table keyed by ids must
+be recorded, to be emptied with the ids.
 """
 
 from __future__ import annotations
@@ -41,9 +51,9 @@ def memo(table):
     """Record a memo table, so that ``clear_caches`` empties it; return it.
 
     A function is wrapped in ``functools.cache`` first, so this serves as a
-    decorator; a ``dict`` is recorded as it is.
+    decorator; a ``dict`` or ``list`` is recorded as it is.
     """
-    if not isinstance(table, dict):
+    if not isinstance(table, (dict, list)):
         table = cache(table)
     _tables.append(table)
     return table
@@ -56,7 +66,7 @@ def clear_caches() -> None:
     a module attribute rebound to a wrapper (as a tracer does) hides none.
     """
     for table in _tables:
-        if isinstance(table, dict):
+        if isinstance(table, (dict, list)):
             table.clear()
         else:
             table.cache_clear()
@@ -76,46 +86,75 @@ class CurveSymbol(NamedTuple):
 
 
 def sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
-    """A profile as the memo keys it: sorted, largest part first."""
+    """A profile as ``profile_id`` interns it: sorted, largest part first."""
     return tuple(sorted(entries, reverse=True))
 
 
-@memo
-def with_part(key: tuple[int, ...], part: int) -> tuple[int, ...]:
-    """The sorted key with one more part, ``sorted_key(key + (part,))``.
+# the interned profiles: sorted, largest part first
+profile_ids: dict[tuple[int, ...], int] = memo({})  # profile -> id
+profiles: list[tuple[int, ...]] = memo([])  # id -> profile
+_insertions: list[dict[int, int]] = memo([])  # id -> {part: id with that part}
 
-    Memoized: both count recursions build every sub-profile this way, and a
-    table hit is cheaper than inserting or re-sorting.  ``key`` must be
-    sorted, largest part first.
+
+def profile_id(profile: tuple[int, ...]) -> int:
+    """The id of a sorted profile, interned at its first use."""
+    pid = profile_ids.get(profile)
+    if pid is None:
+        pid = profile_ids[profile] = len(profiles)
+        profiles.append(profile)
+        _insertions.append({})
+    return pid
+
+
+def with_part(pid: int, part: int) -> int:
+    """The id of the profile ``pid`` with one more part.
+
+    Read from the id's insertion table: both count recursions build every
+    sub-profile this way, and an int-keyed hit is cheaper than inserting,
+    re-sorting or hashing a tuple.
     """
-    at = bisect(key, -part, key=neg)
-    return key[:at] + (part,) + key[at:]
+    try:
+        return _insertions[pid][part]
+    except KeyError:
+        key = profiles[pid]
+        at = bisect(key, -part, key=neg)
+        grown = _insertions[pid][part] = profile_id(key[:at] + (part,) + key[at:])
+        return grown
 
 
-Split = tuple[tuple[int, ...], tuple[int, ...], int, int]
+def profile_items(table: dict[tuple[int, int], object]) -> list:
+    """The items of a memo keyed (g, id) as ((g, profile), value), in its order."""
+    return [((g, profiles[pid]), value) for (g, pid), value in table.items()]
+
+
+# (sub id, complement id, size, parts, labeled ways)
+Split = tuple[int, int, int, int, int]
 
 
 @memo
-def submultisets(rest: tuple[int, ...]) -> tuple[Split, ...]:
-    """(sub, complement, size, labeled ways) over sub-multisets of a sorted tuple.
+def submultisets(rest: int) -> tuple[Split, ...]:
+    """(sub, complement, size, parts, labeled ways) over sub-multisets of a profile.
 
-    ``size`` is ``sum(sub)``.  Mirror order: entry ``i`` and entry
-    ``N - 1 - i`` (of ``N``) trade ``sub`` with the complement and have
-    equal ways, so their sizes add to ``sum(rest)``; when ``N`` is odd the
-    middle entry is its own complement.  Memoized: both count recursions
-    ask it again and again for the same profile, and every caller shares
-    the one immutable result.
+    ``rest``, ``sub`` and the complement are profile ids; ``size`` is
+    ``sum(sub)`` and ``parts`` is ``len(sub)``.  Mirror order: entry ``i``
+    and entry ``N - 1 - i`` (of ``N``) trade ``sub`` with the complement
+    and have equal ways, so their sizes add to the sum of ``rest``; when
+    ``N`` is odd the middle entry is its own complement.  Memoized: both
+    count recursions ask it again and again for the same profile, and
+    every caller shares the one immutable result.
     """
+    profile = profiles[rest]
     splits = [((), (), 0, 1)]
-    for v in sorted(set(rest), reverse=True):
-        m = rest.count(v)
+    for v in sorted(set(profile), reverse=True):
+        m = profile.count(v)
         splits = [(sub + (v,) * k, left + (v,) * (m - k), size + k * v, ways * comb(m, k))
                   for sub, left, size, ways in splits for k in range(m + 1)]
-    return tuple(splits)
+    return tuple((profile_id(sub), profile_id(left), size, len(sub), ways)
+                 for sub, left, size, ways in splits)
 
 
 @memo
-def mirrored_half(rest: tuple[int, ...]) -> tuple[Split, ...]:
+def mirrored_half(rest: int) -> tuple[Split, ...]:
     """The first half of ``submultisets(rest)`` at twice its ways, then the middle.
 
     Summed over these, a term that a split and its complement share (as
@@ -124,8 +163,8 @@ def mirrored_half(rest: tuple[int, ...]) -> tuple[Split, ...]:
     """
     splits = submultisets(rest)
     half, odd = divmod(len(splits), 2)
-    return tuple((sub, left, size, 2 * ways) for sub, left, size, ways in splits[:half]
-                 ) + splits[half:half + odd]
+    return tuple((sub, left, size, parts, 2 * ways)
+                 for sub, left, size, parts, ways in splits[:half]) + splits[half:half + odd]
 
 
 def is_stable(g: int, n: int) -> bool:
@@ -181,9 +220,9 @@ def laplace_sum_float(weight: Callable[[int, tuple[int, ...]], float], sign: int
                       even_only: bool = False) -> float:
     """Sum of weight(g, key) prod x_i^(sign mu_i) over ordered mu, |mu| <= cap.
 
-    ``key`` is mu sorted as the count memos key it, largest part first, so
-    a weight can read its memo directly; each key is asked for once per
-    call.  The recursion carries the sorted prefix down.  The last slot's
+    ``key`` is mu sorted as ``profile_id`` interns it, largest part first,
+    so a weight reads its memo through one ``profile_ids`` lookup; each key
+    is asked for once per call.  The recursion carries the sorted prefix down.  The last slot's
     nonzero (weight, x_last power) pairs depend only on that sorted prefix,
     so they form one row, built at the first ordering of the prefix and
     dropped at its last (the non-increasing one).  ``even_only`` skips odd

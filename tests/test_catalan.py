@@ -204,7 +204,7 @@ def test_laplace_check_detects_corrupt_count(monkeypatch):
     # C_{1,1}(4) = 1 replaced by 2 where the probe reads it, as a poisoned
     # cache would; on a copy, so nothing derived from it outlives the test
     monkeypatch.setattr(cat, "_count_memo", dict(cat._count_memo))
-    monkeypatch.setitem(cat._count_memo, (1, (4,)), 2)
+    monkeypatch.setitem(cat._count_memo, (1, shared.profile_id((4,))), 2)
     ok, residual = report.laplace_check("catalan")(RunConfig())
     assert not ok
     assert residual.startswith("max relative error")

@@ -20,11 +20,14 @@ from eocurves import hurwitz as hur
 from eocurves import qhbar
 from eocurves import report
 from eocurves import schur
+from eocurves import shared
 from eocurves import wkb
 from eocurves.cache import export_caches, import_caches
 from eocurves.cli import HURWITZ_SUBSUITES, main
 from eocurves.laurent import SparseLaurent
+from eocurves.rationals import qstr
 from eocurves.report import RunConfig, check_catalan_curve_inversion, run_suite
+from eocurves.shared import profile_items
 
 
 def run_cli(capsys, *argv):
@@ -281,8 +284,8 @@ def test_cache_roundtrip(tmp_path):
     cat.catalan_count(0, 1, [8])
     hur.hurwitz_number(1, 1, [3])
     hur.hurwitz_number(0, 3, [2, 2, 1])
-    snapshot_c = dict(cat._count_memo)
-    snapshot_h = dict(hur._h_memo)
+    snapshot_c = dict(profile_items(cat._count_memo))
+    snapshot_h = dict(profile_items(hur._h_memo))
     numbers = {(g, mu): hur.hurwitz_number(g, len(mu), mu) for g, mu in snapshot_h}
     path = tmp_path / "cache.json"
     export_caches(path)
@@ -295,8 +298,8 @@ def test_cache_roundtrip(tmp_path):
     hur.clear_caches()
     stats = import_caches(path)
     assert stats["rejected"] == 0
-    assert cat._count_memo == snapshot_c
-    assert hur._h_memo == snapshot_h
+    assert dict(profile_items(cat._count_memo)) == snapshot_c
+    assert dict(profile_items(hur._h_memo)) == snapshot_h
     for (g, mu), h in numbers.items():
         assert hur.hurwitz_number(g, len(mu), mu) == h
     again = tmp_path / "again.json"
@@ -314,14 +317,15 @@ from eocurves import catalan as cat
 from eocurves import hurwitz as hur
 from eocurves.cache import export_caches, import_caches
 from eocurves.cli import main
+from eocurves.shared import profile_items
 
 cold, again = map(Path, sys.argv[1:])
 assert main(["--cache", str(cold), "verify", "--suite", "all", "--format", "json"]) == 0
-memos = dict(cat._count_memo), dict(hur._h_memo)
+memos = dict(profile_items(cat._count_memo)), dict(profile_items(hur._h_memo))
 cat._count_memo.clear()
 hur._h_memo.clear()
 assert import_caches(cold) == {"catalan": 3638, "hurwitz": 2704, "rejected": 0}
-assert (cat._count_memo, hur._h_memo) == memos
+assert (dict(profile_items(cat._count_memo)), dict(profile_items(hur._h_memo))) == memos
 export_caches(again)
 """
 
@@ -337,6 +341,46 @@ def test_cache_roundtrip_of_a_full_cold_run(tmp_path):
     assert hashlib.sha256(cold.read_bytes()).hexdigest() == \
         "213d5705e93b2c120666bc13bf9c829ff912b31805a33fcc0a9e4d11594cb63c"
     assert again.read_bytes() == cold.read_bytes()
+
+
+def test_export_writes_by_profile_not_by_id(tmp_path):
+    # the memos key (g, id) and ids follow the order in which the process met
+    # each profile: a loaded file first, then queries largest first.  The file
+    # written must be the one the sorted (g, profile) items give, and the one
+    # a cold run of the same counts in ascending order writes.
+    asked = [("catalan", g, mu) for g in (0, 1) for mu in ((2, 2, 2), (4, 2), (6,))] + \
+            [("hurwitz", g, mu) for g in (0, 1) for mu in ((1, 1, 1), (2, 1), (4,))]
+    count = {"catalan": cat.catalan_count, "hurwitz": hur.hurwitz_number}
+
+    def file_counts():
+        cat.catalan_count(1, 1, [8])
+        hur.hurwitz_number(0, 2, [3, 2])
+
+    loaded, out, fresh = tmp_path / "loaded.json", tmp_path / "out.json", tmp_path / "fresh.json"
+    cat.clear_caches()
+    file_counts()
+    export_caches(loaded)
+    cat.clear_caches()
+    assert import_caches(loaded)["rejected"] == 0
+    for model, g, mu in reversed(asked):
+        count[model](g, len(mu), mu)
+    memos = {"catalan": cat._count_memo, "hurwitz": hur._h_memo}
+    # the ids are out of profile order, so an export by id would show it
+    assert any(sorted(memo) != sorted(memo, key=lambda k: (k[0], shared.profiles[k[1]]))
+               for memo in memos.values())
+    export_caches(out)
+    text = {"catalan": lambda g, mu, v: str(v),
+            "hurwitz": lambda g, mu, v: qstr(hur.hurwitz_number(g, len(mu), mu))}
+    by_profile = {model: {",".join(map(str, (g, len(mu), *mu))): text[model](g, mu, v)
+                          for (g, mu), v in sorted(profile_items(memo))}
+                  for model, memo in memos.items()}
+    assert out.read_text() == json.dumps(by_profile, indent=1, sort_keys=True)
+    cat.clear_caches()
+    file_counts()
+    for model, g, mu in asked:
+        count[model](g, len(mu), mu)
+    export_caches(fresh)
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_cache_rejects_tampered_value(tmp_path):
@@ -481,7 +525,7 @@ def test_cache_rejection_rules(tmp_path, monkeypatch, model, key, value, reason)
     assert warnings == [f"cache: rejecting {key!r}: {reason.format(key=key)}"]
     assert stats == {"catalan": 0, "hurwitz": 0, model: 1, "rejected": 1}
     # r! d! H = 2! 3! / 2 for (0, (3,))
-    assert (cat._count_memo, hur._h_memo) == {
+    assert (dict(profile_items(cat._count_memo)), dict(profile_items(hur._h_memo))) == {
         "catalan": ({(0, (4,)): 2}, {}), "hurwitz": ({}, {(0, (3,)): 6})}[model]
 
 
@@ -496,12 +540,13 @@ def test_cache_accepts_integer_values_through_their_text(tmp_path, monkeypatch):
         "catalan": 1, "hurwitz": 1, "rejected": 0}
     assert warnings == []
     # r! d! H = 4! 4! for (0, (2, 2)), where H = 1
-    assert cat._count_memo == {(0, (2,)): 1} and hur._h_memo == {(0, (2, 2)): 576}
+    assert dict(profile_items(cat._count_memo)) == {(0, (2,)): 1}
+    assert dict(profile_items(hur._h_memo)) == {(0, (2, 2)): 576}
 
 
 def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
     # a forged key for a huge profile is refused before r! d! is formed: import
-    # reads the factorials from cache._factorials, grown as far as a key needs,
+    # reads the factorials from hurwitz._factorials, grown as far as a key needs,
     # and no valid key needs one past (MAX_BRANCH_POINTS + 1)!
     cat.clear_caches()
     hur.clear_caches()
@@ -512,7 +557,7 @@ def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
                 f"{len(self)}! formed for an oversized key"
             super().append(value)
 
-    monkeypatch.setattr(cache, "_factorials", Factorials([1]))
+    monkeypatch.setattr(hur, "_factorials", Factorials([1]))
     path = tmp_path / "c.json"
     big = cache.MAX_BRANCH_POINTS + 2  # r = |mu| - 1 for g = 0, n = 1
     path.write_text(json.dumps({"hurwitz": {"200000,1,1": "1/7", f"0,1,{big}": "1"}}))
@@ -523,7 +568,7 @@ def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
                         f"r = 400000 > {cache.MAX_BRANCH_POINTS}",
                         f"cache: rejecting '0,1,{big}': key '0,1,{big}' has "
                         f"r = {big - 1} > {cache.MAX_BRANCH_POINTS}"]
-    assert not hur._h_memo and cache._factorials == [1]
+    assert not hur._h_memo and hur._factorials == [1]
 
 
 def test_poisoned_count_fails_only_the_laplace_probe(tmp_path, capsys, monkeypatch):

@@ -171,7 +171,8 @@ def test_laplace_check_detects_corrupt_count(monkeypatch):
     # N_0(1,1,1) doubled where the probe reads it, as a poisoned cache would;
     # on a copy, so nothing derived from it outlives the test
     monkeypatch.setattr(hur, "_h_memo", dict(hur._h_memo))
-    monkeypatch.setitem(hur._h_memo, (0, (1, 1, 1)), 2 * hur._h_memo[0, (1, 1, 1)])
+    key = 0, shared.profile_id((1, 1, 1))
+    monkeypatch.setitem(hur._h_memo, key, 2 * hur._h_memo[key])
     ok, residual = report.laplace_check("hurwitz")(RunConfig())
     assert not ok
     assert residual.startswith("max relative error")

@@ -112,13 +112,13 @@ def test_cold_probe_leaves_the_reference_memo(model):
     memo = getattr(module, MEMO[model])
     module.clear_caches()
     assert report.laplace_check(model)(RunConfig())[0]
-    probed = list(memo.items())
+    probed = shared.profile_items(memo)
     module.clear_caches()
     for g, n, xs, cap in module.LAPLACE_PROBES:
         shared.free_energy_float(module, g, n, xs)
         reference_sum(module._laplace_weight, SIGN[model], g, n, xs, cap)
     assert len(memo) == len(probed)
-    assert list(memo.items()) == probed
+    assert shared.profile_items(memo) == probed
 
 
 @pytest.mark.parametrize("model", ["catalan", "hurwitz"])
