@@ -94,6 +94,9 @@ def sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
 profile_ids: dict[tuple[int, ...], int] = memo({})  # profile -> id
 profiles: list[tuple[int, ...]] = memo([])  # id -> profile
 _insertions: list[dict[int, int]] = memo([])  # id -> {part: id with that part}
+# the insertion table of every id until its first insertion, never written:
+# most profiles a cache file loads never get one
+_NO_INSERTIONS: dict[int, int] = {}
 
 
 def profile_id(profile: tuple[int, ...]) -> int:
@@ -102,7 +105,7 @@ def profile_id(profile: tuple[int, ...]) -> int:
     if pid is None:
         pid = profile_ids[profile] = len(profiles)
         profiles.append(profile)
-        _insertions.append({})
+        _insertions.append(_NO_INSERTIONS)
     return pid
 
 
@@ -116,9 +119,12 @@ def with_part(pid: int, part: int) -> int:
     try:
         return _insertions[pid][part]
     except KeyError:
+        row = _insertions[pid]
+        if row is _NO_INSERTIONS:
+            row = _insertions[pid] = {}
         key = profiles[pid]
         at = bisect(key, -part, key=neg)
-        grown = _insertions[pid][part] = profile_id(key[:at] + (part,) + key[at:])
+        grown = row[part] = profile_id(key[:at] + (part,) + key[at:])
         return grown
 
 
@@ -222,11 +228,11 @@ def laplace_sum_float(weight: Callable[[int, tuple[int, ...]], float], sign: int
 
     ``key`` is mu sorted as ``profile_id`` interns it, largest part first,
     so a weight reads its memo through one ``profile_ids`` lookup; each key
-    is asked for once per call.  The recursion carries the sorted prefix down.  The last slot's
-    nonzero (weight, x_last power) pairs depend only on that sorted prefix,
-    so they form one row, built at the first ordering of the prefix and
-    dropped at its last (the non-increasing one).  ``even_only`` skips odd
-    |mu|, for a model whose counts vanish there.  The ordered profiles are
+    is asked for once per call.  The recursion carries the sorted prefix
+    down.  The last slot's nonzero (weight, x_last power) pairs depend only
+    on that sorted prefix, so they form one row, built at the first ordering
+    of the prefix and dropped at its last (the non-increasing one).
+    ``even_only`` skips odd |mu|, for a model whose counts vanish there.  The ordered profiles are
     summed in lexicographic order, each term as ``w * scale * x_last**e``,
     so the sum is reproducible to the last bit.
     """
