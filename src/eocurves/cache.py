@@ -33,12 +33,9 @@ from pathlib import Path
 from . import catalan as cat
 from . import hurwitz as hur
 from .errors import CorruptCache
+from .hurwitz import MAX_BRANCH_POINTS
 from .rationals import qstr
 from .shared import profile_id, profile_items
-
-# Largest r = 2g - 2 + n + |mu| of a Hurwitz key, so |mu| <= r + 1: a cold
-# ``eo verify --suite all`` stores r <= 41; 400! is cheap.
-MAX_BRANCH_POINTS = 400
 
 
 def _flatten(g: int, mu: tuple[int, ...]) -> str:

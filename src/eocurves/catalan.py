@@ -441,7 +441,8 @@ def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
     exact automorphism-weighted count, and each weight is the same float as
     before.
     """
-    c = _count_memo.get((g, profile_ids.get(key)))
-    if c is None:
+    try:
+        c = _count_memo[g, profile_ids[key]]
+    except KeyError:
         c = _count(g, profile_id(key))
     return c / prod(key)

@@ -61,8 +61,15 @@ Q = Fraction
 _h_memo: dict[tuple[int, int], int] = memo({})
 
 
-# 0!, 1!, ..., (r + 1)! for the largest r a scale or a cache import has
-# needed; d = |mu| <= r + 1.  Factorials are constants, so no clear empties it.
+# Largest r = 2g - 2 + n + |mu| that a cache file may hold or the CLI takes,
+# so |mu| <= r + 1: a cold ``eo verify --suite all`` stores r <= 41; 400! is
+# cheap.
+MAX_BRANCH_POINTS = 400
+
+# 0!, 1!, ..., (r + 1)! for the largest r <= MAX_BRANCH_POINTS a scale or a
+# cache import has needed; d = |mu| <= r + 1.  Factorials are constants, so no
+# clear empties it; past MAX_BRANCH_POINTS they are formed for the one call,
+# so that no large g keeps a long row alive.
 _factorials = [1]
 
 
@@ -70,6 +77,8 @@ def _scale(g: int, mu: Sequence[int]) -> int:
     """r! d!, the factor between H_g(mu) and its memoized integer N_g(mu)."""
     d = sum(mu)
     r = 2 * g - 2 + len(mu) + d
+    if r > MAX_BRANCH_POINTS:
+        return factorial(r) * factorial(d)
     fact = _factorials
     while len(fact) <= r + 1:
         fact.append(fact[-1] * len(fact))
@@ -606,7 +615,8 @@ def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
     ``_hurwitz`` as before, so a cold probe fills the memo in the same order
     and each weight is the same float.
     """
-    count = _h_memo.get((g, profile_ids.get(key)))
-    if count is None:
+    try:
+        count = _h_memo[g, profile_ids[key]]
+    except KeyError:
         count = _hurwitz(g, profile_id(key))
     return count / _scale(g, key)

@@ -93,10 +93,7 @@ def sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
 # the interned profiles: sorted, largest part first
 profile_ids: dict[tuple[int, ...], int] = memo({})  # profile -> id
 profiles: list[tuple[int, ...]] = memo([])  # id -> profile
-_insertions: list[dict[int, int]] = memo([])  # id -> {part: id with that part}
-# the insertion table of every id until its first insertion, never written:
-# most profiles a cache file loads never get one
-_NO_INSERTIONS: dict[int, int] = {}
+_insertions: dict[int, dict[int, int]] = memo({})  # id -> {part: id with that part}
 
 
 def profile_id(profile: tuple[int, ...]) -> int:
@@ -105,26 +102,23 @@ def profile_id(profile: tuple[int, ...]) -> int:
     if pid is None:
         pid = profile_ids[profile] = len(profiles)
         profiles.append(profile)
-        _insertions.append(_NO_INSERTIONS)
     return pid
 
 
 def with_part(pid: int, part: int) -> int:
     """The id of the profile ``pid`` with one more part.
 
-    Read from the id's insertion table: both count recursions build every
-    sub-profile this way, and an int-keyed hit is cheaper than inserting,
-    re-sorting or hashing a tuple.
+    Read from the id's row of ``_insertions``, made at its first insertion:
+    both count recursions build every sub-profile this way, and an int-keyed
+    hit is cheaper than inserting, re-sorting or hashing a tuple.
     """
     try:
         return _insertions[pid][part]
     except KeyError:
-        row = _insertions[pid]
-        if row is _NO_INSERTIONS:
-            row = _insertions[pid] = {}
         key = profiles[pid]
         at = bisect(key, -part, key=neg)
-        grown = row[part] = profile_id(key[:at] + (part,) + key[at:])
+        grown = profile_id(key[:at] + (part,) + key[at:])
+        _insertions.setdefault(pid, {})[part] = grown
         return grown
 
 

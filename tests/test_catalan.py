@@ -199,12 +199,12 @@ def test_laplace_probe_weight_is_exact(g, n, xs, cap):
         lambda g, key: float(brute_force.dessin_number(g, len(key), key)), -1, g, n, xs, cap)
 
 
-def test_laplace_check_detects_corrupt_count(monkeypatch):
+def test_laplace_check_detects_corrupt_count(count_memos):
     assert report.laplace_check("catalan")(RunConfig())[0]
     # C_{1,1}(4) = 1 replaced by 2 where the probe reads it, as a poisoned
-    # cache would; on a copy, so nothing derived from it outlives the test
-    monkeypatch.setattr(cat, "_count_memo", dict(cat._count_memo))
-    monkeypatch.setitem(cat._count_memo, (1, shared.profile_id((4,))), 2)
+    # cache would; the fixture puts the memo back, so nothing derived from it
+    # outlives the test
+    cat._count_memo[1, shared.profile_id((4,))] = 2
     ok, residual = report.laplace_check("catalan")(RunConfig())
     assert not ok
     assert residual.startswith("max relative error")

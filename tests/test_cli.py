@@ -513,10 +513,10 @@ NOT_EXPORTED = "key {key!r} is not written as export writes it"
       for key in ("0,1, +6", "0,1,+6", "0,1,04", "0,1,\uff18", "0,1,2 ", "-0,1,2", "0,1,0402")),
     *((model, "0,1,2", "1/", BAD_INT + "''") for model in ("catalan", "hurwitz")),
 ])
-def test_cache_rejection_rules(tmp_path, monkeypatch, model, key, value, reason):
+def test_cache_rejection_rules(tmp_path, count_memos, model, key, value, reason):
     # a rejected entry costs one warning and does not stop the good entry after it
-    monkeypatch.setattr(cat, "_count_memo", {})
-    monkeypatch.setattr(hur, "_h_memo", {})
+    for memo in count_memos:
+        memo.clear()
     good = {"catalan": ("0,1,4", "2"), "hurwitz": ("0,1,3", "1/2")}[model]
     path = tmp_path / "c.json"
     path.write_text(json.dumps({model: {key: value, good[0]: good[1]}}))
@@ -529,10 +529,10 @@ def test_cache_rejection_rules(tmp_path, monkeypatch, model, key, value, reason)
         "catalan": ({(0, (4,)): 2}, {}), "hurwitz": ({}, {(0, (3,)): 6})}[model]
 
 
-def test_cache_accepts_integer_values_through_their_text(tmp_path, monkeypatch):
+def test_cache_accepts_integer_values_through_their_text(tmp_path, count_memos):
     # a JSON number is read as its decimal text: an int is a count like "1"
-    monkeypatch.setattr(cat, "_count_memo", {})
-    monkeypatch.setattr(hur, "_h_memo", {})
+    for memo in count_memos:
+        memo.clear()
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"catalan": {"0,1,2": 1}, "hurwitz": {"0,2,2,2": 1}}))
     warnings = []
@@ -571,14 +571,14 @@ def test_cache_rejects_oversized_keys_unread(tmp_path, monkeypatch):
     assert not hur._h_memo and hur._factorials == [1]
 
 
-def test_poisoned_count_fails_only_the_laplace_probe(tmp_path, capsys, monkeypatch):
+def test_poisoned_count_fails_only_the_laplace_probe(tmp_path, capsys, count_memos):
     # a whole number for a valid profile passes import (C_{1,1}(4) is 1);
     # the catalan-laplace probe, which reads the memo, is what sees it.  The
     # counts the probe computes from the forged one are wrong too, hence
     # 4.86e-01 here against 4.83e-01 for the forged entry alone.  The failed
     # run exports nothing, so they do not reach the file.
-    monkeypatch.setattr(cat, "_count_memo", {})
-    monkeypatch.setattr(hur, "_h_memo", {})
+    for memo in count_memos:
+        memo.clear()
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"catalan": {"1,1,4": "2"}}))
     forged = path.read_bytes()
@@ -591,11 +591,11 @@ def test_poisoned_count_fails_only_the_laplace_probe(tmp_path, capsys, monkeypat
     assert path.read_bytes() == forged
 
 
-def test_passing_cold_run_writes_the_cache(tmp_path, capsys, monkeypatch):
+def test_passing_cold_run_writes_the_cache(tmp_path, capsys, monkeypatch, count_memos):
     # the same run from no file and empty memos passes and exports what it
     # computed, the true counts among it
-    monkeypatch.setattr(cat, "_count_memo", {})
-    monkeypatch.setattr(hur, "_h_memo", {})
+    for memo in count_memos:
+        memo.clear()
     path = tmp_path / "c.json"
     exports = _count_exports(monkeypatch)
     code, out = run_cli(capsys, "--cache", str(path), "verify", "--suite", "catalan",
@@ -859,10 +859,10 @@ def test_interrupted_export_keeps_the_old_file(tmp_path, monkeypatch):
     ("d", ["cache: unreadable file {p}: ", "cache: could not write {p}: "]),
     ("f/c.json", ["cache: could not write {p}: "]),
 ], ids=["directory", "under-a-file"])
-def test_unwritable_cache_keeps_the_exit_code(tmp_path, capsys, monkeypatch,
+def test_unwritable_cache_keeps_the_exit_code(tmp_path, capsys, count_memos,
                                               target, warnings):
-    monkeypatch.setattr(cat, "_count_memo", {})
-    monkeypatch.setattr(hur, "_h_memo", {})
+    for memo in count_memos:
+        memo.clear()
     (tmp_path / "d").mkdir()
     (tmp_path / "f").write_text("")
     path = tmp_path / target
@@ -885,9 +885,9 @@ def test_unwritable_cache_keeps_the_exit_code(tmp_path, capsys, monkeypatch,
     None,
     {"catalan": [1]},
 ], ids=["short-catalan-key", "short-hurwitz-key", "list", "null", "list-table"])
-def test_malformed_cache_is_rejected_and_rewritten(tmp_path, capsys, monkeypatch, payload):
-    monkeypatch.setattr(cat, "_count_memo", {})
-    monkeypatch.setattr(hur, "_h_memo", {})
+def test_malformed_cache_is_rejected_and_rewritten(tmp_path, capsys, count_memos, payload):
+    for memo in count_memos:
+        memo.clear()
     path = tmp_path / "c.json"
     path.write_text(json.dumps(payload))
     code = main(["--cache", str(path), "catalan", "count", "--g", "0", "--n", "1",

@@ -32,6 +32,15 @@ def test_base_values():
             assert hur.hurwitz_number(0, 2, [a, b]) == expect
 
 
+def test_large_genus_keeps_no_factorial_row():
+    # r! d! past MAX_BRANCH_POINTS is formed for the one call: a count at a
+    # huge genus (here a fast zero, r = 10000) grows no process-wide row
+    before = list(hur._factorials)
+    assert hur.hurwitz_number(5000, 1, [1]) == 0
+    assert hur._factorials == before
+    assert len(before) <= hur.MAX_BRANCH_POINTS + 2
+
+
 def test_against_monodromy_oracle():
     # (2, 2) and (2, 1, 1) repeat a part, so the split term's labeled ways
     # and binomial weights are checked against the permutation count too;
@@ -166,13 +175,13 @@ def test_laplace_probe_weight_is_exact(g, n, xs, cap):
         lambda g, key: float(hur.hurwitz_number(g, len(key), key)), 1, g, n, xs, cap)
 
 
-def test_laplace_check_detects_corrupt_count(monkeypatch):
+def test_laplace_check_detects_corrupt_count(count_memos):
     assert report.laplace_check("hurwitz")(RunConfig())[0]
     # N_0(1,1,1) doubled where the probe reads it, as a poisoned cache would;
-    # on a copy, so nothing derived from it outlives the test
-    monkeypatch.setattr(hur, "_h_memo", dict(hur._h_memo))
+    # the fixture puts the memo back, so nothing derived from it outlives the
+    # test
     key = 0, shared.profile_id((1, 1, 1))
-    monkeypatch.setitem(hur._h_memo, key, 2 * hur._h_memo[key])
+    hur._h_memo[key] *= 2
     ok, residual = report.laplace_check("hurwitz")(RunConfig())
     assert not ok
     assert residual.startswith("max relative error")
