@@ -1,12 +1,12 @@
 """Persistent JSON caches for the two memoized counting tables.
 
 Keys flatten to "g,n,mu1,...,mun"; values are decimal integer strings
-for the graph counts and "p/q" strings for the Hurwitz numbers.  The memos
-key each entry (g, profile id), so export writes the profile of each id and
-import interns each profile it loads: ids stay inside the process, and the
-file is in json's sorted key order, whatever order the memos were filled
-in.  The Hurwitz memo holds the integers r! d! H, which import computes as
-p (r! d! / q) in integers.
+for the graph counts and "p/q" strings for the Hurwitz numbers.  Each memo
+holds one table per genus keyed by profile id, so export writes the profile
+of each id and import interns each profile it loads into its genus's table:
+ids stay inside the process, and the file is in json's sorted key order,
+whatever order the memos were filled in.  The Hurwitz memo holds the
+integers r! d! H, which import computes as p (r! d! / q) in integers.
 
 Import reads each entry once and rejects it with a warning at the first of
 these rules it breaks; a rejected count is recomputed, not trusted.
@@ -121,7 +121,7 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
                 if not hurwitz:
                     if p % q or p < 0:
                         raise CorruptCache(f"count {key} = {value} is not a whole number")
-                    memo[g, profile_id(tuple(mu))] = p // q
+                    memo[g][profile_id(tuple(mu))] = p // q
                 else:
                     if p < 0:
                         raise CorruptCache(f"count {key} = {value} is negative")
@@ -131,7 +131,7 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
                     if scale % q:
                         raise CorruptCache(f"count {key} = {value}: denominator {q} "
                                            "does not divide r! d!")
-                    memo[g, profile_id(tuple(mu))] = p * (scale // q)
+                    memo[g][profile_id(tuple(mu))] = p * (scale // q)
                 loaded[model] += 1
             except (CorruptCache, ValueError) as exc:
                 warn(f"cache: rejecting {key!r}: {exc}")

@@ -36,6 +36,7 @@ from .shared import (
     stable_splits,
     submultisets,
     with_part,
+    without_part,
 )
 from .shared import clear_caches, principal_ratfunc, stable_levels  # public in both models
 
@@ -45,7 +46,7 @@ Q = Fraction
 # counting: the edge-shrinking recursion
 # ---------------------------------------------------------------------------
 
-_count_memo: dict[tuple[int, int], int] = memo({})  # (g, profile id) -> count
+_count_memo: shared.GenusTables = memo(shared.GenusTables())  # g -> {profile id: count}
 
 
 @memo
@@ -67,16 +68,12 @@ def _splits_by_parity(rest: int) -> tuple[tuple[tuple[shared.Split, ...], ...], 
 
 def _count(g: int, pid: int) -> int:
     """Arrowed cellular-graph count for the profile id pid; pure recursion, memoized."""
-    key = (g, pid)
-    # sub-memo hits, stored zeros included, are read inline; the loops below
-    # ask only for profiles with even |mu|, no zero part and g >= 0, so the
-    # only calls are for entries the memo does not hold yet
-    get = _count_memo.get
-    cached = get(key)
-    if cached is not None:
-        return cached
     if g < 0:
         return 0
+    own = _count_memo[g]
+    cached = own.get(pid)
+    if cached is not None:
+        return cached
     mu = profiles[pid]
     if mu[-1] == 0:
         return 1 if (g, mu) == (0, (0,)) else 0
@@ -86,15 +83,19 @@ def _count(g: int, pid: int) -> int:
     mu1, rest = mu[0], mu[1:]
     if mu1 == 1:
         # every degree is 1: one edge joins two vertices, or nothing does
-        _count_memo[key] = total = int((g, mu) == (0, (1, 1)))
+        own[pid] = total = int((g, mu) == (0, (1, 1)))
         return total
+    # sub-memo hits, stored zeros included, are read inline; the loops below
+    # ask only for profiles with even |mu|, no zero part and g >= 0, so the
+    # only calls are for entries the memo does not hold yet
     total = 0
+    rest_id = without_part(pid, mu1)
     # shrink the arrowed edge joining vertex 1 to another vertex
-    for j, mj in enumerate(rest):
-        merged = (g, with_part(profile_id(rest[:j] + rest[j + 1:]), mu1 + mj - 2))
-        c = get(merged)
+    for mj in rest:
+        merged = with_part(without_part(rest_id, mj), mu1 + mj - 2)
+        c = own.get(merged)
         if c is None:
-            c = _count(*merged)
+            c = _count(g, merged)
         total += mj * c
     # shrink an arrowed loop at vertex 1 into loops of degrees a and
     # b = mu1 - 2 - a, splitting the other vertices between them.  Swapping
@@ -104,42 +105,43 @@ def _count(g: int, pid: int) -> int:
     # At a = 0 the genus drop has a zero part, and C_g1((0) + L) is 1 only
     # for g1 = 0, L = (), so the term is C_g((mu1 - 2) + rest); for mu1 = 2
     # (a = b = 0) that is C_g((0) + rest), which is 1 only for C_0((2)).
-    rest_id = profile_id(rest)
     if mu1 == 2:
         total += int((g, mu) == (0, (2,)))
     else:
-        k0 = (g, with_part(rest_id, mu1 - 2))
-        c = get(k0)
+        k0 = with_part(rest_id, mu1 - 2)
+        c = own.get(k0)
         if c is None:
-            c = _count(*k0)
+            c = _count(g, k0)
         total += 2 * c
     if mu1 >= 4:
         whole, half = _splits_by_parity(rest_id)
+        tables = [_count_memo[g1] for g1 in range(g + 1)]  # C_g1 at tables[g1], picked once
+        pairs = tuple(zip(range(g + 1), tables, reversed(tables)))  # (g1, C_g1, C_{g-g1})
     for a in range(1, mu1 // 2):
         b = mu1 - 2 - a
         term = 0
         if g:
-            drop = (g - 1, with_part(with_part(rest_id, a), b))
-            term = get(drop)
+            drop = with_part(with_part(rest_id, a), b)
+            term = tables[g - 1].get(drop)
             if term is None:
-                term = _count(*drop)
+                term = _count(g - 1, drop)
         # both sides' sums even; at a = b a split and its complement give
         # the same term, so the mirrored half counts it
         for left, right, _, _, ways in (half if a == b else whole)[a % 2]:
             ka = with_part(left, a)
             kb = with_part(right, b)
-            for g1 in range(g + 1):
-                ca = get((g1, ka))
+            for g1, ta, tb in pairs:
+                ca = ta.get(ka)
                 if ca is None:
                     ca = _count(g1, ka)
                 if ca:
-                    cb = get((g - g1, kb))
+                    cb = tb.get(kb)
                     if cb is None:
                         cb = _count(g - g1, kb)
                     term += ways * ca * cb
         total += term if a == b else 2 * term
 
-    _count_memo[key] = total
+    own[pid] = total
     return total
 
 
@@ -150,9 +152,7 @@ def catalan_count(g: int, n: int, mu: Sequence[int]) -> int:
         raise InvalidProfile(f"need n >= 1 vertices, got n={n}, mu={tuple(mu)}")
     if g < 0 or key[-1] < 0:
         raise InvalidProfile(f"bad profile (g={g}, mu={tuple(mu)})")
-    pid = profile_id(key)
-    count = _count_memo.get((g, pid))
-    return _count(g, pid) if count is None else count
+    return _count(g, profile_id(key))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
     before.
     """
     try:
-        c = _count_memo[g, profile_ids[key]]
+        c = _count_memo[g][profile_ids[key]]
     except KeyError:
         c = _count(g, profile_id(key))
     return c / prod(key)

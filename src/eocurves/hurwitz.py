@@ -46,6 +46,7 @@ from .shared import (
     stable_splits,
     submultisets,
     with_part,
+    without_part,
 )
 from .shared import clear_caches, principal_ratfunc, stable_levels  # public in both models
 
@@ -57,8 +58,8 @@ Q = Fraction
 
 # N_g(mu) = r! d! H_g(mu), with r = 2g - 2 + n + |mu| simple branch points
 # and degree d = |mu|.  Scaled this way the cut-and-join recursion has
-# integer coefficients, so the memo holds integers, keyed (g, profile id).
-_h_memo: dict[tuple[int, int], int] = memo({})
+# integer coefficients, so the memo holds integers, per genus and profile id.
+_h_memo: shared.GenusTables = memo(shared.GenusTables())  # g -> {profile id: N}
 
 
 # Largest r = 2g - 2 + n + |mu| that a cache file may hold or the CLI takes,
@@ -93,40 +94,36 @@ def _binomial_row(m: int) -> tuple[int, ...]:
 
 def _hurwitz(g: int, pid: int) -> int:
     """N_g(mu) for the profile id pid: cut-and-join r H = join + cut, times (r-1)! d!."""
-    key = (g, pid)
-    # sub-memo hits, stored zeros included, are read inline; the loops below
-    # ask only for g >= 0 and r >= 1, apart from N_0((1)) = 1, so the only
-    # calls are for entries the memo does not hold yet
-    get = _h_memo.get
-    cached = get(key)
-    if cached is not None:
-        return cached
     if g < 0:
         return 0
+    own = _h_memo[g]
+    cached = own.get(pid)
+    if cached is not None:
+        return cached
     mu = profiles[pid]
     d = sum(mu)
     r = 2 * g - 2 + len(mu) + d
     if r <= 0:
         return 1 if (g, mu) == (0, (1,)) else 0
 
+    # sub-memo hits, stored zeros included, are read inline; the loops below
+    # ask only for g >= 0 and r >= 1, apart from N_0((1)) = 1, so the only
+    # calls are for entries the memo does not hold yet.
     # Every term below is doubled, so that the cut's factor 1/2 stays integral.
     twice = 0
     values = sorted(set(mu), reverse=True)
     mult = {v: mu.count(v) for v in values}
-    # join two poles: same g and d, one branch point fewer, so N carries over;
-    # removing a and b by index leaves the profile sorted
+    # join two poles: same g and d, one branch point fewer, so N carries over
     for i, a in enumerate(values):
-        at_a = mu.index(a)
-        without_a = mu[:at_a] + mu[at_a + 1:]
+        without_a = without_part(pid, a)
         for b in values[i:]:
             twice_pairs = mult[a] * (mult[a] - 1) if a == b else 2 * mult[a] * mult[b]
             if not twice_pairs:
                 continue
-            at_b = without_a.index(b)
-            joined = (g, with_part(profile_id(without_a[:at_b] + without_a[at_b + 1:]), a + b))
-            nj = get(joined)
+            joined = with_part(without_part(without_a, b), a + b)
+            nj = own.get(joined)
             if nj is None:
-                nj = _hurwitz(*joined)
+                nj = _hurwitz(g, joined)
             twice += twice_pairs * (a + b) * nj
     # cut one pole in two: a genus drop carries N over; a split into
     # (g1, d1) and (g - g1, d - d1) shares out r - 1 branch points and d sheets.
@@ -135,36 +132,38 @@ def _hurwitz(g: int, pid: int) -> int:
     # alpha stops at beta and a term with alpha < beta counts twice.
     # At alpha = beta a split and its complement give the same term too, so
     # the mirrored half of the splits counts it.
-    shares = _binomial_row(r - 1)
-    sheets = _binomial_row(d)
-    unit = profile_id((1,))  # N_0((1)) = 1 is not in the memo
+    if values[0] > 1:  # only when a pole can be cut
+        shares = _binomial_row(r - 1)
+        sheets = _binomial_row(d)
+        tables = [_h_memo[g1] for g1 in range(g + 1)]  # N_g1 at tables[g1], picked once
+        pairs = tuple(zip(range(g + 1), tables, reversed(tables)))  # (g1, N_g1, N_{g-g1})
+        unit = profile_id((1,))  # N_0((1)) = 1 is not in the memo
     for v in values:
         if v == 1:
             break  # a pole of order 1 is not cut
-        i = mu.index(v)
-        rest = profile_id(mu[:i] + mu[i + 1:])
+        rest = without_part(pid, v)
         splits = submultisets(rest)
         cut = 0
         for alpha in range(1, v // 2 + 1):
             beta = v - alpha
             term = 0
             if g:
-                drop = (g - 1, with_part(with_part(rest, alpha), beta))
-                term = get(drop)
+                drop = with_part(with_part(rest, alpha), beta)
+                term = tables[g - 1].get(drop)
                 if term is None:
-                    term = _hurwitz(*drop)
+                    term = _hurwitz(g - 1, drop)
             for sub, left, size, parts, ways in mirrored_half(rest) if alpha == beta else splits:
                 ka = with_part(sub, alpha)
                 kb = with_part(left, beta)
                 d1 = size + alpha
                 weight = ways * sheets[d1]
                 r1 = parts + d1 - 1  # at g1 = 0, as ka has parts + 1 parts; each genus adds 2
-                for g1 in range(g + 1):
-                    na = get((g1, ka))
+                for g1, ta, tb in pairs:
+                    na = ta.get(ka)
                     if na is None:
                         na = 1 if ka == unit and not g1 else _hurwitz(g1, ka)
                     if na:
-                        nb = get((g - g1, kb))
+                        nb = tb.get(kb)
                         if nb is None:
                             nb = 1 if kb == unit and g1 == g else _hurwitz(g - g1, kb)
                         if nb:
@@ -175,7 +174,7 @@ def _hurwitz(g: int, pid: int) -> int:
     result, odd = divmod(twice, 2)
     if odd:
         raise ExactDivisionError(f"cut-and-join sum for (g={g}, mu={mu}) is odd")
-    _h_memo[key] = result
+    own[pid] = result
     return result
 
 
@@ -184,11 +183,7 @@ def hurwitz_number(g: int, n: int, mu: Sequence[int]) -> Fraction:
     key = _sorted_key(mu)
     if n < 1 or len(key) != n or g < 0 or key[-1] < 1:
         raise InvalidProfile(f"bad profile (g={g}, n={n}, mu={tuple(mu)})")
-    pid = profile_id(key)
-    count = _h_memo.get((g, pid))
-    if count is None:
-        count = _hurwitz(g, pid)
-    return Fraction(count, _scale(g, key))
+    return Fraction(_hurwitz(g, profile_id(key)), _scale(g, key))
 
 
 def labeled_hurwitz(g: int, mu: Sequence[int]) -> Fraction:
@@ -616,7 +611,7 @@ def _laplace_weight(g: int, key: tuple[int, ...]) -> float:
     and each weight is the same float.
     """
     try:
-        count = _h_memo[g, profile_ids[key]]
+        count = _h_memo[g][profile_ids[key]]
     except KeyError:
         count = _hurwitz(g, profile_id(key))
     return count / _scale(g, key)

@@ -17,11 +17,13 @@ coordinate map, as an argument.
 
 Both count recursions run on profile ids: every sorted profile they meet is
 interned once by ``profile_id`` (``profile_ids`` maps a profile to its small
-int id, ``profiles`` maps the id back), their memos are keyed ``(g, id)``,
-``with_part`` inserts a part into an id's profile and returns the new id, and
-``submultisets`` and ``mirrored_half`` hand out splits as ids.  Ids are
-process-local: the cache file, every printed answer and every error text key
-by the profile itself, translated at the boundary through ``profiles``.
+int id, ``profiles`` maps the id back).  Their memos are ``GenusTables``, one
+``{id: count}`` table per genus, picked once per recursion entry.
+``with_part`` and ``without_part`` add or remove one part of an id's profile
+and return the new id; ``submultisets`` and ``mirrored_half`` hand out splits
+as ids.  Ids are process-local: the cache file, every printed answer and every
+error text key by the profile itself, translated at the boundary through
+``profiles``.
 
 Every memo table of both models, of these helpers and of the characters is
 recorded here by ``memo``, the id tables included; ``clear_caches`` empties
@@ -94,6 +96,7 @@ def sorted_key(entries: Iterable[int]) -> tuple[int, ...]:
 profile_ids: dict[tuple[int, ...], int] = memo({})  # profile -> id
 profiles: list[tuple[int, ...]] = memo([])  # id -> profile
 _insertions: dict[int, dict[int, int]] = memo({})  # id -> {part: id with that part}
+_removals: dict[int, dict[int, int]] = memo({})  # id -> {part: id with one fewer}
 
 
 def profile_id(profile: tuple[int, ...]) -> int:
@@ -117,14 +120,35 @@ def with_part(pid: int, part: int) -> int:
     except KeyError:
         key = profiles[pid]
         at = bisect(key, -part, key=neg)
-        grown = profile_id(key[:at] + (part,) + key[at:])
-        _insertions.setdefault(pid, {})[part] = grown
+        grown = _insertions.setdefault(pid, {})[part] = profile_id(key[:at] + (part,) + key[at:])
         return grown
 
 
-def profile_items(table: dict[tuple[int, int], object]) -> list:
-    """The items of a memo keyed (g, id) as ((g, profile), value), in its order."""
-    return [((g, profiles[pid]), value) for (g, pid), value in table.items()]
+def without_part(pid: int, part: int) -> int:
+    """The id of the profile ``pid`` with one ``part`` fewer, from ``_removals``
+    as ``with_part`` reads ``_insertions``; ``part`` must be in the profile."""
+    try:
+        return _removals[pid][part]
+    except KeyError:
+        key = profiles[pid]
+        at = key.index(part)
+        shrunk = _removals.setdefault(pid, {})[part] = profile_id(key[:at] + key[at + 1:])
+        return shrunk
+
+
+class GenusTables(dict):
+    """A count memo, genus -> {profile id: count}; ``len`` is the number of counts."""
+
+    def __missing__(self, g: int) -> dict[int, object]:
+        return self.setdefault(g, {})
+
+    def __len__(self) -> int:
+        return sum(map(len, self.values()))
+
+
+def profile_items(memo: GenusTables) -> list:
+    """The counts of a memo as ((g, profile), value), genus by genus."""
+    return [((g, profiles[pid]), v) for g, table in memo.items() for pid, v in table.items()]
 
 
 # (sub id, complement id, size, parts, labeled ways)
@@ -138,19 +162,20 @@ def submultisets(rest: int) -> tuple[Split, ...]:
     ``rest``, ``sub`` and the complement are profile ids; ``size`` is
     ``sum(sub)`` and ``parts`` is ``len(sub)``.  Mirror order: entry ``i``
     and entry ``N - 1 - i`` (of ``N``) trade ``sub`` with the complement
-    and have equal ways, so their sizes add to the sum of ``rest``; when
-    ``N`` is odd the middle entry is its own complement.  Memoized: both
-    count recursions ask it again and again for the same profile, and
-    every caller shares the one immutable result.
+    (read as the mirror's ``sub``) and have equal ways, so their sizes add
+    to the sum of ``rest``; when ``N`` is odd the middle entry is its own
+    complement.  Memoized: both count recursions ask it again and again for
+    the same profile, and every caller shares the one immutable result.
     """
     profile = profiles[rest]
-    splits = [((), (), 0, 1)]
+    splits = [((), 0, 1)]
     for v in sorted(set(profile), reverse=True):
         m = profile.count(v)
-        splits = [(sub + (v,) * k, left + (v,) * (m - k), size + k * v, ways * comb(m, k))
-                  for sub, left, size, ways in splits for k in range(m + 1)]
-    return tuple((profile_id(sub), profile_id(left), size, len(sub), ways)
-                 for sub, left, size, ways in splits)
+        splits = [(sub + (v,) * k, size + k * v, ways * comb(m, k))
+                  for sub, size, ways in splits for k in range(m + 1)]
+    subs = [profile_id(sub) for sub, _, _ in splits]
+    return tuple((pid, left, size, len(sub), ways)
+                 for pid, left, (sub, size, ways) in zip(subs, reversed(subs), splits))
 
 
 @memo

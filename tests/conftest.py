@@ -13,7 +13,7 @@ def count_memos():
 
     A test that forges or empties a count works on the registered dicts
     themselves: a dict rebound in their place is not one that
-    ``shared.clear_caches`` empties, so after a clear its (g, id) entries
+    ``shared.clear_caches`` empties, so after a clear its id-keyed entries
     would answer for other profiles under reused ids.  The entries are saved
     by profile, so they are put back right even if the test cleared the ids,
     and whatever the test derived from a forged count is dropped.
@@ -23,4 +23,5 @@ def count_memos():
     yield memos
     for memo, items in zip(memos, saved):
         memo.clear()
-        memo.update(((g, profile_id(mu)), value) for (g, mu), value in items)
+        for (g, mu), value in items:
+            memo[g][profile_id(mu)] = value

@@ -204,7 +204,7 @@ def test_laplace_check_detects_corrupt_count(count_memos):
     # C_{1,1}(4) = 1 replaced by 2 where the probe reads it, as a poisoned
     # cache would; the fixture puts the memo back, so nothing derived from it
     # outlives the test
-    cat._count_memo[1, shared.profile_id((4,))] = 2
+    cat._count_memo[1][shared.profile_id((4,))] = 2
     ok, residual = report.laplace_check("catalan")(RunConfig())
     assert not ok
     assert residual.startswith("max relative error")

@@ -344,10 +344,11 @@ def test_cache_roundtrip_of_a_full_cold_run(tmp_path):
 
 
 def test_export_writes_by_profile_not_by_id(tmp_path):
-    # the memos key (g, id) and ids follow the order in which the process met
-    # each profile: a loaded file first, then queries largest first.  The file
-    # written must be the one the sorted (g, profile) items give, and the one
-    # a cold run of the same counts in ascending order writes.
+    # the memos key each genus's counts by id, and ids follow the order in
+    # which the process met each profile: a loaded file first, then queries
+    # largest first.  The file written must be the one the sorted (g, profile)
+    # items give, and the one a cold run of the same counts in ascending order
+    # writes.
     asked = [("catalan", g, mu) for g in (0, 1) for mu in ((2, 2, 2), (4, 2), (6,))] + \
             [("hurwitz", g, mu) for g in (0, 1) for mu in ((1, 1, 1), (2, 1), (4,))]
     count = {"catalan": cat.catalan_count, "hurwitz": hur.hurwitz_number}
@@ -366,8 +367,8 @@ def test_export_writes_by_profile_not_by_id(tmp_path):
         count[model](g, len(mu), mu)
     memos = {"catalan": cat._count_memo, "hurwitz": hur._h_memo}
     # the ids are out of profile order, so an export by id would show it
-    assert any(sorted(memo) != sorted(memo, key=lambda k: (k[0], shared.profiles[k[1]]))
-               for memo in memos.values())
+    assert any(sorted(table) != sorted(table, key=shared.profiles.__getitem__)
+               for memo in memos.values() for table in memo.values())
     export_caches(out)
     text = {"catalan": lambda g, mu, v: str(v),
             "hurwitz": lambda g, mu, v: qstr(hur.hurwitz_number(g, len(mu), mu))}

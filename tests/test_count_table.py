@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from eocurves import catalan as cat
 from eocurves import hurwitz as hur
 from eocurves import schur, shared
+from eocurves.cache import export_caches, import_caches
 from eocurves.shared import (
     mirrored_half,
     profile_id,
@@ -22,21 +23,22 @@ from eocurves.shared import (
     sorted_key,
     submultisets,
     with_part,
+    without_part,
 )
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "count-table.json"
 
 # model -> (count function, memo, entries the box's recursion leaves in the
-# memo, SHA-256 of their sorted (g, profile) items, with_part calls the
-# recursion makes); g <= 2, n <= 3 and |mu| <= 20 (Catalan) or 14 (Hurwitz)
-# throughout, as pinned.  The memo closure, and with it the call count, does
-# not depend on the query order.
+# memo, SHA-256 of their sorted (g, profile) items, with_part and without_part
+# calls the recursion makes); g <= 2, n <= 3 and |mu| <= 20 (Catalan) or 14
+# (Hurwitz) throughout, as pinned.  The memo closure, and with it the call
+# counts, does not depend on the query order.
 BOX = {"catalan": (cat.catalan_count, cat._count_memo, 929,
                    "49d28260f6292864b42cc2e1b01faa6574d295b888b128a84c506c586fc59fd3",
-                   16251),
+                   16251, 2988),
        "hurwitz": (hur.hurwitz_number, hur._h_memo, 708,
                    "f52a9a39b65d948054449892267c4524cf9ff8d6302079050fd63b2b15a46e5c",
-                   25012)}
+                   25012, 4734)}
 
 
 def _box_order(keys, seed):
@@ -56,19 +58,23 @@ def _box_order(keys, seed):
 def _check_box(model, seed, monkeypatch):
     """Ask the box in ``_box_order(seed)`` from cold memos and fresh ids,
     against the pinned answers, memo closure, digest and call counts."""
-    count, memo, closure, digest, insertions = BOX[model]
+    count, memo, closure, digest, insertions, removals = BOX[model]
     # the recursions build every sub-key by insertion, so a profile is sorted
     # once per query, at the public entry point, and never inside a recursion
     sorts = []
-    # one insertion per sub-key built, hit or miss: a work count no machine
-    # speed moves (each mirrored split at a = b or alpha = beta is visited once)
-    inserts = []
+    # one insertion or removal per sub-key built, hit or miss: work counts no
+    # machine speed moves (each mirrored split at a = b or alpha = beta is
+    # visited once)
+    inserts, removes = [], []
     for module in (cat, hur):
         monkeypatch.setattr(module, "_sorted_key",
                             lambda mu, sort=module._sorted_key: sorts.append(mu) or sort(mu))
         monkeypatch.setattr(module, "with_part",
                             lambda pid, part, insert=module.with_part:
                             inserts.append(part) or insert(pid, part))
+        monkeypatch.setattr(module, "without_part",
+                            lambda pid, part, remove=module.without_part:
+                            removes.append(part) or remove(pid, part))
     pinned = {}
     for key, value in json.loads(GOLDEN.read_text()).items():
         name, g, mu = key.split(":")
@@ -80,9 +86,11 @@ def _check_box(model, seed, monkeypatch):
         assert str(count(g, len(mu), mu)) == pinned[g, mu], (model, g, mu)
     assert len(sorts) == len(pinned)
     assert len(inserts) == insertions
+    assert len(removes) == removals
     assert len(memo) == closure
     # every by-product key and value, not only the queried ones
     view = sorted(profile_items(memo))
+    assert len(view) == closure
     assert hashlib.sha256(repr(view).encode()).hexdigest() == digest
 
 
@@ -97,6 +105,29 @@ def test_counts_match_pinned_table(model, monkeypatch):
 @pytest.mark.parametrize("model", sorted(BOX))
 def test_counts_do_not_depend_on_the_query_order(model, seed, monkeypatch):
     _check_box(model, seed, monkeypatch)
+
+
+@pytest.mark.parametrize("model", sorted(BOX))
+def test_memo_length_is_its_number_of_counts(model, count_memos, tmp_path):
+    # len() of a memo sums its genus tables, as the benchmark reads it, after
+    # a fill, an import and a forged count at a new genus; a genus table made
+    # by a read adds nothing
+    count, memo = BOX[model][:2]
+    shared.clear_caches()
+    count(1, 2, (3, 1))
+    assert len(memo) == len(profile_items(memo)) > 1
+    path = tmp_path / "c.json"
+    export_caches(path)
+    shared.clear_caches()
+    assert len(memo) == 0
+    assert memo[5] == {} and len(memo) == 0
+    import_caches(path)
+    filled = len(profile_items(memo))
+    assert len(memo) == filled > 1
+    memo[7][profile_id((2, 2))] = 1
+    assert len(memo) == len(profile_items(memo)) == filled + 1
+    shared.clear_caches()
+    assert len(memo) == 0 and not memo
 
 
 PROFILES = st.lists(st.integers(1, 4), max_size=6).map(lambda v: tuple(sorted(v, reverse=True)))
@@ -158,12 +189,19 @@ def test_with_part_inserts_into_the_sorted_key(key, part):
     assert grown == profile_id(sorted_key(key + (part,))) == with_part(profile_id(key), part)
 
 
+@given(st.lists(st.integers(0, 6), max_size=6).map(sorted_key), st.integers(0, 8))
+def test_without_part_undoes_with_part(key, part):
+    pid = profile_id(key)
+    assert without_part(with_part(pid, part), part) == pid
+
+
 def _size(table) -> int:
     return len(table) if isinstance(table, (dict, list)) else table.cache_info().currsize
 
 
-# the profile id tables: profile -> id, id -> profile, id -> insertions
-ID_TABLES = ("profile_ids", "profiles", "_insertions")
+# the profile id tables: profile -> id, id -> profile, id -> insertions and
+# removals
+ID_TABLES = ("profile_ids", "profiles", "_insertions", "_removals")
 
 
 @pytest.mark.parametrize("model", [cat, hur])
@@ -219,7 +257,8 @@ def test_no_id_keyed_entry_outlives_clear_caches():
     first_ids = list(profiles)
     first_views = [dict(profile_items(memo)) for memo in (cat._count_memo, hur._h_memo)]
     id_keyed = {"profile_ids": shared.profile_ids, "profiles": profiles,
-                "_insertions": shared._insertions, "_count_memo": cat._count_memo,
+                "_insertions": shared._insertions, "_removals": shared._removals,
+                "_count_memo": cat._count_memo,
                 "_h_memo": hur._h_memo, "submultisets": submultisets,
                 "mirrored_half": mirrored_half, "_splits_by_parity": cat._splits_by_parity}
     assert [name for name, table in id_keyed.items() if not _size(table)] == []

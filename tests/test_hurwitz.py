@@ -43,6 +43,14 @@ def test_large_genus_keeps_no_factorial_row():
     assert len(before) <= hur.MAX_BRANCH_POINTS + 2
 
 
+def test_uncuttable_profile_builds_no_binomial_row():
+    # a profile of ones has no pole to cut, so the cut's binomial rows of
+    # r - 1 = 2999 and d are not built for the zero it returns
+    before = hur._binomial_row.cache_info().currsize
+    assert hur.hurwitz_number(1500, 1, [1]) == 0
+    assert hur._binomial_row.cache_info().currsize == before
+
+
 def test_against_monodromy_oracle():
     # (2, 2) and (2, 1, 1) repeat a part, so the split term's labeled ways
     # and binomial weights are checked against the permutation count too;
@@ -182,8 +190,7 @@ def test_laplace_check_detects_corrupt_count(count_memos):
     # N_0(1,1,1) doubled where the probe reads it, as a poisoned cache would;
     # the fixture puts the memo back, so nothing derived from it outlives the
     # test
-    key = 0, shared.profile_id((1, 1, 1))
-    hur._h_memo[key] *= 2
+    hur._h_memo[0][shared.profile_id((1, 1, 1))] *= 2
     ok, residual = report.laplace_check("hurwitz")(RunConfig())
     assert not ok
     assert residual.startswith("max relative error")
