@@ -14,7 +14,8 @@ these rules it breaks; a rejected count is recomputed, not trusted.
    "+", space, leading zero or non-ASCII digit), with n parts and g >= 0.
 2. mu is a profile the recursion stores: sorted, parts >= 1, and |mu| even
    (Catalan) or r = 2g - 2 + n + |mu| >= 1 (Hurwitz).
-3. A Hurwitz key has r <= MAX_BRANCH_POINTS: no r! d! is formed past it.
+3. A Hurwitz key has r <= MAX_BRANCH_POINTS: no r! d! is formed past it, and
+   export writes no count past it.
 4. The value is "p" or "p/q" with integers p and q > 0 (q not empty).
 5. Catalan: q divides p, and p >= 0.  Hurwitz: p >= 0, and q divides r! d!.
 A file that is not JSON, or whose top level or tables are not objects, is
@@ -56,8 +57,10 @@ def export_caches(path: Path) -> dict:
     payload = {
         "catalan": {_flatten(g, mu): str(v)
                     for (g, mu), v in profile_items(cat._count_memo)},
+        # only the keys import takes: no r past MAX_BRANCH_POINTS (rule 3)
         "hurwitz": {_flatten(g, mu): qstr(Fraction(v, hur._scale(g, mu)))
-                    for (g, mu), v in profile_items(hur._h_memo)},
+                    for (g, mu), v in profile_items(hur._h_memo)
+                    if 2 * g - 2 + len(mu) + sum(mu) <= MAX_BRANCH_POINTS},
     }
     # write beside the file and rename over it, so an interrupted write
     # leaves the old file whole
@@ -88,7 +91,6 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
         warn(f"cache: unreadable file {path}: {exc}")
         return {"catalan": 0, "hurwitz": 0, "rejected": 1}
     loaded = {"catalan": 0, "hurwitz": 0, "rejected": 0}
-    fact = hur._factorials  # grown here as far as each key needs, as _scale does
     # key fields as export writes them, up to any a valid Hurwitz key holds
     fields = {str(i): i for i in range(MAX_BRANCH_POINTS + 2)}
     for model, memo in (("catalan", cat._count_memo), ("hurwitz", hur._h_memo)):
@@ -125,9 +127,7 @@ def import_caches(path: Path, warn=lambda msg: print(msg, file=sys.stderr)) -> d
                 else:
                     if p < 0:
                         raise CorruptCache(f"count {key} = {value} is negative")
-                    while len(fact) <= r + 1:
-                        fact.append(fact[-1] * len(fact))
-                    scale = fact[r] * fact[d]
+                    scale = hur._scale(g, mu)
                     if scale % q:
                         raise CorruptCache(f"count {key} = {value}: denominator {q} "
                                            "does not divide r! d!")

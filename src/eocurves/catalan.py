@@ -28,7 +28,6 @@ from .shared import (
     diagonal_mixed,
     is_stable,
     memo,
-    mirrored_half,
     profile_id,
     profile_ids,
     profiles,
@@ -47,23 +46,6 @@ Q = Fraction
 # ---------------------------------------------------------------------------
 
 _count_memo: shared.GenusTables = memo(shared.GenusTables())  # g -> {profile id: count}
-
-
-@memo
-def _splits_by_parity(rest: int) -> tuple[tuple[tuple[shared.Split, ...], ...], ...]:
-    """``submultisets(rest)`` and its ``mirrored_half``, each grouped by the
-    parity of the left sum.
-
-    A group keeps the mirror order when ``|rest|`` is even, the only case
-    in which ``_count`` reads the half.
-    """
-    grouped = []
-    for splits in (submultisets(rest), mirrored_half(rest)):
-        by_parity = ([], [])
-        for split in splits:
-            by_parity[split[2] % 2].append(split)
-        grouped.append((tuple(by_parity[0]), tuple(by_parity[1])))
-    return tuple(grouped)
 
 
 def _count(g: int, pid: int) -> int:
@@ -114,7 +96,7 @@ def _count(g: int, pid: int) -> int:
             c = _count(g, k0)
         total += 2 * c
     if mu1 >= 4:
-        whole, half = _splits_by_parity(rest_id)
+        whole, half = submultisets(rest_id)
         tables = [_count_memo[g1] for g1 in range(g + 1)]  # C_g1 at tables[g1], picked once
         pairs = tuple(zip(range(g + 1), tables, reversed(tables)))  # (g1, C_g1, C_{g-g1})
     for a in range(1, mu1 // 2):
@@ -127,7 +109,9 @@ def _count(g: int, pid: int) -> int:
                 term = _count(g - 1, drop)
         # both sides' sums even; at a = b a split and its complement give
         # the same term, so the mirrored half counts it
-        for left, right, _, _, ways in (half if a == b else whole)[a % 2]:
+        for left, right, size, _, ways in half if a == b else whole:
+            if (size + a) % 2:
+                continue
             ka = with_part(left, a)
             kb = with_part(right, b)
             for g1, ta, tb in pairs:

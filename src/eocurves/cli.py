@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p = cat_sub.add_parser("s-coeff", help="WKB coefficient S_m in t", parents=[common])
     p.add_argument("--m", type=_at_least(2), required=True)
-    p.add_argument("--path", choices=("assembled", "recursive", "both"),
-                   default="both")
     p = cat_sub.add_parser("verify-schrodinger",
                            help="order-by-order quantum-curve residuals", parents=[common])
     p.add_argument("--max-order", type=_at_least(1), default=4)
@@ -192,15 +190,11 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             print(cat.catalan_count(args.g, args.n, args.mu))
             return 0
         if args.subcommand == "s-coeff":
-            out = {}
-            if args.path in ("assembled", "both"):
-                out["assembled"] = cat.s_coefficient_assembled(args.m).to_json()
-            if args.path in ("recursive", "both"):
-                out["recursive"] = cat.s_coefficient_recursive(args.m).to_json()
-            if args.path == "both":
-                out["equal"] = (out["assembled"] == out["recursive"])
+            out = {"assembled": cat.s_coefficient_assembled(args.m).to_json(),
+                   "recursive": cat.s_coefficient_recursive(args.m).to_json()}
+            out["equal"] = out["assembled"] == out["recursive"]
             _emit(out)
-            return 0 if out.get("equal", True) else 1
+            return 0 if out["equal"] else 1
         if args.subcommand == "verify-schrodinger":
             residuals = cat.schrodinger_residuals(args.max_order - 1)
             return _zero_report("catalan-schrodinger", [

@@ -38,7 +38,6 @@ from .shared import (
     diagonal_mixed,
     is_stable,
     memo,
-    mirrored_half,
     profile_id,
     profile_ids,
     profiles,
@@ -142,7 +141,7 @@ def _hurwitz(g: int, pid: int) -> int:
         if v == 1:
             break  # a pole of order 1 is not cut
         rest = without_part(pid, v)
-        splits = submultisets(rest)
+        whole, half = submultisets(rest)
         cut = 0
         for alpha in range(1, v // 2 + 1):
             beta = v - alpha
@@ -152,7 +151,7 @@ def _hurwitz(g: int, pid: int) -> int:
                 term = tables[g - 1].get(drop)
                 if term is None:
                     term = _hurwitz(g - 1, drop)
-            for sub, left, size, parts, ways in mirrored_half(rest) if alpha == beta else splits:
+            for sub, left, size, parts, ways in half if alpha == beta else whole:
                 ka = with_part(sub, alpha)
                 kb = with_part(left, beta)
                 d1 = size + alpha

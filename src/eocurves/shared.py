@@ -20,10 +20,10 @@ interned once by ``profile_id`` (``profile_ids`` maps a profile to its small
 int id, ``profiles`` maps the id back).  Their memos are ``GenusTables``, one
 ``{id: count}`` table per genus, picked once per recursion entry.
 ``with_part`` and ``without_part`` add or remove one part of an id's profile
-and return the new id; ``submultisets`` and ``mirrored_half`` hand out splits
-as ids.  Ids are process-local: the cache file, every printed answer and every
-error text key by the profile itself, translated at the boundary through
-``profiles``.
+and return the new id; ``submultisets`` hands out a profile's splits as ids,
+all of them and their mirrored half.  Ids are process-local: the cache file,
+every printed answer and every error text key by the profile itself,
+translated at the boundary through ``profiles``.
 
 Every memo table of both models, of these helpers and of the characters is
 recorded here by ``memo``, the id tables included; ``clear_caches`` empties
@@ -156,16 +156,18 @@ Split = tuple[int, int, int, int, int]
 
 
 @memo
-def submultisets(rest: int) -> tuple[Split, ...]:
-    """(sub, complement, size, parts, labeled ways) over sub-multisets of a profile.
+def submultisets(rest: int) -> tuple[tuple[Split, ...], tuple[Split, ...]]:
+    """(whole, half) of (sub, complement, size, parts, labeled ways) splits.
 
     ``rest``, ``sub`` and the complement are profile ids; ``size`` is
-    ``sum(sub)`` and ``parts`` is ``len(sub)``.  Mirror order: entry ``i``
-    and entry ``N - 1 - i`` (of ``N``) trade ``sub`` with the complement
-    (read as the mirror's ``sub``) and have equal ways, so their sizes add
-    to the sum of ``rest``; when ``N`` is odd the middle entry is its own
-    complement.  Memoized: both count recursions ask it again and again for
-    the same profile, and every caller shares the one immutable result.
+    ``sum(sub)`` and ``parts`` is ``len(sub)``.  ``whole`` has each
+    sub-multiset once, in mirror order: entry ``i`` and entry ``N - 1 - i``
+    (of ``N``) trade ``sub`` with the complement and have equal ways, so
+    their sizes add to the sum of ``rest``; an odd ``N``'s middle entry is
+    its own complement.  ``half`` is the first half of ``whole`` at twice its
+    ways, then the middle: summed over it, a term that a split and its
+    complement share adds up to its sum over ``whole``, at half the visits.
+    Memoized: both count recursions ask for the same profile again and again.
     """
     profile = profiles[rest]
     splits = [((), 0, 1)]
@@ -174,22 +176,12 @@ def submultisets(rest: int) -> tuple[Split, ...]:
         splits = [(sub + (v,) * k, size + k * v, ways * comb(m, k))
                   for sub, size, ways in splits for k in range(m + 1)]
     subs = [profile_id(sub) for sub, _, _ in splits]
-    return tuple((pid, left, size, len(sub), ways)
-                 for pid, left, (sub, size, ways) in zip(subs, reversed(subs), splits))
-
-
-@memo
-def mirrored_half(rest: int) -> tuple[Split, ...]:
-    """The first half of ``submultisets(rest)`` at twice its ways, then the middle.
-
-    Summed over these, a term that a split and its complement share (as
-    when both halves of a cut get the same part) adds up to its sum over
-    every split, at half the visits.
-    """
-    splits = submultisets(rest)
-    half, odd = divmod(len(splits), 2)
-    return tuple((sub, left, size, parts, 2 * ways)
-                 for sub, left, size, parts, ways in splits[:half]) + splits[half:half + odd]
+    whole = tuple((pid, left, size, len(sub), ways)
+                  for pid, left, (sub, size, ways) in zip(subs, reversed(subs), splits))
+    mid, odd = divmod(len(whole), 2)
+    half = tuple((sub, left, size, parts, 2 * ways)
+                 for sub, left, size, parts, ways in whole[:mid]) + whole[mid:mid + odd]
+    return whole, half
 
 
 def is_stable(g: int, n: int) -> bool:

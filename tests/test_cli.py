@@ -281,6 +281,8 @@ def test_report_determinism():
 
 
 def test_cache_roundtrip(tmp_path):
+    # from empty memos, so that the file holds this test's counts only
+    shared.clear_caches()
     cat.catalan_count(0, 1, [8])
     hur.hurwitz_number(1, 1, [3])
     hur.hurwitz_number(0, 3, [2, 2, 1])
@@ -305,6 +307,24 @@ def test_cache_roundtrip(tmp_path):
     again = tmp_path / "again.json"
     export_caches(again)
     assert again.read_text() == text
+
+
+def test_export_writes_only_keys_import_takes(tmp_path):
+    # H_201((1)) = 0 has r = 402 > MAX_BRANCH_POINTS: the memo keeps it, but
+    # import refuses such a key (rule 3), so export leaves it out
+    shared.clear_caches()
+    assert hur.hurwitz_number(cache.MAX_BRANCH_POINTS // 2 + 1, 1, [1]) == 0
+    assert hur.hurwitz_number(1, 1, [3]) == Q(3, 8)
+    kept = len(hur._h_memo) - 1
+    path = tmp_path / "c.json"
+    assert export_caches(path) == {"catalan": 0, "hurwitz": kept}
+    written = json.loads(path.read_text())["hurwitz"]
+    assert "201,1,1" not in written and written["1,1,3"] == "3/8"
+    shared.clear_caches()
+    warnings = []
+    assert import_caches(path, warn=warnings.append) == {
+        "catalan": 0, "hurwitz": kept, "rejected": 0}
+    assert warnings == []
 
 
 # In a fresh interpreter, so that no memo of an earlier test shortens the run:
@@ -903,9 +923,10 @@ def test_malformed_cache_is_rejected_and_rewritten(tmp_path, capsys, count_memos
 @pytest.mark.parametrize("argv", [
     ["--tolerance", "1", "verify", "--suite", "wkb"],
     ["catalan", "s-coeff", "--m", "5", "--extended"],
+    ["catalan", "s-coeff", "--m", "3", "--path", "recursive"],
     ["cache", "export", "--path", "{p}"],
     ["cache", "import", "--path", "{p}"],
-], ids=["tolerance", "extended", "cache-export", "cache-import"])
+], ids=["tolerance", "extended", "s-coeff-path", "cache-export", "cache-import"])
 def test_retired_options_are_usage_errors(tmp_path, capsys, argv):
     path = tmp_path / "p.json"
     with pytest.raises(SystemExit) as err:

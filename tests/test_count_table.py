@@ -16,7 +16,6 @@ from eocurves import hurwitz as hur
 from eocurves import schur, shared
 from eocurves.cache import export_caches, import_caches
 from eocurves.shared import (
-    mirrored_half,
     profile_id,
     profile_items,
     profiles,
@@ -140,9 +139,9 @@ def _unpacked(splits):
 
 @given(PROFILES)
 def test_submultisets_group_the_index_subsets(rest):
-    splits = submultisets(profile_id(rest))
-    assert isinstance(splits, tuple)
-    assert all(isinstance(pid, int) for split in splits for pid in split[:2])
+    splits, half = submultisets(profile_id(rest))
+    assert isinstance(splits, tuple) and isinstance(half, tuple)
+    assert all(isinstance(pid, int) for split in splits + half for pid in split[:2])
     splits = _unpacked(splits)
     assert all(size == sum(sub) and parts == len(sub) for sub, _, size, parts, _ in splits)
     # each sub-multiset once, weighted by the index subsets that give it
@@ -160,24 +159,25 @@ def test_submultisets_list_complements_at_mirrored_places(rest):
     # the precondition of summing a split's term together with its
     # complement's over the mirrored half only
     pid = profile_id(rest)
-    splits = submultisets(pid)
+    splits, half = submultisets(pid)
     for split, mirror in zip(splits, reversed(splits)):
         assert (split[0], split[1]) == (mirror[1], mirror[0])
         assert split[4] == mirror[4]
         assert split[2] + mirror[2] == sum(rest)
         assert split[3] + mirror[3] == len(rest)
-    half = mirrored_half(pid)
+    # the mirrored half: the first half at twice its ways, then the middle
     assert len(half) == (len(splits) + 1) // 2
+    assert [s[:4] for s in half] == [s[:4] for s in splits[:len(half)]]
+    middle = len(splits) // 2 if len(splits) % 2 else None
+    assert [s[4] for s in half] == [s[4] * (1 if i == middle else 2)
+                                    for i, s in enumerate(splits[:len(half)])]
     assert sum(ways for *_, ways in half) == sum(ways for *_, ways in splits)
-    # Catalan's parity groups keep the mirror order when the sizes of a
-    # split and its complement have one parity
-    whole, halves = cat._splits_by_parity(pid)
-    assert [s for group in whole for s in group] == sorted(splits, key=lambda s: s[2] % 2)
+    # a split and its complement have one parity when |rest| is even, so
+    # Catalan's parity skip keeps the half's ways summing to the whole's
     if sum(rest) % 2 == 0:
-        for group, half_group in zip(whole, halves):
-            assert [s[:2] for s in group] == [(s[1], s[0]) for s in reversed(group)]
-            assert [s[:3] for s in half_group] == [s[:3] for s in group[:len(half_group)]]
-            assert len(half_group) == (len(group) + 1) // 2
+        for parity in (0, 1):
+            assert sum(s[4] for s in half if s[2] % 2 == parity) == \
+                sum(s[4] for s in splits if s[2] % 2 == parity)
 
 
 @given(st.lists(st.integers(0, 6), max_size=6).map(sorted_key), st.integers(0, 8))
@@ -259,8 +259,7 @@ def test_no_id_keyed_entry_outlives_clear_caches():
     id_keyed = {"profile_ids": shared.profile_ids, "profiles": profiles,
                 "_insertions": shared._insertions, "_removals": shared._removals,
                 "_count_memo": cat._count_memo,
-                "_h_memo": hur._h_memo, "submultisets": submultisets,
-                "mirrored_half": mirrored_half, "_splits_by_parity": cat._splits_by_parity}
+                "_h_memo": hur._h_memo, "submultisets": submultisets}
     assert [name for name, table in id_keyed.items() if not _size(table)] == []
     shared.clear_caches()
     assert [name for name, table in id_keyed.items() if _size(table)] == []
