@@ -50,8 +50,6 @@ _count_memo: shared.GenusTables = memo(shared.GenusTables())  # g -> {profile id
 
 def _count(g: int, pid: int) -> int:
     """Arrowed cellular-graph count for the profile id pid; pure recursion, memoized."""
-    if g < 0:
-        return 0
     own = _count_memo[g]
     cached = own.get(pid)
     if cached is not None:
@@ -354,7 +352,6 @@ def base_s_primes(m_max: int) -> list[RatFunc]:
     return [_x_frame_prime(m) for m in range(max(m_max, 1) + 1)]
 
 
-@memo
 def s_coefficient_recursive(m: int) -> RatFunc:
     """S_m(t) from the Schrodinger-equation recursion, integrated from t = -1."""
     if m < 2:

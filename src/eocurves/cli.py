@@ -21,7 +21,7 @@ from . import wkb
 from .cache import MAX_BRANCH_POINTS, export_caches, import_caches, memo_sizes
 from .errors import InvalidProfile, SizeMismatch
 from .rationals import qstr
-from .report import Report, RunConfig, run_checks, run_suite, SUITES, CheckRecord
+from .report import RunConfig, run_suite
 
 
 def _mu_list(text: str) -> list[int]:
@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p = cat_sub.add_parser("s-coeff", help="WKB coefficient S_m in t", parents=[common])
     p.add_argument("--m", type=_at_least(2), required=True)
-    p = cat_sub.add_parser("verify-schrodinger",
-                           help="order-by-order quantum-curve residuals", parents=[common])
-    p.add_argument("--max-order", type=_at_least(1), default=4)
 
     p_hur = sub.add_parser("hurwitz", help="single Hurwitz model", parents=[common])
     hur_sub = p_hur.add_subparsers(dest="subcommand", required=True)
@@ -87,26 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p = hur_sub.add_parser("s-coeff", help="WKB coefficient S_m (polynomial)", parents=[common])
     p.add_argument("--m", type=_at_least(2), required=True)
-    p = hur_sub.add_parser("verify", help="verification sub-suites", parents=[common])
-    p.add_argument("--suite",
-                   choices=("recursion", "heat", "zhou", "commutator",
-                            "lambert", "all"),
-                   default="all")
 
     p_wkb = sub.add_parser("wkb", help="transport hierarchy on the curve symbol", parents=[common])
     wkb_sub = p_wkb.add_subparsers(dest="subcommand", required=True)
-    p = wkb_sub.add_parser("corrections", help="quantization corrections A_k", parents=[common])
-    p.add_argument("--model", choices=sorted(wkb.MODELS), required=True)
-    p.add_argument("--order", type=_at_least(1), default=4)
     p = wkb_sub.add_parser("s-prime", help="solve the hierarchy for S_n'", parents=[common])
     p.add_argument("--model", choices=sorted(wkb.MODELS), required=True)
     p.add_argument("--n", type=_at_least(1), required=True)
 
     p_schur = sub.add_parser("schur", help="symmetric-function identities", parents=[common])
     schur_sub = p_schur.add_subparsers(dest="subcommand", required=True)
-    p = schur_sub.add_parser("verify", help="graded identity checks", parents=[common])
-    p.add_argument("--max-weight", type=_at_least(0), default=6)
-    p.add_argument("--s-order", type=_at_least(1), default=6)
     p = schur_sub.add_parser("character", help="irreducible character value", parents=[common])
     p.add_argument("--mu", type=_mu_list, required=True)
     p.add_argument("--lambda", dest="lam", type=_mu_list, required=True)
@@ -119,29 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _report_and_exit(report: Report) -> int:
-    print(report.render(report.config.output_format))
-    return 0 if report.overall == "pass" else 1
-
-
-def _zero_report(title: str, rows: list, cfg: RunConfig) -> int:
-    """Report rows (id, statement, value, residual text); a zero value passes."""
-    records = [CheckRecord(check_id, statement, "pass" if value.is_zero() else "fail",
-                           residual, 0.0) for check_id, statement, value, residual in rows]
-    return _report_and_exit(Report(title, records, cfg))
-
-
 def _emit(data) -> None:
     print(json.dumps(data, indent=2))
-
-
-HURWITZ_SUBSUITES = {
-    "recursion": ["hurwitz-recursion"],
-    "heat": ["hurwitz-heat", "hurwitz-s-cross-paths"],
-    "zhou": ["hurwitz-zhou"],
-    "commutator": ["hurwitz-pq-commutator"],
-    "lambert": ["hurwitz-lambert"],
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,8 +115,7 @@ def main(argv: list[str] | None = None) -> int:
                     subcommand=getattr(args, "subcommand", "") or "",
                     suite=getattr(args, "suite", "") or "",
                     params={k: v for k, v in sorted(vars(args).items())
-                            if k not in {"command", "subcommand", "format", "cache"}
-                            and not callable(v)},
+                            if k not in {"command", "subcommand", "format", "cache"}},
                     output_format=args.format,
                     cache_path=args.cache)
 
@@ -195,11 +159,6 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             out["equal"] = out["assembled"] == out["recursive"]
             _emit(out)
             return 0 if out["equal"] else 1
-        if args.subcommand == "verify-schrodinger":
-            residuals = cat.schrodinger_residuals(args.max_order - 1)
-            return _zero_report("catalan-schrodinger", [
-                (f"order-{k}", "quantum-curve residual", r, "0" if r.is_zero() else "nonzero")
-                for k, r in enumerate(residuals)], cfg)
 
     if args.command == "hurwitz":
         if args.subcommand == "number":
@@ -212,41 +171,21 @@ def _dispatch(args: argparse.Namespace, cfg: RunConfig) -> int:
             coeffs = hur.s_coefficient(args.m).coefficients()
             _emit({"m": args.m, "coeffs": [qstr(c) for c in coeffs]})
             return 0
-        if args.subcommand == "verify":
-            if args.suite == "all":
-                return _report_and_exit(run_suite("hurwitz", cfg))
-            wanted = HURWITZ_SUBSUITES[args.suite]
-            checks = [c for c in SUITES["hurwitz"] if c[0] in wanted]
-            return _report_and_exit(run_checks("hurwitz:" + args.suite, checks, cfg))
 
-    if args.command == "wkb":
-        if args.subcommand == "corrections":
-            corr = wkb.recover_corrections(args.model, args.order)
-            return _zero_report(f"wkb-corrections-{args.model}", [
-                (f"A{k + 1}", "quantization correction", c, json.dumps(c.to_json()))
-                for k, c in enumerate(corr)], cfg)
-        if args.subcommand == "s-prime":
-            f = wkb.s_prime_from_hierarchy(args.model, args.n)
-            _emit({"model": args.model, "n": args.n, "s_prime": f.to_json()})
-            return 0
+    if args.command == "wkb":  # s-prime, its one subcommand
+        f = wkb.s_prime_from_hierarchy(args.model, args.n)
+        _emit({"model": args.model, "n": args.n, "s_prime": f.to_json()})
+        return 0
 
-    if args.command == "schur":
-        if args.subcommand == "character":
-            _emit({"dim": schur.dimension(args.mu),
-                   "character": schur.character(args.mu, args.lam)})
-            return 0
-        if args.subcommand == "verify":
-            w, r = args.max_weight, args.s_order
-            return _zero_report("schur-verify", [
-                ("tau-expansion", "character expansion of exp(H)",
-                 schur.tau_expansion_residual(w, r), f"weight<={w}, order<={r}"),
-                ("heat-flow", "cut-and-join generates the s-flow",
-                 schur.heat_consistency_residual(w, r), f"weight<={w}, order<={r - 1}"),
-                ("cauchy", "pairing identity",
-                 schur.cauchy_residual(min(w, 5)), f"weight<={min(w, 5)}")], cfg)
+    if args.command == "schur":  # character, its one subcommand
+        _emit({"dim": schur.dimension(args.mu),
+               "character": schur.character(args.mu, args.lam)})
+        return 0
 
     if args.command == "verify":
-        return _report_and_exit(run_suite(args.suite, cfg))
+        report = run_suite(args.suite, cfg)
+        print(report.render(cfg.output_format))
+        return 0 if report.overall == "pass" else 1
 
     return 2
 

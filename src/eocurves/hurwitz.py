@@ -93,8 +93,6 @@ def _binomial_row(m: int) -> tuple[int, ...]:
 
 def _hurwitz(g: int, pid: int) -> int:
     """N_g(mu) for the profile id pid: cut-and-join r H = join + cut, times (r-1)! d!."""
-    if g < 0:
-        return 0
     own = _h_memo[g]
     cached = own.get(pid)
     if cached is not None:

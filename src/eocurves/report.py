@@ -405,17 +405,10 @@ SUITES: dict[str, list[tuple[str, str, CheckFn]]] = {
 }
 
 
-def suite_checks(name: str) -> list[tuple[str, str, CheckFn]]:
-    if name == "all":
-        return [check for checks in SUITES.values() for check in checks]
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name]
-
-
-def run_checks(title: str, checks: Sequence[tuple[str, str, CheckFn]],
-               cfg: RunConfig) -> Report:
-    """Run the given registry entries in order; the report is titled ``title``."""
+def run_suite(name: str, cfg: RunConfig) -> Report:
+    """Run suite ``name`` (or every suite for ``"all"``), one check after another."""
+    checks = ([check for suite in SUITES.values() for check in suite] if name == "all"
+              else SUITES[name])
     records = []
     for check_id, statement, fn in checks:
         start = time.monotonic()
@@ -425,8 +418,4 @@ def run_checks(title: str, checks: Sequence[tuple[str, str, CheckFn]],
             ok, residual = False, f"exception: {type(exc).__name__}: {exc}"
         records.append(CheckRecord(check_id, statement, "pass" if ok else "fail",
                                    residual, time.monotonic() - start))
-    return Report(suite=title, checks=records, config=cfg)
-
-
-def run_suite(name: str, cfg: RunConfig) -> Report:
-    return run_checks(name, suite_checks(name), cfg)
+    return Report(suite=name, checks=records, config=cfg)

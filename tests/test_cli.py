@@ -1,5 +1,6 @@
 """Command-line front end: outputs, exit codes, reports, caching."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -23,7 +24,7 @@ from eocurves import schur
 from eocurves import shared
 from eocurves import wkb
 from eocurves.cache import export_caches, import_caches
-from eocurves.cli import HURWITZ_SUBSUITES, main
+from eocurves.cli import main
 from eocurves.laurent import SparseLaurent
 from eocurves.rationals import qstr
 from eocurves.report import RunConfig, check_catalan_curve_inversion, run_suite
@@ -148,15 +149,6 @@ def test_s_coeff_output_text(capsys):
     assert run_cli(capsys, "catalan", "s-coeff", "--m", "3") == (0, CATALAN_S3_TEXT)
 
 
-def test_wkb_corrections_command(capsys):
-    code, out = run_cli(capsys, "--format", "json", "wkb", "corrections",
-                        "--model", "hurwitz", "--order", "3")
-    assert code == 0
-    data = json.loads(out)
-    assert data["overall"] == "pass"
-    assert [c["check_id"] for c in data["checks"]] == ["A1", "A2", "A3"]
-
-
 def test_verify_suite_exit_code(capsys):
     code, out = run_cli(capsys, "--format", "json", "verify", "--suite", "wkb")
     assert code == 0
@@ -207,26 +199,10 @@ def test_character_errors_are_one_usage_line(capsys, mu, lam, reason):
         f"mu=[{mu.replace(',', ', ')}]): {reason}"]
 
 
-@pytest.mark.parametrize("option, value", [("--max-weight", "-1")])
-def test_schur_verify_rejects_negative_bounds(capsys, option, value):
-    with pytest.raises(SystemExit) as err:
-        main(["schur", "verify", option, value])
-    assert err.value.code == 2
-    assert f"argument {option}: must be >= 0, got {value}" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv, option, low, value", [
     (["catalan", "s-coeff", "--m", "1"], "--m", 2, "1"),
     (["hurwitz", "s-coeff", "--m", "-1"], "--m", 2, "-1"),
     (["wkb", "s-prime", "--model", "catalan", "--n", "0"], "--n", 1, "0"),
-    # an order below 1 would be a report of zero checks, passing vacuously
-    (["wkb", "corrections", "--model", "catalan", "--order", "0"], "--order", 1, "0"),
-    (["wkb", "corrections", "--model", "catalan", "--order", "-1"], "--order", 1, "-1"),
-    (["catalan", "verify-schrodinger", "--max-order", "0"], "--max-order", 1, "0"),
-    (["catalan", "verify-schrodinger", "--max-order", "-5"], "--max-order", 1, "-5"),
-    # s-order 0 would check the heat flow over no orders at all
-    (["schur", "verify", "--s-order", "0"], "--s-order", 1, "0"),
-    (["schur", "verify", "--s-order", "-2"], "--s-order", 1, "-2"),
 ])
 def test_out_of_range_orders_are_usage_errors(capsys, argv, option, low, value):
     with pytest.raises(SystemExit) as err:
@@ -235,23 +211,42 @@ def test_out_of_range_orders_are_usage_errors(capsys, argv, option, low, value):
     assert f"argument {option}: must be >= {low}, got {value}" in capsys.readouterr().err
 
 
-def test_verify_schrodinger_takes_common_options_after_the_subcommand(capsys):
-    code, out = run_cli(capsys, "catalan", "verify-schrodinger", "--max-order", "2",
-                        "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["overall"] == "pass"
-    assert [c["check_id"] for c in data["checks"]] == ["order-0", "order-1", "order-2"]
+# a small valid argv for every leaf command of eo
+LEAVES = {
+    "catalan count": ["--g", "0", "--n", "1", "--mu", "4"],
+    "catalan free-energy": ["--g", "0", "--n", "3"],
+    "catalan s-coeff": ["--m", "2"],
+    "hurwitz number": ["--g", "0", "--n", "1", "--mu", "3"],
+    "hurwitz free-energy": ["--g", "0", "--n", "3"],
+    "hurwitz s-coeff": ["--m", "2"],
+    "wkb s-prime": ["--model", "hurwitz", "--n", "2"],
+    "schur character": ["--mu", "2,1", "--lambda", "1,1,1"],
+    "verify": ["--suite", "wkb"],
+}
 
 
-def test_schur_verify_command(capsys):
-    code, out = run_cli(capsys, "schur", "verify", "--max-weight", "6",
-                        "--s-order", "6", "--format", "json")
+def _leaves(parser: argparse.ArgumentParser) -> list[str]:
+    """The words of every leaf command under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [""]
+    return [f"{name} {rest}".rstrip() for name, child in subs[0].choices.items()
+            for rest in _leaves(child)]
+
+
+def test_the_leaf_table_lists_every_leaf():
+    assert sorted(_leaves(cli.build_parser())) == sorted(LEAVES)
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_every_leaf_takes_the_common_options_after_it(tmp_path, capsys, leaf):
+    path = tmp_path / "c.json"
+    code, out = run_cli(capsys, *leaf.split(), *LEAVES[leaf], "--format", "json",
+                        "--cache", str(path))
     assert code == 0
-    data = json.loads(out)
-    assert data["overall"] == "pass"
-    assert [(c["check_id"], c["status"]) for c in data["checks"]] == [
-        ("tau-expansion", "pass"), ("heat-flow", "pass"), ("cauchy", "pass")]
+    assert path.exists()
+    if leaf == "verify":
+        assert json.loads(out)["overall"] == "pass"
 
 
 def test_hurwitz_number_bounds_the_branch_points(capsys, monkeypatch):
@@ -749,33 +744,9 @@ def test_corrections_check_names_the_nonzero_order(monkeypatch):
         False, "nonzero A_2 for catalan")
 
 
-def test_hurwitz_subsuite_runs_only_its_checks(capsys, monkeypatch):
-    called = []
-
-    def recorder(check_id):
-        def check(cfg):
-            called.append(check_id)
-            return True, "ok"
-        return check
-
-    checks = [(check_id, statement, recorder(check_id))
-              for check_id, statement, _ in report.SUITES["hurwitz"]]
-    monkeypatch.setitem(report.SUITES, "hurwitz", checks)
-    code, out = run_cli(capsys, "--format", "json", "hurwitz", "verify",
-                        "--suite", "lambert")
-    assert code == 0
-    data = json.loads(out)
-    assert data["suite"] == "hurwitz:lambert"
-    assert [c["check_id"] for c in data["checks"]] == ["hurwitz-lambert"]
-    assert called == ["hurwitz-lambert"]
-
-
 def test_check_registry_ids():
     ids = [check_id for checks in report.SUITES.values() for check_id, _, _ in checks]
     assert len(ids) == len(set(ids))
-    hurwitz_ids = {check_id for check_id, _, _ in report.SUITES["hurwitz"]}
-    for sub, wanted in HURWITZ_SUBSUITES.items():
-        assert wanted and set(wanted) <= hurwitz_ids, sub
 
 
 def test_cache_missing_file_cold_start(tmp_path):
@@ -926,7 +897,13 @@ def test_malformed_cache_is_rejected_and_rewritten(tmp_path, capsys, count_memos
     ["catalan", "s-coeff", "--m", "3", "--path", "recursive"],
     ["cache", "export", "--path", "{p}"],
     ["cache", "import", "--path", "{p}"],
-], ids=["tolerance", "extended", "s-coeff-path", "cache-export", "cache-import"])
+    # each ran a part of `eo verify --suite <name>`
+    ["catalan", "verify-schrodinger", "--cache", "{p}"],
+    ["hurwitz", "verify", "--cache", "{p}"],
+    ["wkb", "corrections", "--model", "catalan", "--cache", "{p}"],
+    ["schur", "verify", "--cache", "{p}"],
+], ids=["tolerance", "extended", "s-coeff-path", "cache-export", "cache-import",
+        "catalan-verify-schrodinger", "hurwitz-verify", "wkb-corrections", "schur-verify"])
 def test_retired_options_are_usage_errors(tmp_path, capsys, argv):
     path = tmp_path / "p.json"
     with pytest.raises(SystemExit) as err:
